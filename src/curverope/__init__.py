@@ -13,15 +13,15 @@ from .camera import (
 )
 from .head import HeadParams, head_backward, head_forward, head_init
 from .phasor import (
-    PatchRays,
     ProjectedPath,
     RadialInterval,
     breakpoints,
     expected_coefficients,
     expected_phasor,
-    patch_rays,
     projected_path,
     segment_phasor,
+    token_paths,
+    token_rays,
 )
 from .rope import FrequencyPlan, apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
 from .scene import SceneSpec, TrajectorySpec, make_layer_features, make_trajectory, render_radial_map

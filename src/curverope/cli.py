@@ -24,19 +24,14 @@ from .camera import UcmCamera, relative_transform
 from .checks import run_head_gradcheck, run_loss_gradcheck
 from .formats import (
     FormatError,
+    camera_from_dict,
     load_trajectory,
     read_rdm1,
     read_sidecar,
     save_head_params,
 )
 from .oracle import run_oracle_check
-from .phasor import (
-    RadialInterval,
-    breakpoints,
-    coefficients_from_paths,
-    patch_rays,
-    token_paths,
-)
+from .phasor import breakpoints, coefficients_from_paths, token_grid, token_paths, token_rays
 from .rope import make_frequency_plan
 from .scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
 from .supervision import near_distance_stat, normalize_and_pool, validity_mask
@@ -46,6 +41,12 @@ from .trainer import DivergenceError, run_layer_probe
 __all__ = ["main", "entry", "DEFAULT_CONFIG"]
 
 COEFFS_MAGIC = b"MCF1"
+# Phase values (tokens x coordinates x frequencies x K) per coefficient
+# kernel call. A call covers one frame pair and as many tokens as fit, which
+# keeps every array of the call near glibc's initial 128 KiB mmap threshold:
+# with whole-pair calls, the peak RSS of a 50 s bench run on the 4-frame
+# 128x128 clip kept creeping up (about +8 MB) as the heap fragmented.
+_PHASES_PER_CALL = 2**14
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -106,6 +107,45 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+# Types of the entries whose default is None (unset).
+_OPTIONAL_TYPES = {
+    "trajectory": str,
+    "trajectory_spec": dict,
+    "rdm1": str,
+    "coeffs.sigma_override": (int, float),
+}
+
+
+def _check_config(user, schema: dict, prefix: str = "") -> None:
+    """Reject keys the schema lacks and values whose type differs from the default's.
+
+    The schema is DEFAULT_CONFIG. Nested objects are walked, a float default
+    also admits an int, and a None default admits None or the type listed
+    in _OPTIONAL_TYPES.
+    """
+    if not isinstance(user, dict):
+        where = f"key {prefix[:-1]!r}" if prefix else "document"
+        raise ValueError(f"config {where} must be a JSON object")
+    for key, value in user.items():
+        name = prefix + key
+        if key not in schema:
+            raise ValueError(f"unknown config key {name!r}")
+        default = schema[key]
+        if isinstance(default, dict):
+            _check_config(value, default, name + ".")
+            continue
+        if default is None:
+            if value is None:
+                continue
+            kind = _OPTIONAL_TYPES[name]
+        else:
+            kind = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"config key {name!r} has type {type(value).__name__}")
+        if isinstance(default, list) and any(type(v) is not type(default[0]) for v in value):
+            raise ValueError(f"config key {name!r} must list {type(default[0]).__name__} values")
+
+
 def _load_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -114,9 +154,7 @@ def _load_config(args) -> dict:
             user = json.loads(text)
         except json.JSONDecodeError as e:
             raise FormatError(f"invalid config JSON: {e.msg}", e.pos) from e
-        unknown = set(user) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_config(user, DEFAULT_CONFIG)
         cfg = _deep_merge(cfg, user)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -145,24 +183,20 @@ def _write_json(path: Path, chash: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _camera_from_dict(c: dict) -> UcmCamera:
-    return UcmCamera(
-        fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
-        xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
-    )
-
-
 def _resolve_trajectory(cfg: dict):
     if cfg["trajectory"]:
         return load_trajectory(cfg["trajectory"])
     spec = cfg["trajectory_spec"]
     if spec is None:
         raise ValueError("this command needs 'trajectory' (file) or 'trajectory_spec' (inline)")
-    cam = _camera_from_dict(spec["camera"])
-    tspec = TrajectorySpec(
-        frames=int(spec["frames"]), motion=spec["motion"],
-        amplitude=float(spec["amplitude"]), camera=cam,
-    )
+    try:
+        cam = camera_from_dict(spec["camera"])
+        tspec = TrajectorySpec(
+            frames=int(spec["frames"]), motion=spec["motion"],
+            amplitude=float(spec["amplitude"]), camera=cam,
+        )
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"trajectory_spec needs camera, frames, motion and amplitude: {e!r}") from e
     return cam, make_trajectory(tspec)
 
 
@@ -173,10 +207,7 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
     head interval (0, 3); with one, valid pooled tokens take the teacher
     interval over that baseline.
     """
-    patch = cfg["patch_size"]
-    rows, cols = cam.height // patch, cam.width // patch
-    if rows < 1 or cols < 1:
-        raise ValueError("patch_size larger than the image")
+    rows, cols = token_grid(cam.height, cam.width, cfg["patch_size"])
     mu = np.zeros((frames, rows, cols))
     sigma = np.full((frames, rows, cols), 3.0)
     if cfg["rdm1"]:
@@ -208,27 +239,30 @@ def _plan(cfg: dict):
     return make_frequency_plan(9 * 2 * pairs, 9, float(cfg["freq_base"]))
 
 
-def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
+def _token_setup(cfg: dict):
+    """What coeffs and trace-path share: camera, poses, token grid (rows, cols),
+    offset rays (tokens, 3, 3) and per-source-frame breakpoints (F, tokens, 1, K)."""
     cam, poses = _resolve_trajectory(cfg)
-    frames = len(poses)
-    patch = cfg["patch_size"]
-    rows, cols = cam.height // patch, cam.width // patch
-    mu, sigma = _token_intervals(cfg, cam, frames)
-    plan = _plan(cfg)
-    k = cfg["k"]
+    mu, sigma = _token_intervals(cfg, cam, len(poses))
+    frames, rows, cols = mu.shape
+    radii = breakpoints(mu, sigma, cfg["k"]).reshape(frames, rows * cols, 1, cfg["k"])
+    return cam, poses, (rows, cols), token_rays(cam, cfg["patch_size"]), radii
 
-    patches = [patch_rays(cam, (r, c), patch) for r in range(rows) for c in range(cols)]
+
+def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
+    cam, poses, (rows, cols), rays, radii = _token_setup(cfg)
+    frames = len(poses)
+    plan = _plan(cfg)
+
     coeffs = np.empty((frames, frames, rows * cols, plan.num_pairs, 2))
     fallbacks = 0
+    step = max(1, _PHASES_PER_CALL // (plan.num_pairs * cfg["k"]))
     for qf in range(frames):
         for sf in range(frames):
             transform = relative_transform(poses[sf], poses[qf])
-            for idx, pr in enumerate(patches):
-                r, c = divmod(idx, cols)
-                interval = RadialInterval(float(mu[sf, r, c]), float(sigma[sf, r, c]))
-                radii = breakpoints(interval, k)
-                paths = token_paths(cam, transform, pr, radii)
-                coeffs[qf, sf, idx], fb = coefficients_from_paths(paths, plan)
+            for t in range(0, rows * cols, step):
+                path = token_paths(cam, transform, rays[t : t + step], radii[sf, t : t + step])
+                coeffs[qf, sf, t : t + step], fb = coefficients_from_paths(path, plan)
                 fallbacks += fb
 
     payload = np.ascontiguousarray(coeffs, dtype="<f4")
@@ -239,45 +273,36 @@ def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
 
     # Bound check on the computed values; the f32 file rounds separately.
     mags = np.sqrt((coeffs**2).sum(axis=-1))
+    bound_ok = bool(mags.max() ** 2 <= 1.0 + 1e-12)
     _write_json(
         out / "coeffs_summary.json",
         chash,
         {
             "shape": list(coeffs.shape),
-            "k": k,
+            "k": cfg["k"],
             "min_magnitude": float(mags.min()),
             "max_magnitude": float(mags.max()),
             "identity_fallback_count": int(fallbacks),
-            "magnitude_bound_ok": bool(mags.max() ** 2 <= 1.0 + 1e-12),
+            "magnitude_bound_ok": bound_ok,
         },
     )
-    return True
+    return bound_ok
 
 
 def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
-    cam, poses = _resolve_trajectory(cfg)
+    cam, poses, _, rays, radii = _token_setup(cfg)
     frames = len(poses)
-    patch = cfg["patch_size"]
-    rows, cols = cam.height // patch, cam.width // patch
-    mu, sigma = _token_intervals(cfg, cam, frames)
     qf = cfg["trace"]["query_frame"] % frames
     sf = cfg["trace"]["source_frame"] % frames
-    transform = relative_transform(poses[sf], poses[qf])
-    k = cfg["k"]
+    path = token_paths(cam, relative_transform(poses[sf], poses[qf]), rays, radii[sf])
 
-    csv_rows = []
-    for idx in range(rows * cols):
-        r, c = divmod(idx, cols)
-        pr = patch_rays(cam, (r, c), patch)
-        interval = RadialInterval(float(mu[sf, r, c]), float(sigma[sf, r, c]))
-        radii = breakpoints(interval, k)
-        for a, path in enumerate(token_paths(cam, transform, pr, radii)):
-            for j in range(k):
-                u, v, rng = path.points[j]
-                csv_rows.append(
-                    [idx, a, j + 1, repr(float(radii[j])), repr(float(u)), repr(float(v)),
-                     repr(float(rng)), int(path.valid[j])]
-                )
+    token, offset, j = np.indices(path.valid.shape).reshape(3, -1)
+    r_k = np.broadcast_to(radii[sf], path.valid.shape).ravel().tolist()
+    u, v, rng = (path.points[..., c].ravel().tolist() for c in range(3))
+    csv_rows = zip(
+        token.tolist(), offset.tolist(), (j + 1).tolist(), map(repr, r_k), map(repr, u),
+        map(repr, v), map(repr, rng), path.valid.ravel().astype(int).tolist(),
+    )
     _write_csv(
         out / "trace.csv", chash,
         ["token", "offset", "k", "r_k", "u_bounded", "v_bounded", "range", "valid"],
@@ -320,7 +345,7 @@ def cmd_gradcheck(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     t = cfg["train"]
-    cam = _camera_from_dict(t["camera"])
+    cam = camera_from_dict(t["camera"])
     scene = SceneSpec(
         kind=t["scene"]["kind"], extent=float(t["scene"]["extent"]),
         num_points=int(t["scene"]["num_points"]), seed=int(t["scene"]["seed"]),

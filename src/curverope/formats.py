@@ -28,6 +28,7 @@ __all__ = [
     "write_rdm1",
     "read_rdm1",
     "read_sidecar",
+    "camera_from_dict",
     "save_trajectory",
     "load_trajectory",
     "save_head_params",
@@ -87,10 +88,34 @@ def read_rdm1(path) -> RadialMap:
 
 
 def read_sidecar(path) -> dict | None:
+    """The RDM1 sidecar object, or None when there is no sidecar file."""
     sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
     if not sidecar.exists():
         return None
-    return json.loads(sidecar.read_text())
+    try:
+        doc = json.loads(sidecar.read_bytes())
+    except json.JSONDecodeError as e:
+        raise FormatError(f"invalid RDM1 sidecar JSON: {e.msg}", e.pos) from e
+    except UnicodeDecodeError as e:
+        raise FormatError("RDM1 sidecar is not UTF-8 text", e.start) from e
+    if not isinstance(doc, dict):
+        raise FormatError("RDM1 sidecar must be a JSON object", 0)
+    near = doc.get("near_stat")
+    if near is not None and (isinstance(near, bool) or not isinstance(near, (int, float))):
+        raise FormatError("RDM1 sidecar near_stat must be a number", 0)
+    return doc
+
+
+def camera_from_dict(c: dict) -> UcmCamera:
+    """Camera from its {fx, fy, cx, cy, xi, width, height} mapping.
+
+    A missing field raises KeyError and a non-numeric one TypeError or
+    ValueError; callers say which document was malformed.
+    """
+    return UcmCamera(
+        fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
+        xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
+    )
 
 
 def save_trajectory(path, cam: UcmCamera, poses) -> None:
@@ -130,11 +155,7 @@ def load_trajectory(path):
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid trajectory JSON: {e.msg}", e.pos) from e
     try:
-        c = doc["camera"]
-        cam = UcmCamera(
-            fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
-            xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
-        )
+        cam = camera_from_dict(doc["camera"])
         matrices = [np.asarray(m, dtype=float) for m in doc["poses"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"trajectory document missing field: {e}", 0) from e

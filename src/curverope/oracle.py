@@ -80,8 +80,9 @@ def random_setup(rng: np.random.Generator, k_check: int = 129) -> PhasorSetup:
         )
         interval = RadialInterval(rng.uniform(-0.5, 1.5), rng.uniform(0.1, 1.0))
         omega = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
-        path = projected_path(cam_q, transform, ray, breakpoints(interval, k_check))
-        pts = transform.apply(breakpoints(interval, k_check)[:, None] * ray.direction)
+        radii = breakpoints(interval.mu, interval.sigma, k_check)
+        path = projected_path(cam_q, transform, ray, radii)
+        pts = transform.apply(radii[:, None] * ray.direction)
         z = pts[:, 2]
         beta = z + cam_q.xi * np.linalg.norm(pts, axis=1)
         if np.all(path.valid) and np.min(beta) > 1e-3 and np.min(z) > 1e-3:
@@ -111,9 +112,8 @@ def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generato
 
 def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:
     """Segment-integrated phasor per coordinate, shape (3, 2)."""
-    path = projected_path(
-        setup.cam_q, setup.transform, setup.ray, breakpoints(setup.interval, k)
-    )
+    iv = setup.interval
+    path = projected_path(setup.cam_q, setup.transform, setup.ray, breakpoints(iv.mu, iv.sigma, k))
     pts = path.points[path.valid]
     if pts.shape[0] < 2:
         raise ValueError("oracle setups must keep at least two valid breakpoints")

@@ -19,25 +19,22 @@ from .rope import FrequencyPlan
 
 __all__ = [
     "LOG_RANGE_BOUND",
-    "SMALL_PHASE",
     "PATCH_OFFSETS",
     "RadialInterval",
-    "PatchRays",
     "ProjectedPath",
+    "token_grid",
+    "token_rays",
     "breakpoints",
+    "token_paths",
     "projected_path",
     "segment_phasor",
     "expected_phasor",
-    "patch_rays",
-    "token_paths",
     "coefficients_from_paths",
     "expected_coefficients",
 ]
 
 # Bound on log normalized radial distance; exp(+-3) ~ [0.05, 20].
 LOG_RANGE_BOUND = 3.0
-# Below this phase difference the segment integral uses its midpoint limit.
-SMALL_PHASE = 1e-6
 # Fixed relative sub-patch positions for the three offset rays.
 PATCH_OFFSETS = np.array([[0.5, 0.5], [0.25, 0.25], [0.75, 0.75]])
 
@@ -65,32 +62,12 @@ class RadialInterval:
 
 
 @dataclass(frozen=True)
-class PatchRays:
-    """Offset rays of one token: sub-patch pixel positions and unit directions."""
-
-    offsets: np.ndarray
-    rays: np.ndarray
-
-    def __post_init__(self) -> None:
-        off = np.asarray(self.offsets, dtype=float)
-        rays = np.asarray(self.rays, dtype=float)
-        if off.shape != (3, 2) or rays.shape != (3, 3):
-            raise ValueError("expected 3 offsets (3, 2) and 3 rays (3, 3)")
-        if np.max(np.abs(np.linalg.norm(rays, axis=1) - 1.0)) > 1e-12:
-            raise ValueError("offset rays must be unit norm")
-        object.__setattr__(self, "offsets", off)
-        object.__setattr__(self, "rays", rays)
-
-    def __len__(self) -> int:
-        return self.rays.shape[0]
-
-
-@dataclass(frozen=True)
 class ProjectedPath:
-    """Query-view coordinates of the lifted breakpoints.
+    """Query-view coordinates of lifted breakpoints, batched over leading axes.
 
-    points[k] = (u_bounded, v_bounded, range) where (u, v) lie in the
-    closed unit disk and range is the query-frame radial distance.
+    points[..., k, :] = (u_bounded, v_bounded, range) where (u, v) lie in
+    the closed unit disk and range is the query-frame radial distance;
+    valid[..., k] flags the points that enter the phase integral.
     """
 
     points: np.ndarray
@@ -99,30 +76,90 @@ class ProjectedPath:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         val = np.asarray(self.valid, dtype=bool)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise ValueError("path needs at least 2 points of shape (K, 3)")
-        if val.shape != (pts.shape[0],):
+        if pts.ndim < 2 or pts.shape[-1] != 3 or pts.shape[-2] < 2:
+            raise ValueError("paths need at least 2 points of shape (..., K, 3)")
+        if val.shape != pts.shape[:-1]:
             raise ValueError("validity mask must match the number of points")
-        disk = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        disk = pts[..., 0] ** 2 + pts[..., 1] ** 2
         if np.any(disk > 1.0 + 1e-12):
             raise ValueError("bounded coordinates must lie in the closed unit disk")
-        if np.any(val & ~(pts[:, 2] > 0)):
+        if np.any(val & ~(pts[..., 2] > 0)):
             raise ValueError("valid points must have positive range")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "valid", val)
 
-    @property
-    def num_points(self) -> int:
-        return self.points.shape[0]
+
+def token_grid(height: int, width: int, patch_size: int) -> tuple:
+    """(rows, cols) of the token grid; patch_size must divide the image."""
+    if patch_size < 1 or height % patch_size != 0 or width % patch_size != 0:
+        raise ValueError(f"image size {height}x{width} is not divisible by patch_size={patch_size}")
+    return height // patch_size, width // patch_size
 
 
-def breakpoints(interval: RadialInterval, k: int) -> np.ndarray:
-    """K radial distances exp(z_k) at uniformly spaced z over the interval."""
+def token_rays(cam_s: UcmCamera, patch_size: int) -> np.ndarray:
+    """Offset rays of every token, shape (rows * cols, 3, 3), row-major tokens.
+
+    Each token casts three unit rays through fixed sub-patch positions
+    (PATCH_OFFSETS) of its patch.
+    """
+    rows, cols = token_grid(cam_s.height, cam_s.width, patch_size)
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    pixels = np.stack(
+        [(c[:, None] + PATCH_OFFSETS[:, 0]) * patch_size, (r[:, None] + PATCH_OFFSETS[:, 1]) * patch_size],
+        axis=-1,
+    )
+    return unproject_points(cam_s, pixels)
+
+
+def breakpoints(mu, sigma, k: int) -> np.ndarray:
+    """K radial distances exp(z_k) at uniformly spaced z over each interval.
+
+    mu and sigma are scalars or arrays of one shape; the result has that
+    shape plus a trailing axis of length K.
+    """
     if k < 2:
         raise ValueError(f"need at least 2 breakpoints, got {k}")
-    a = interval.half_width
-    z = interval.mu - a + (np.arange(k, dtype=float) / (k - 1)) * (2.0 * a)
+    a = np.abs(np.asarray(sigma, dtype=float))[..., None]
+    z = np.asarray(mu, dtype=float)[..., None] - a + (np.arange(k, dtype=float) / (k - 1)) * (2.0 * a)
     return np.exp(z)
+
+
+def token_paths(
+    cam_q: UcmCamera,
+    transform: RigidTransform,
+    rays: np.ndarray,
+    radii: np.ndarray,
+) -> ProjectedPath:
+    """Lift radii along source rays, move to the query frame and project.
+
+    rays (..., 3) are unit directions and radii (..., K) broadcasts against
+    them, so (tokens, offsets, 3) rays with (tokens, 1, K) radii give paths
+    of shape (tokens, offsets, K). A point is flagged invalid when the
+    query camera is pinhole (xi = 0) and the point sits at or behind its
+    principal plane, or when the projection denominator is smaller than
+    the guard; projection itself stays total.
+    """
+    r = np.asarray(radii, dtype=float)
+    if r.ndim < 1 or r.shape[-1] < 2:
+        raise ValueError("radii need a trailing axis with at least 2 entries")
+    if not np.all(np.isfinite(r)) or np.any(r <= 0):
+        raise ValueError("radii must be positive finite reals")
+    if np.any(np.diff(r, axis=-1) < 0):
+        raise ValueError("radii must be non-decreasing")
+
+    pts = transform.apply(r[..., :, None] * np.asarray(rays, dtype=float)[..., None, :])
+    rng = np.linalg.norm(pts, axis=-1)
+    z = pts[..., 2]
+    beta = z + cam_q.xi * rng
+    invalid = np.abs(beta) < BETA_EPS
+    if cam_q.xi == 0.0:
+        invalid |= z <= 0.0
+    beta = np.where(beta >= 0.0, np.maximum(beta, BETA_EPS), np.minimum(beta, -BETA_EPS))
+    ub = (cam_q.fx / cam_q.width) * pts[..., 0] / beta
+    vb = (cam_q.fy / cam_q.height) * pts[..., 1] / beta
+    denom = np.sqrt(ub * ub + vb * vb + 1.0)
+    points = np.stack([ub / denom, vb / denom, rng], axis=-1)
+    return ProjectedPath(points=points, valid=~invalid)
 
 
 def projected_path(
@@ -131,53 +168,24 @@ def projected_path(
     ray: Ray,
     radii: np.ndarray,
 ) -> ProjectedPath:
-    """Lift radii along the source ray, move to the query frame and project.
-
-    A point is flagged invalid when the query camera is pinhole (xi = 0)
-    and the point sits at or behind its principal plane, or when the
-    projection denominator is smaller than the guard; projection itself
-    stays total.
-    """
-    r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or r.size < 2:
-        raise ValueError("radii must be a 1-d array with at least 2 entries")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise ValueError("radii must be positive finite reals")
-    if np.any(np.diff(r) < 0):
-        raise ValueError("radii must be non-decreasing")
-
-    pts = transform.apply(r[:, None] * ray.direction)
-    rng = np.linalg.norm(pts, axis=1)
-    z = pts[:, 2]
-    beta = z + cam_q.xi * rng
-    invalid = np.abs(beta) < BETA_EPS
-    if cam_q.xi == 0.0:
-        invalid |= z <= 0.0
-    beta = np.where(beta >= 0.0, np.maximum(beta, BETA_EPS), np.minimum(beta, -BETA_EPS))
-    ub = (cam_q.fx / cam_q.width) * pts[:, 0] / beta
-    vb = (cam_q.fy / cam_q.height) * pts[:, 1] / beta
-    denom = np.sqrt(ub * ub + vb * vb + 1.0)
-    points = np.stack([ub / denom, vb / denom, rng], axis=1)
-    return ProjectedPath(points=points, valid=~invalid)
+    """Path of one ray through radii (K,), shape (K, 3); see token_paths."""
+    return token_paths(cam_q, transform, ray.direction, radii)
 
 
 def segment_phasor(theta_a, theta_b) -> np.ndarray:
     """Mean of (cos, sin) over a linear phase segment, shape (..., 2).
 
-    Small phase differences take the midpoint limit to avoid cancellation;
-    the switch is continuous to well below the branch threshold.
+    The mean of exp(i theta) over [a, b] is sinc((b - a) / 2) exp(i (a + b) / 2).
+    This form has no cancelling difference quotient and no small-step
+    branch, so its magnitude stays at most 1 up to rounding for any step.
     """
     ta = np.asarray(theta_a, dtype=float)
     tb = np.asarray(theta_b, dtype=float)
     if not (np.all(np.isfinite(ta)) and np.all(np.isfinite(tb))):
         raise ValueError("phases must be finite")
-    d = tb - ta
-    small = np.abs(d) < SMALL_PHASE
-    d_safe = np.where(small, 1.0, d)
     mid = 0.5 * (ta + tb)
-    c = np.where(small, np.cos(mid), (np.sin(tb) - np.sin(ta)) / d_safe)
-    s = np.where(small, np.sin(mid), (np.cos(ta) - np.cos(tb)) / d_safe)
-    return np.stack([c, s], axis=-1)
+    damp = np.sinc((tb - ta) / (2.0 * np.pi))
+    return np.stack([damp * np.cos(mid), damp * np.sin(mid)], axis=-1)
 
 
 def expected_phasor(phases: np.ndarray) -> np.ndarray:
@@ -193,74 +201,47 @@ def expected_phasor(phases: np.ndarray) -> np.ndarray:
     return pairs.mean(axis=-2)
 
 
-def patch_rays(cam_s: UcmCamera, token_index, patch_size: int) -> PatchRays:
-    """Three offset rays sampled at fixed sub-patch positions of one token."""
-    if patch_size < 1:
-        raise ValueError("patch_size must be >= 1")
-    row, col = token_index
-    rows = cam_s.height // patch_size
-    cols = cam_s.width // patch_size
-    if not (0 <= row < rows and 0 <= col < cols):
-        raise ValueError(f"token {token_index} outside the {rows}x{cols} token grid")
-    pixels = np.stack(
-        [(col + PATCH_OFFSETS[:, 0]) * patch_size, (row + PATCH_OFFSETS[:, 1]) * patch_size],
-        axis=1,
-    )
-    return PatchRays(offsets=pixels, rays=unproject_points(cam_s, pixels))
+def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
+    """Expected coefficients from offset-ray paths, plus the fallback count.
 
-
-def token_paths(
-    cam_q: UcmCamera,
-    transform: RigidTransform,
-    patch: PatchRays,
-    radii: np.ndarray,
-) -> list:
-    """One projected path per offset ray of the token."""
-    return [projected_path(cam_q, transform, Ray(d), radii) for d in patch.rays]
-
-
-def coefficients_from_paths(paths, plan: FrequencyPlan):
-    """Expected coefficients from per-offset paths, plus the fallback count.
-
-    Invalid breakpoints are dropped and segments formed from consecutive
-    valid points; an offset whose path keeps fewer than two valid points
-    falls back to identity coefficients (1, 0) on its channels.
+    path has shape (..., offsets, K); the result has shape (..., D/2, 2),
+    with the plan's coordinates ordered (u_bounded, v_bounded, range) per
+    offset. Invalid breakpoints are dropped and segments formed from
+    consecutive valid points; an offset whose path keeps fewer than two
+    valid points falls back to identity coefficients (1, 0) on its channels.
     """
-    num_offsets = len(paths)
+    *batch, num_offsets, k = path.valid.shape
     if plan.num_coordinates != 3 * num_offsets:
         raise ValueError(
-            f"plan has {plan.num_coordinates} coordinate groups, expected {3 * num_offsets}"
+            f"plan has {plan.num_coordinates} coordinates, expected {3 * num_offsets}"
         )
-    coeffs = np.empty((plan.num_pairs, 2), dtype=float)
-    fallbacks = 0
-    for a, path in enumerate(paths):
-        pts = path.points[path.valid]
-        if pts.shape[0] < 2:
-            fallbacks += 1
-        for c, group in enumerate(plan.coordinate_groups[3 * a : 3 * a + 3]):
-            p = group.pair_offset
-            n = group.frequencies.size
-            if pts.shape[0] < 2:
-                coeffs[p : p + n] = [1.0, 0.0]
-            else:
-                phases = group.frequencies[:, None] * pts[None, :, c]
-                coeffs[p : p + n] = expected_phasor(phases)
-    return coeffs, fallbacks
+    # Stable sort moves the valid points to the front in path order, so
+    # segment j < n_valid - 1 joins the j-th and (j+1)-th kept points.
+    order = np.argsort(~path.valid, axis=-1, kind="stable")
+    kept = np.take_along_axis(path.points, order[..., None], axis=-2)
+    phases = np.swapaxes(kept, -1, -2)[..., None, :] * plan.frequencies[:, None]
+    segments = segment_phasor(phases[..., :-1], phases[..., 1:])  # (..., offsets, 3, F, K-1, 2)
+    n_seg = path.valid.sum(axis=-1) - 1
+    used = np.arange(k - 1) < n_seg[..., None]
+    total = np.where(used[..., None, None, :, None], segments, 0.0).sum(axis=-2)
+    mean = total / np.maximum(n_seg, 1)[..., None, None, None]
+    coeffs = np.where((n_seg < 1)[..., None, None, None], [1.0, 0.0], mean)
+    return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg < 1))
 
 
 def expected_coefficients(
     cam_q: UcmCamera,
     transform: RigidTransform,
-    patch: PatchRays,
+    rays: np.ndarray,
     interval: RadialInterval,
     plan: FrequencyPlan,
     k: int,
 ) -> np.ndarray:
     """Expected modulation coefficients for one token, shape (D/2, 2).
 
-    The plan must carry three coordinate groups (u_bounded, v_bounded,
-    range) per offset ray, in that order per offset.
+    rays (offsets, 3) are the token's offset rays (one row of token_rays);
+    the plan must carry three coordinates (u_bounded, v_bounded, range)
+    per offset ray, in that order per offset.
     """
-    paths = token_paths(cam_q, transform, patch, breakpoints(interval, k))
-    coeffs, _ = coefficients_from_paths(paths, plan)
-    return coeffs
+    path = token_paths(cam_q, transform, rays, breakpoints(interval.mu, interval.sigma, k))
+    return coefficients_from_paths(path, plan)[0]

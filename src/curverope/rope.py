@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CoordinateGroup",
     "FrequencyPlan",
     "make_frequency_plan",
     "rope_phases",
@@ -22,65 +21,39 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoordinateGroup:
-    """Channel group driven by one scalar coordinate."""
+class FrequencyPlan:
+    """Even split of (cos, sin) channel pairs over coordinates.
 
-    coordinate_index: int
+    Every coordinate drives the same frequency ladder on its own block of
+    pairs: coordinate c owns pairs [c * F, (c + 1) * F) with F the number of
+    frequencies, so pair c * F + f carries frequencies[f] times coordinate c.
+    """
+
+    num_coordinates: int
     frequencies: np.ndarray
-    channel_offset: int
 
     def __post_init__(self) -> None:
         f = np.asarray(self.frequencies, dtype=float)
+        if self.num_coordinates < 1:
+            raise ValueError("need at least one coordinate")
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequencies must be a non-empty 1-d array")
         if not np.all(np.isfinite(f)) or np.any(f <= 0):
             raise ValueError("frequencies must be positive finite reals")
-        if f.size > 1 and not np.all(np.diff(f) < 0):
-            raise ValueError("frequencies must be strictly decreasing within a group")
         object.__setattr__(self, "frequencies", f)
 
     @property
-    def num_channels(self) -> int:
-        return 2 * self.frequencies.size
-
-    @property
-    def pair_offset(self) -> int:
-        return self.channel_offset // 2
-
-
-@dataclass(frozen=True)
-class FrequencyPlan:
-    """Assignment of (cos, sin) channel pairs to coordinates and frequencies."""
-
-    coordinate_groups: tuple
-    total_dim: int
-
-    def __post_init__(self) -> None:
-        groups = tuple(self.coordinate_groups)
-        if self.total_dim <= 0 or self.total_dim % 2 != 0:
-            raise ValueError(f"total_dim must be a positive even integer, got {self.total_dim}")
-        covered = []
-        for g in groups:
-            if g.channel_offset % 2 != 0:
-                raise ValueError("channel offsets must be even")
-            covered.append((g.channel_offset, g.channel_offset + g.num_channels))
-        covered.sort()
-        cursor = 0
-        for lo, hi in covered:
-            if lo != cursor:
-                raise ValueError("channel ranges must be disjoint and cover total_dim exactly")
-            cursor = hi
-        if cursor != self.total_dim:
-            raise ValueError("channel ranges must cover total_dim exactly")
-        object.__setattr__(self, "coordinate_groups", groups)
-
-    @property
     def num_pairs(self) -> int:
-        return self.total_dim // 2
+        return self.num_coordinates * self.frequencies.size
 
     @property
-    def num_coordinates(self) -> int:
-        return len(self.coordinate_groups)
+    def total_dim(self) -> int:
+        return 2 * self.num_pairs
+
+    def pair_slice(self, coordinate: int) -> slice:
+        """Channel pairs driven by one coordinate."""
+        n = self.frequencies.size
+        return slice(coordinate * n, (coordinate + 1) * n)
 
 
 def make_frequency_plan(total_dim: int, num_coordinates: int, base: float = 10000.0) -> FrequencyPlan:
@@ -88,7 +61,7 @@ def make_frequency_plan(total_dim: int, num_coordinates: int, base: float = 1000
     frequency ladder base**(-2(f-1)/D_c) per coordinate."""
     if num_coordinates < 1:
         raise ValueError("need at least one coordinate")
-    if total_dim % (2 * num_coordinates) != 0:
+    if total_dim <= 0 or total_dim % (2 * num_coordinates) != 0:
         raise ValueError(
             f"total_dim={total_dim} is not divisible by 2*num_coordinates={2 * num_coordinates}"
         )
@@ -96,12 +69,7 @@ def make_frequency_plan(total_dim: int, num_coordinates: int, base: float = 1000
         raise ValueError(f"frequency base must exceed 1, got {base}")
     dim_per_coord = total_dim // num_coordinates
     f = np.arange(dim_per_coord // 2, dtype=float)
-    freqs = base ** (-2.0 * f / dim_per_coord)
-    groups = tuple(
-        CoordinateGroup(coordinate_index=c, frequencies=freqs.copy(), channel_offset=c * dim_per_coord)
-        for c in range(num_coordinates)
-    )
-    return FrequencyPlan(coordinate_groups=groups, total_dim=total_dim)
+    return FrequencyPlan(num_coordinates, base ** (-2.0 * f / dim_per_coord))
 
 
 def rope_phases(plan: FrequencyPlan, coords: np.ndarray) -> np.ndarray:
@@ -111,11 +79,7 @@ def rope_phases(plan: FrequencyPlan, coords: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {plan.num_coordinates} coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("coordinates must be finite")
-    phases = np.empty(plan.num_pairs, dtype=float)
-    for g in plan.coordinate_groups:
-        p = g.pair_offset
-        phases[p : p + g.frequencies.size] = g.frequencies * x[g.coordinate_index]
-    return phases
+    return (plan.frequencies * x[:, None]).reshape(-1)
 
 
 def exact_rotation(phases: np.ndarray) -> np.ndarray:

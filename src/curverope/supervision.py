@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasor import RadialInterval
+from .phasor import RadialInterval, token_grid
 
 __all__ = [
     "NEAR_STAT_FLOOR",
@@ -134,14 +134,12 @@ def normalize_and_pool(
     A token is valid when at least half of its patch pixels are valid.
     """
     f, h, w = radial_map.values.shape
-    if patch_size < 1 or h % patch_size != 0 or w % patch_size != 0:
-        raise ValueError(f"image size {h}x{w} is not divisible by patch_size={patch_size}")
+    ht, wt = token_grid(h, w, patch_size)
     if near_stat < NEAR_STAT_FLOOR:
         raise ValueError(f"near_stat must be >= {NEAR_STAT_FLOOR}")
     m = np.asarray(mask, dtype=bool)
     if m.shape != radial_map.values.shape:
         raise ValueError("mask shape must match the radial map")
-    ht, wt = h // patch_size, w // patch_size
     vals = np.where(m, radial_map.values, 0.0)
     vals = vals.reshape(f, ht, patch_size, wt, patch_size).sum(axis=(2, 4))
     counts = m.reshape(f, ht, patch_size, wt, patch_size).sum(axis=(2, 4))

@@ -21,9 +21,9 @@ from curverope.phasor import (
     breakpoints,
     expected_coefficients,
     expected_phasor,
-    patch_rays,
     projected_path,
     segment_phasor,
+    token_rays,
 )
 from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
 from curverope.scene import TrajectorySpec, make_trajectory
@@ -60,20 +60,20 @@ def test_criterion_01_rope_collapse():
         cam_s = random_camera(rng)
         cam_q = random_camera(rng)
         transform = small_transform(rng)
-        token = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-        patch = patch_rays(cam_s, token, 16)
+        row, col = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        rays = token_rays(cam_s, 16)[4 * row + col]
         interval = RadialInterval(float(rng.uniform(-1.0, 1.0)), 0.0)
-        radii = breakpoints(interval, 5)
-        paths = [projected_path(cam_q, transform, _ray(patch.rays[a]), radii) for a in range(3)]
+        radii = breakpoints(interval.mu, interval.sigma, 5)
+        paths = [projected_path(cam_q, transform, _ray(rays[a]), radii) for a in range(3)]
         if not all(p.valid.all() for p in paths):
             continue
         checked += 1
-        coeffs = expected_coefficients(cam_q, transform, patch, interval, PLAN9, 5)
+        coeffs = expected_coefficients(cam_q, transform, rays, interval, PLAN9, 5)
         coords = np.concatenate(
             [
                 oracle_bounded_coordinate(
                     cam_q, transform.rotation, transform.translation,
-                    patch.rays[a], np.exp(interval.mu),
+                    rays[a], np.exp(interval.mu),
                 )
                 for a in range(3)
             ]
@@ -136,9 +136,10 @@ def test_criterion_04_magnitude_bound():
     for _ in range(10000 // 48):
         cam_q = random_camera(rng)
         cam_s = random_camera(rng)
-        patch = patch_rays(cam_s, (int(rng.integers(0, 4)), int(rng.integers(0, 4))), 16)
+        row, col = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        rays = token_rays(cam_s, 16)[4 * row + col]
         iv = RadialInterval(float(rng.uniform(-2, 2)), float(rng.uniform(-3, 3))).clamp()
-        coeffs = expected_coefficients(cam_q, small_transform(rng, 1.0, 1.0), patch, iv, PLAN9, 5)
+        coeffs = expected_coefficients(cam_q, small_transform(rng, 1.0, 1.0), rays, iv, PLAN9, 5)
         worst = max(worst, float(np.max((coeffs**2).sum(-1))))
     assert worst <= 1.0 + 1e-12, worst
     _report(4, f"phasor magnitude bound holds over 1e5 computations, max sq mag {worst:.12f}")

@@ -9,7 +9,7 @@ from curverope.attention import (
     modulate_key,
 )
 from curverope.camera import RigidTransform
-from curverope.phasor import RadialInterval, expected_coefficients, patch_rays
+from curverope.phasor import RadialInterval, expected_coefficients, token_rays
 from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
 
 from util import oracle_bounded_coordinate, random_camera, small_transform
@@ -90,15 +90,15 @@ def test_sigma_zero_matches_exact_rope_logits():
     for qf in range(frames):
         for sf in range(frames):
             rel = relative_transform(poses[sf], poses[qf])
-            for p, tok in enumerate(tokens):
-                pr = patch_rays(cam, tok, patch_size)
+            for p, (r, c) in enumerate(tokens):
+                rays = token_rays(cam, patch_size)[4 * r + c]
                 coeffs[qf, sf, p] = expected_coefficients(
-                    cam, rel, pr, RadialInterval(mu[sf, p], 0.0), PLAN, 5
+                    cam, rel, rays, RadialInterval(mu[sf, p], 0.0), PLAN, 5
                 )
                 coords = np.concatenate(
                     [
                         oracle_bounded_coordinate(
-                            cam, rel.rotation, rel.translation, pr.rays[a], np.exp(mu[sf, p])
+                            cam, rel.rotation, rel.translation, rays[a], np.exp(mu[sf, p])
                         )
                         for a in range(3)
                     ]

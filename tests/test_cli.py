@@ -68,9 +68,26 @@ def test_coeffs_init_head_range_channels_shrink(tmp_path):
     plan = make_frequency_plan(36, 9)
     range_pairs = np.zeros(plan.num_pairs, bool)
     for a in range(3):
-        g = plan.coordinate_groups[3 * a + 2]
-        range_pairs[g.pair_offset : g.pair_offset + g.frequencies.size] = True
+        range_pairs[plan.pair_slice(3 * a + 2)] = True
     assert np.all(mags[..., range_pairs] < 1.0 - 1e-6)
+
+
+def test_coeffs_exit_1_when_magnitude_bound_fails(tmp_path, monkeypatch):
+    from curverope import cli
+
+    kernel = cli.coefficients_from_paths
+
+    def inflated(path, plan):
+        coeffs, fallbacks = kernel(path, plan)
+        return coeffs * (1.0 + 1e-6), fallbacks
+
+    monkeypatch.setattr(cli, "coefficients_from_paths", inflated)
+    traj, _, _ = _make_trajectory_file(tmp_path, frames=2, amplitude=0.0)
+    cfg = _write_config(tmp_path, trajectory=traj, coeffs={"sigma_override": 0.0})
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 1
+    summary = json.loads((out / "coeffs_summary.json").read_text())
+    assert summary["magnitude_bound_ok"] is False
 
 
 def test_coeffs_deterministic(tmp_path):
@@ -278,11 +295,38 @@ def test_exit_code_parse_error_rdm1(tmp_path):
 def test_exit_code_validation_error(tmp_path):
     cfg = _write_config(tmp_path)  # no trajectory given
     assert main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    # a patch size that does not divide the 64x64 image, with and without a
+    # teacher map that would otherwise be pooled over a different patch size
+    traj, cam, poses = _make_trajectory_file(tmp_path)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    for extra in ({}, {"rdm1": str(rdm)}):
+        cfg = _write_config(tmp_path, trajectory=traj, patch_size=48, **extra)
+        for command in ("coeffs", "trace-path"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_exit_code_unknown_config_key(tmp_path):
+def test_exit_code_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, bogus_key=1)
     assert main(["mix-sim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    # nested keys, missing inline-trajectory fields and wrong types are
+    # validation errors; a malformed RDM1 sidecar is a parse error
+    traj, cam, poses = _make_trajectory_file(tmp_path)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    (tmp_path / "maps.rdm1.json").write_text("{not json")
+    cases = [
+        ("mix-sim", {"mix": {"sampels": 5}}, 1),
+        ("coeffs", {"trajectory_spec": {"frames": 2}}, 1),
+        ("mix-sim", {"k": "5"}, 1),
+        ("mix-sim", {"oracle": {"k_values": [[5]]}}, 1),
+        ("coeffs", {"trajectory": traj, "rdm1": str(rdm)}, 2),
+    ]
+    for command, doc, code in cases:
+        cfg = _write_config(tmp_path, **doc)
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code, doc
+        assert "error" in capsys.readouterr().err, doc
 
 
 def test_exit_code_bad_trajectory_rotation(tmp_path):

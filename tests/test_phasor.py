@@ -3,15 +3,16 @@ import pytest
 
 from curverope.camera import Ray, RigidTransform, UcmCamera
 from curverope.phasor import (
+    ProjectedPath,
     RadialInterval,
     breakpoints,
     coefficients_from_paths,
     expected_coefficients,
     expected_phasor,
-    patch_rays,
     projected_path,
     segment_phasor,
     token_paths,
+    token_rays,
 )
 from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
 
@@ -27,26 +28,26 @@ def test_interval_clamp():
 
 
 def test_breakpoints_degenerate():
-    assert np.array_equal(breakpoints(RadialInterval(0.0, 0.0), 5), np.ones(5))
+    assert np.array_equal(breakpoints(0.0, 0.0, 5), np.ones(5))
 
 
 def test_breakpoints_wide():
-    r = breakpoints(RadialInterval(0.0, 3.0), 5)
+    r = breakpoints(0.0, 3.0, 5)
     assert np.allclose(r, np.exp([-3.0, -1.5, 0.0, 1.5, 3.0]), atol=1e-12)
 
 
 def test_breakpoints_two():
-    assert np.allclose(breakpoints(RadialInterval(1.0, 1.0), 2), [1.0, np.exp(2.0)])
+    assert np.allclose(breakpoints(1.0, 1.0, 2), [1.0, np.exp(2.0)])
 
 
 def test_breakpoints_increasing():
-    r = breakpoints(RadialInterval(-0.5, 1.3), 17)
+    r = breakpoints(-0.5, 1.3, 17)
     assert np.all(np.diff(r) > 0)
 
 
 def test_breakpoints_bad_k():
     with pytest.raises(ValueError):
-        breakpoints(RadialInterval(0.0, 1.0), 1)
+        breakpoints(0.0, 1.0, 1)
 
 
 def test_projected_path_on_axis():
@@ -68,7 +69,8 @@ def test_projected_path_identity_constant_coords():
         from curverope.camera import ucm_unproject
 
         ray = ucm_unproject(cam, pixel)
-        radii = breakpoints(RadialInterval(rng.uniform(-1, 1), rng.uniform(0, 2)).clamp(), 7)
+        iv = RadialInterval(rng.uniform(-1, 1), rng.uniform(0, 2)).clamp()
+        radii = breakpoints(iv.mu, iv.sigma, 7)
         path = projected_path(cam, RigidTransform.identity(), ray, radii)
         assert path.valid.all()
         assert np.max(np.abs(path.points[:, :2] - path.points[0, :2])) < 1e-9
@@ -84,7 +86,7 @@ def test_projected_path_matches_composition_oracle():
 
         ray = ucm_unproject(cam_s, rng.uniform(20, 44, 2))
         transform = small_transform(rng)
-        radii = breakpoints(RadialInterval(rng.uniform(-0.5, 1.0), rng.uniform(0.1, 1.0)), 5)
+        radii = breakpoints(rng.uniform(-0.5, 1.0), rng.uniform(0.1, 1.0), 5)
         path = projected_path(cam_q, transform, ray, radii)
         for k in range(5):
             expected = oracle_bounded_coordinate(
@@ -243,15 +245,16 @@ def test_coefficients_collapse_to_exact_rotation():
     for _ in range(30):
         cam_s = random_camera(rng)
         cam_q = random_camera(rng)
-        patch = patch_rays(cam_s, (rng.integers(0, 4), rng.integers(0, 4)), 16)
+        row, col = rng.integers(0, 4), rng.integers(0, 4)
+        rays = token_rays(cam_s, 16)[4 * row + col]
         transform = small_transform(rng)
         interval = RadialInterval(rng.uniform(-1, 1), 0.0)
-        coeffs = expected_coefficients(cam_q, transform, patch, interval, plan, 5)
+        coeffs = expected_coefficients(cam_q, transform, rays, interval, plan, 5)
         r = np.exp(interval.mu)
         coords = np.concatenate(
             [
                 oracle_bounded_coordinate(
-                    cam_q, transform.rotation, transform.translation, patch.rays[a], r
+                    cam_q, transform.rotation, transform.translation, rays[a], r
                 )
                 for a in range(3)
             ]
@@ -266,15 +269,14 @@ def test_coefficients_identity_transform_channels():
     rng = np.random.default_rng(8)
     cam = random_camera(rng)
     plan = _token_plan()
-    patch = patch_rays(cam, (1, 2), 16)
+    rays = token_rays(cam, 16)[4 * 1 + 2]
     coeffs = expected_coefficients(
-        cam, RigidTransform.identity(), patch, RadialInterval(0.0, 3.0), plan, 9
+        cam, RigidTransform.identity(), rays, RadialInterval(0.0, 3.0), plan, 9
     )
     mags = np.sqrt((coeffs**2).sum(-1))
     for a in range(3):
         for c in range(3):
-            g = plan.coordinate_groups[3 * a + c]
-            sl = slice(g.pair_offset, g.pair_offset + g.frequencies.size)
+            sl = plan.pair_slice(3 * a + c)
             if c < 2:
                 assert np.max(np.abs(mags[sl] - 1.0)) < 1e-9
             else:
@@ -298,11 +300,11 @@ def test_coefficients_k5_beats_k2():
 
 
 def test_coefficients_invalid_path_fallback():
-    cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
+    cam = UcmCamera(100, 100, 50, 50, 0.0, 96, 96)
     behind = RigidTransform(np.eye(3), np.array([0.0, 0.0, -50.0]))
-    patch = patch_rays(cam, (1, 1), 32)
+    rays = token_rays(cam, 32)[3 * 1 + 1]
     plan = _token_plan()
-    paths = token_paths(cam, behind, patch, breakpoints(RadialInterval(0.0, 1.0), 5))
+    paths = token_paths(cam, behind, rays, breakpoints(0.0, 1.0, 5))
     coeffs, fallbacks = coefficients_from_paths(paths, plan)
     assert fallbacks == 3
     assert np.array_equal(coeffs, np.tile([1.0, 0.0], (plan.num_pairs, 1)))
@@ -310,16 +312,16 @@ def test_coefficients_invalid_path_fallback():
 
 def test_coefficients_partial_validity_drops_points():
     """Invalid breakpoints are dropped; survivors form the segments."""
-    cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
+    cam = UcmCamera(100, 100, 50, 50, 0.0, 96, 96)
     # query sits 1.2 units ahead: breakpoints below r=1.2 land behind it
     ahead = RigidTransform(np.eye(3), np.array([0.0, 0.0, -1.2]))
     ray = Ray(np.array([0.0, 0.0, 1.0]))
-    radii = breakpoints(RadialInterval(0.0, 1.0), 5)
+    radii = breakpoints(0.0, 1.0, 5)
     path = projected_path(cam, ahead, ray, radii)
     assert path.valid.sum() == (radii > 1.2).sum()
     plan = _token_plan()
-    patch = patch_rays(cam, (1, 1), 32)
-    paths = token_paths(cam, ahead, patch, radii)
+    rays = token_rays(cam, 32)[3 * 1 + 1]
+    paths = token_paths(cam, ahead, rays, radii)
     coeffs, fallbacks = coefficients_from_paths(paths, plan)
     assert fallbacks == 0
     assert np.max((coeffs**2).sum(-1)) <= 1.0 + 1e-12
@@ -330,8 +332,8 @@ def test_coefficients_channel_locality():
     cam = random_camera(rng)
     plan = _token_plan()
     transform = small_transform(rng)
-    p1 = patch_rays(cam, (0, 0), 16)
-    p2 = patch_rays(cam, (2, 3), 16)
+    p1 = token_rays(cam, 16)[0]
+    p2 = token_rays(cam, 16)[4 * 2 + 3]
     a = expected_coefficients(cam, transform, p1, RadialInterval(0.2, 0.5), plan, 5)
     b = expected_coefficients(cam, transform, p2, RadialInterval(0.2, 0.5), plan, 5)
     a2 = expected_coefficients(cam, transform, p1, RadialInterval(-0.4, 1.0), plan, 5)
@@ -343,43 +345,82 @@ def test_coefficients_channel_locality():
 def test_coefficients_plan_mismatch():
     rng = np.random.default_rng(11)
     cam = random_camera(rng)
-    patch = patch_rays(cam, (0, 0), 16)
+    rays = token_rays(cam, 16)[0]
     with pytest.raises(ValueError):
         expected_coefficients(
-            cam, RigidTransform.identity(), patch, RadialInterval(0, 1),
+            cam, RigidTransform.identity(), rays, RadialInterval(0, 1),
             make_frequency_plan(12, 3), 5,
         )
 
 
 def test_patch_rays_center_token():
     cam = UcmCamera(80, 80, 24, 24, 0.7, 48, 48)
-    patch = patch_rays(cam, (1, 1), 16)
-    assert np.allclose(patch.rays[0], [0, 0, 1], atol=1e-15)
-    assert np.allclose(np.linalg.norm(patch.rays, axis=1), 1.0, atol=1e-12)
-    assert len(patch) == 3
+    rays = token_rays(cam, 16)
+    assert rays.shape == (9, 3, 3)
+    assert np.allclose(rays[3 * 1 + 1, 0], [0, 0, 1], atol=1e-15)
+    assert np.allclose(np.linalg.norm(rays, axis=-1), 1.0, atol=1e-12)
 
 
 def test_patch_rays_adjacent_tokens_differ():
     cam = UcmCamera(80, 80, 24, 24, 0.3, 48, 48)
-    a = patch_rays(cam, (1, 1), 16)
-    b = patch_rays(cam, (1, 2), 16)
-    cosines = (a.rays * b.rays).sum(axis=1)
+    rays = token_rays(cam, 16)
+    a, b = rays[3 * 1 + 1], rays[3 * 1 + 2]
+    cosines = (a * b).sum(axis=1)
     assert np.all(cosines < 1.0 - 1e-6)
 
 
 def test_patch_rays_out_of_range():
+    """The token grid takes only patch sizes that divide the image."""
     cam = UcmCamera(80, 80, 24, 24, 0.3, 48, 48)
-    with pytest.raises(ValueError):
-        patch_rays(cam, (3, 0), 16)
-    with pytest.raises(ValueError):
-        patch_rays(cam, (0, -1), 16)
+    for patch_size in (0, 20, 96):
+        with pytest.raises(ValueError, match="not divisible"):
+            token_rays(cam, patch_size)
 
 
 def test_patch_rays_match_direct_unprojection():
     from curverope.camera import unproject_points
 
     cam = UcmCamera(80, 80, 24, 24, 0.5, 48, 48)
-    patch = patch_rays(cam, (2, 0), 16)
+    rays = token_rays(cam, 16)[3 * 2 + 0]
     pixels = np.array([[8.0, 40.0], [4.0, 36.0], [12.0, 44.0]])
-    assert np.allclose(patch.offsets, pixels)
-    assert np.allclose(patch.rays, unproject_points(cam, pixels), atol=1e-15)
+    assert np.allclose(rays, unproject_points(cam, pixels), atol=1e-15)
+
+
+def test_coefficients_mixed_validity_batch():
+    """One batch mixing offsets with 0, 1, 2 and K valid breakpoints, plus
+    interior gaps: each offset equals expected_phasor over its kept points,
+    computed by the scalar composition oracle; short paths fall back."""
+    k = 7
+    cam = UcmCamera(90, 70, 32, 30, 0.0, 64, 64)
+    ahead = RigidTransform(np.eye(3), np.array([0.0, 0.0, -1.5]))
+    d = np.array([[0.1, -0.05, 1.0], [-0.2, 0.1, 1.0], [0.05, 0.2, 1.0]])
+    rays = np.stack([d, d[::-1]]) / np.linalg.norm(d, axis=-1, keepdims=True)[None]
+    # Pinhole query 1.5 ahead: a point is valid iff r * d_z > 1.5, so the
+    # last n_valid breakpoints of each path sit in front of the camera.
+    n_valid = np.array([[0, 1, 2], [k, 2, 0]])
+    step = np.arange(k) - (k - n_valid[..., None]) + 0.5
+    radii = 1.5 / rays[..., 2:] * np.exp(0.1 * step)
+    plan = make_frequency_plan(36, 9, base=10.0)
+    path = token_paths(cam, ahead, rays, radii)
+    assert np.array_equal(path.valid.sum(-1), n_valid)
+    gapped = path.valid.copy()
+    gapped[1, 0, [1, 4]] = False  # interior gaps in the all-valid path
+    for valid in (path.valid, gapped):
+        coeffs, fallbacks = coefficients_from_paths(ProjectedPath(path.points, valid), plan)
+        counts = valid.sum(-1)
+        assert fallbacks == int((counts < 2).sum())
+        for t in range(2):
+            for a in range(3):
+                for c in range(3):
+                    got = coeffs[t, plan.pair_slice(3 * a + c)]
+                    if counts[t, a] < 2:
+                        assert np.array_equal(got, np.tile([1.0, 0.0], (plan.frequencies.size, 1)))
+                        continue
+                    kept = [
+                        oracle_bounded_coordinate(
+                            cam, ahead.rotation, ahead.translation, rays[t, a], radii[t, a, j]
+                        )[c]
+                        for j in range(k) if valid[t, a, j]
+                    ]
+                    want = expected_phasor(plan.frequencies[:, None] * np.array(kept)[None, :])
+                    assert np.max(np.abs(got - want)) < 1e-12

@@ -11,16 +11,17 @@ from curverope.rope import (
 
 def test_frequency_plan_values():
     plan = make_frequency_plan(4, 1, base=10000.0)
-    assert np.allclose(plan.coordinate_groups[0].frequencies, [1.0, 0.01])
+    assert np.allclose(plan.frequencies, [1.0, 0.01])
 
 
 def test_frequency_plan_partition():
     plan = make_frequency_plan(12, 3, base=10000.0)
     assert plan.num_coordinates == 3
-    for i, g in enumerate(plan.coordinate_groups):
-        assert g.num_channels == 4
-        assert g.frequencies.size == 2
-        assert g.channel_offset == 4 * i
+    assert plan.frequencies.size == 2
+    for i in range(3):
+        pairs = plan.pair_slice(i)
+        assert 2 * (pairs.stop - pairs.start) == 4
+        assert 2 * pairs.start == 4 * i
 
 
 def test_frequency_plan_indivisible():
@@ -134,7 +135,7 @@ def test_channel_group_disjointness():
     bumped[1] += 0.5
     out2 = apply_coefficients(vec, exact_rotation(rope_phases(plan, bumped)), plan)
     changed = np.abs(out - out2) > 0
-    g = plan.coordinate_groups[1]
-    lo, hi = g.channel_offset, g.channel_offset + g.num_channels
+    pairs = plan.pair_slice(1)
+    lo, hi = 2 * pairs.start, 2 * pairs.stop
     assert changed[lo:hi].any()
     assert not changed[:lo].any() and not changed[hi:].any()

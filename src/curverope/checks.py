@@ -8,13 +8,43 @@ are excluded and counted rather than failed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .head import head_backward, head_forward, head_init
+from .head import head_backward, head_forward, head_forward_cache, head_init
 from .phasor import LOG_RANGE_BOUND
 from .supervision import LossConfig, TokenTargets, radial_loss
 
 __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
+
+
+# Perturbed copies are built and evaluated in row blocks of at most this
+# many float64 entries (16 MiB), so memory stays linear in the parameter
+# count; at the default d_model = 64 all of w1's probes fit in one block.
+_PROBE_BLOCK_ENTRIES = 2**21
+
+
+def _perturbed_blocks(flat: np.ndarray, step: float):
+    """Yield the (2n, n) perturbed copies of ``flat`` as row blocks.
+
+    Row j has entry j at orig + step, row n + j at orig - step; each block
+    holds at most ``_PROBE_BLOCK_ENTRIES`` entries, or one row if n exceeds it.
+    """
+    n = flat.size
+    rows = max(1, _PROBE_BLOCK_ENTRIES // n)
+    for start in range(0, 2 * n, rows):
+        r = np.arange(start, min(start + rows, 2 * n))
+        j = r % n
+        block = np.tile(flat, (r.size, 1))
+        block[np.arange(r.size), j] = np.where(r < n, flat[j] + step, flat[j] - step)
+        yield block
+
+
+def _central(f: np.ndarray, step: float) -> np.ndarray:
+    """Central differences from values at the +step probes followed by the -step probes."""
+    up, down = f.reshape(2, -1)
+    return (up - down) / (2 * step)
 
 
 def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -62,34 +92,25 @@ def run_head_gradcheck(
         gmu, gsigma = rng.normal(size=2)
         grads = head_backward(params, feature, gmu, gsigma)
 
-        def probe():
-            iv = head_forward(params, feature)
-            return gmu * iv.mu + gsigma * iv.sigma
+        def objective(p, x):
+            """gmu * mu + gsigma * sigma, one value per stacked probe."""
+            c = head_forward_cache(p, x)
+            return (gmu * c["mu"] + gsigma * c["sigma"]).reshape(-1)
 
+        x = feature[None, :]
         for name, analytic in grads.param_arrays():
             base = getattr(params, name)
-            flat = base.reshape(-1)
-            fd = np.empty_like(flat)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                up = probe()
-                flat[j] = orig - step
-                down = probe()
-                flat[j] = orig
-                fd[j] = (up - down) / (2 * step)
-            max_rel = max(max_rel, _relative_error(analytic.reshape(-1), fd))
+            # Each block of perturbed copies is stacked on a leading axis;
+            # 1-D fields get a singleton token axis to broadcast over.
+            shape = (1,) + base.shape if base.ndim == 1 else base.shape
+            f = np.concatenate([
+                objective(replace(params, **{name: block.reshape(-1, *shape)}), x)
+                for block in _perturbed_blocks(base.reshape(-1), step)
+            ])
+            max_rel = max(max_rel, _relative_error(analytic.reshape(-1), _central(f, step)))
 
-        fd = np.empty(d_model)
-        for j in range(d_model):
-            orig = feature[j]
-            feature[j] = orig + step
-            up = probe()
-            feature[j] = orig - step
-            down = probe()
-            feature[j] = orig
-            fd[j] = (up - down) / (2 * step)
-        max_rel = max(max_rel, _relative_error(grads.feature, fd))
+        f = np.concatenate([objective(params, block) for block in _perturbed_blocks(feature, step)])
+        max_rel = max(max_rel, _relative_error(grads.feature, _central(f, step)))
     return {
         "samples": accepted,
         "excluded": excluded,

@@ -149,9 +149,11 @@ def _check_config(user, schema: dict, prefix: str = "") -> None:
 def _load_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
-        text = Path(args.config).read_text()
+        data = Path(args.config).read_bytes()
         try:
-            user = json.loads(text)
+            user = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise FormatError(f"config is not UTF-8: {e.reason}", e.start) from e
         except json.JSONDecodeError as e:
             raise FormatError(f"invalid config JSON: {e.msg}", e.pos) from e
         _check_config(user, DEFAULT_CONFIG)

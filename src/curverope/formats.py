@@ -13,7 +13,9 @@ little-endian f32 arrays.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +195,17 @@ def save_head_params(path, params: HeadParams) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
+def _is_field_entry(entry) -> bool:
+    """A checkpoint header field: [name, shape] with a list of non-negative int dims."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], list)
+        and all(type(n) is int and n >= 0 for n in entry[1])
+    )
+
+
 def load_head_params(path) -> HeadParams:
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -204,10 +217,16 @@ def load_head_params(path) -> HeadParams:
         header = json.loads(data[4 : 4 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError("invalid checkpoint header JSON", 4) from e
+    entries = header.get("fields") if isinstance(header, dict) else None
+    if not isinstance(entries, list) or not all(_is_field_entry(e) for e in entries):
+        raise FormatError("checkpoint header needs a 'fields' list of [name, shape] entries", 4)
+    names = [name for name, _ in entries]
+    if sorted(names) != sorted(f.name for f in fields(HeadParams)):
+        raise FormatError(f"checkpoint fields {names} do not match the head parameters", 4)
     offset = 4 + header_len
     out = {}
-    for name, shape in header["fields"]:
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        count = math.prod(shape)
         nbytes = 4 * count
         if len(data) < offset + nbytes:
             raise FormatError(f"truncated checkpoint payload for {name}", offset)

@@ -24,8 +24,10 @@ __all__ = [
     "head_init",
     "head_forward",
     "head_forward_batch",
+    "head_forward_cache",
     "head_backward",
     "head_backward_batch",
+    "head_backward_from_cache",
 ]
 
 LN_EPS = 1e-5
@@ -95,15 +97,19 @@ def head_init(d_model: int, seed: int) -> HeadParams:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|u|) never overflows; each branch is the stable form for its sign.
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward_cache(params: HeadParams, x: np.ndarray) -> dict:
+def head_forward_cache(params: HeadParams, x: np.ndarray) -> dict:
+    """Forward pass keeping the intermediates the backward pass needs.
+
+    ``x`` is (..., d_model) and is not validated here. The outputs are
+    ``cache["mu"]`` and ``cache["sigma"]``; pass the whole cache to
+    ``head_backward_from_cache``. Parameter arrays may carry extra leading
+    axes, which broadcast against ``x``.
+    """
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     std = np.sqrt(var + LN_EPS)
@@ -140,14 +146,14 @@ def _check_feature(params: HeadParams, feature: np.ndarray, batch: bool) -> np.n
 def head_forward(params: HeadParams, feature: np.ndarray) -> RadialInterval:
     """Predict the clamped radial interval for one token feature."""
     x = _check_feature(params, feature, batch=False)
-    cache = _forward_cache(params, x[None, :])
+    cache = head_forward_cache(params, x[None, :])
     return RadialInterval(float(cache["mu"][0]), float(cache["sigma"][0]))
 
 
 def head_forward_batch(params: HeadParams, features: np.ndarray):
     """Vectorized forward over (N, d_model) features; returns (mu, sigma)."""
     x = _check_feature(params, features, batch=True)
-    cache = _forward_cache(params, x)
+    cache = head_forward_cache(params, x)
     return cache["mu"], cache["sigma"]
 
 
@@ -167,8 +173,17 @@ def head_backward_batch(
     gs = np.asarray(grad_sigma, dtype=float)
     if gm.shape != x.shape[:1] or gs.shape != x.shape[:1]:
         raise ValueError("upstream gradients must be one scalar per token")
-    c = _forward_cache(params, x)
+    return head_backward_from_cache(params, head_forward_cache(params, x), gm, gs)
 
+
+def head_backward_from_cache(
+    params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
+) -> HeadGradients:
+    """Gradients of ``head_backward_batch`` from a (N, d_model) forward cache.
+
+    The cache must come from ``head_forward_cache`` with these ``params``,
+    so a training step runs the forward pass once.
+    """
     g_sigma_raw = np.where(c["sigma_active"], gs, 0.0)
     # sigma = sign(sigma_raw) * (3 - |mu|) when capped: d sigma / d mu.
     cap_to_mu = np.where(

@@ -25,6 +25,9 @@ __all__ = [
     "run_oracle_check",
 ]
 
+# Monte-Carlo samples drawn and reduced at a time (256 kB per float64 array).
+_MC_CHUNK = 2**15
+
 
 @dataclass(frozen=True)
 class PhasorSetup:
@@ -90,24 +93,32 @@ def random_setup(rng: np.random.Generator, k_check: int = 129) -> PhasorSetup:
 
 
 def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo phasor mean per coordinate, shape (3, 2)."""
+    """Monte-Carlo phasor mean per coordinate, shape (3, 2).
+
+    Samples are drawn and reduced in chunks of ``_MC_CHUNK`` so the working
+    set stays in cache; successive draws continue one generator stream, so
+    the samples are those of a single draw of ``samples`` values.
+    """
     iv = setup.interval
     a = abs(iv.sigma)
-    z = rng.uniform(iv.mu - a, iv.mu + a, size=samples)
-    r = np.exp(z)
-    d = setup.ray.direction
-    rot = setup.transform.rotation
-    t = setup.transform.translation
-    pts = r[:, None] * d[None, :] @ rot.T + t
-    rng_norm = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2)
+    # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
+    dx, dy, dz = setup.transform.rotation @ setup.ray.direction
+    tx, ty, tz = setup.transform.translation
     cam = setup.cam_q
-    beta = pts[:, 2] + cam.xi * rng_norm
-    ub = (cam.fx / cam.width) * pts[:, 0] / beta
-    vb = (cam.fy / cam.height) * pts[:, 1] / beta
-    denom = np.sqrt(ub * ub + vb * vb + 1.0)
-    coords = np.stack([ub / denom, vb / denom, rng_norm], axis=0)
-    theta = setup.omega * coords
-    return np.stack([np.cos(theta).mean(axis=1), np.sin(theta).mean(axis=1)], axis=1)
+    sx, sy = cam.fx / cam.width, cam.fy / cam.height
+    sums = np.zeros((2, 3))
+    for start in range(0, samples, _MC_CHUNK):
+        r = np.exp(rng.uniform(iv.mu - a, iv.mu + a, size=min(_MC_CHUNK, samples - start)))
+        x, y, z = r * dx + tx, r * dy + ty, r * dz + tz
+        rng_norm = np.sqrt(x * x + y * y + z * z)
+        beta = z + cam.xi * rng_norm
+        ub = sx * x / beta
+        vb = sy * y / beta
+        denom = np.sqrt(ub * ub + vb * vb + 1.0)
+        theta = setup.omega * np.stack([ub / denom, vb / denom, rng_norm])
+        sums[0] += np.cos(theta).sum(axis=1)
+        sums[1] += np.sin(theta).sum(axis=1)
+    return (sums / samples).T
 
 
 def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import head_backward_batch, head_forward_batch, head_init
+from .head import (
+    head_backward_from_cache,
+    head_forward_batch,
+    head_forward_cache,
+    head_init,
+)
 from .scene import depth_signal_weight, make_layer_features
 from .supervision import LossConfig, TokenTargets, radial_loss
 
@@ -31,7 +36,21 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
+
+    ``last_finite_loss`` is the loss of the step before, and
+    ``last_grad_norm`` the global gradient norm (before clipping) that step
+    applied; both are None when the first step diverged.
+    """
+
+    def __init__(self, step: int, loss: float, last_finite_loss, last_grad_norm):
+        super().__init__(
+            f"training loss became non-finite ({loss}) at step {step}; "
+            f"last finite loss {last_finite_loss}, last gradient norm {last_grad_norm}"
+        )
+        self.step = step
+        self.last_finite_loss = last_finite_loss
+        self.last_grad_norm = last_grad_norm
 
 
 @dataclass
@@ -74,6 +93,8 @@ def train_head_on_tokens(
     vals = np.asarray(target_values, dtype=float)
     if feats.ndim != 2 or vals.shape != feats.shape[:1]:
         raise ValueError("need (N, d) features and N targets")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features must be finite")
     if not np.all(vals > 0):
         raise ValueError("targets must be positive normalized radial distances")
     n = feats.shape[0]
@@ -105,15 +126,19 @@ def train_head_on_tokens(
     init_probe = probe_error(params)
     init_loss = None
     loss = None
+    total = None
     curve = []
+    # The features were checked once above; each step runs one forward pass
+    # and reuses its cache for the backward pass.
     for step in range(steps):
-        mu, sigma = head_forward_batch(params, train_feats)
+        cache = head_forward_cache(params, train_feats)
         res = radial_loss(
-            mu.reshape(1, 1, -1), sigma.reshape(1, 1, -1), train_targets, loss_config
+            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1),
+            train_targets, loss_config,
         )
+        if not np.isfinite(res.loss):
+            raise DivergenceError(step, res.loss, loss, total)
         loss = res.loss
-        if not np.isfinite(loss):
-            raise DivergenceError(f"training loss became non-finite ({loss}) at step {step}")
         if init_loss is None:
             init_loss = loss
         if record_every and (step % record_every == 0 or step == steps - 1):
@@ -121,8 +146,8 @@ def train_head_on_tokens(
         grad_mu = res.grad_mu.reshape(-1)
         if step < warmup:
             grad_mu = np.zeros_like(grad_mu)
-        g = head_backward_batch(params, train_feats, grad_mu, res.grad_sigma.reshape(-1))
-        total = np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays()))
+        g = head_backward_from_cache(params, cache, grad_mu, res.grad_sigma.reshape(-1))
+        total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
         scale = lr if total <= clip_norm else lr * clip_norm / total
         for name, grad in g.param_arrays():
             getattr(params, name).__isub__(scale * grad)

@@ -278,10 +278,15 @@ def test_train_head_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_exit_code_parse_error_config(tmp_path):
+def test_exit_code_parse_error_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["coeffs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # a UTF-16 byte-order mark is not UTF-8: a parse error at byte 0
+    bad.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    assert main(["mix-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "byte offset 0" in capsys.readouterr().err
 
 
 def test_exit_code_parse_error_rdm1(tmp_path):

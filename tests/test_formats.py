@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -194,4 +195,29 @@ def test_head_checkpoint_trailing_bytes(tmp_path):
     save_head_params(path, params)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
+        load_head_params(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"dtype": "<f4"},
+        [["norm_scale", [4]]],
+        {"dtype": "<f4", "fields": "norm_scale"},
+        {"dtype": "<f4", "fields": [["norm_scale"]]},
+        {"dtype": "<f4", "fields": [["norm_scale", 4]]},
+        {"dtype": "<f4", "fields": [["norm_scale", [-1]]]},
+        {"dtype": "<f4", "fields": [[3, [4]]]},
+        {"dtype": "<f4", "fields": [["norm_scale", [4]]]},
+        {"dtype": "<f4", "fields": [["norm_scale", [4]], ["norm_bias", [4]], ["w1", [4, 16]],
+                                    ["b1", [16]], ["w2", [16, 2]], ["b2", [2]], ["extra", [1]]]},
+    ],
+)
+def test_head_checkpoint_malformed_header(tmp_path, header):
+    """Headers that are not objects, lack fields, hold malformed [name, shape]
+    entries, or miss or add parameter names are parse errors at the header."""
+    head = json.dumps(header).encode()
+    path = tmp_path / "head.ckpt"
+    path.write_bytes(struct.pack("<I", len(head)) + head + b"\x00" * 4 * 200)
+    with pytest.raises(FormatError, match="byte offset 4"):
         load_head_params(path)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from curverope import checks
 from curverope.head import (
     head_backward,
     head_forward,
@@ -128,6 +131,51 @@ def test_backward_matches_finite_differences():
             fd[j] = (up - down) / (2 * step)
         scale = max(np.max(np.abs(fd)), 1e-8)
         assert np.max(np.abs(grads.feature - fd)) / scale < 1e-4
+
+
+def test_batched_gradcheck_catches_a_wrong_gradient(monkeypatch):
+    """The batched finite-difference probes fail a 1% error in one gradient."""
+    assert checks.run_head_gradcheck(samples=3, d_model=16, seed=2)["pass"]
+    exact = checks.head_backward
+
+    def off_by_one_percent(*args):
+        g = exact(*args)
+        g.w1 = g.w1 * 1.01
+        return g
+
+    monkeypatch.setattr(checks, "head_backward", off_by_one_percent)
+    report = checks.run_head_gradcheck(samples=3, d_model=16, seed=2)
+    assert report["samples"] == 3
+    assert not report["pass"], report
+
+
+def test_gradcheck_probe_blocks_bound_memory(monkeypatch):
+    """Probe blocks stay under the entry cap and together form every +-step copy."""
+    flat = np.random.default_rng(1).normal(size=7)
+    full = np.tile(flat, (14, 1))
+    full[np.arange(7), np.arange(7)] = flat + 1e-5
+    full[np.arange(7) + 7, np.arange(7)] = flat - 1e-5
+    monkeypatch.setattr(checks, "_PROBE_BLOCK_ENTRIES", 21)
+    blocks = list(checks._perturbed_blocks(flat, 1e-5))
+    assert len(blocks) == 5 and all(b.size <= 21 for b in blocks)
+    np.testing.assert_array_equal(np.concatenate(blocks), full)
+
+    # Blocking changes how probes are grouped, not what they measure.
+    small = checks.run_head_gradcheck(samples=2, d_model=16, seed=5)
+    monkeypatch.undo()
+    assert small == checks.run_head_gradcheck(samples=2, d_model=16, seed=5)
+
+
+def test_gradcheck_memory_is_linear_in_parameter_count():
+    """At d_model=128 all of w1's probes at once would take 256 MiB; blocks keep it near 16."""
+    tracemalloc.start()
+    try:
+        report = checks.run_head_gradcheck(samples=1, d_model=128, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"], report
+    assert peak < 64 * 2**20, peak
 
 
 def test_forward_dimension_mismatch():

@@ -191,6 +191,32 @@ def test_expected_phasor_matches_monte_carlo():
         assert np.max(np.abs(ref - mc)) < 5e-3
 
 
+def test_mc_expected_phasor_chunks_match_one_draw():
+    """Chunked sampling equals one unchunked draw, and leaves the generator
+    where a single draw of the same size would."""
+    from curverope.oracle import _MC_CHUNK, mc_expected_phasor, random_setup
+
+    setup = random_setup(np.random.default_rng([11, 0]))
+    for samples in (1, _MC_CHUNK - 1, _MC_CHUNK + 1):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = mc_expected_phasor(setup, samples, rng)
+        a = abs(setup.interval.sigma)
+        z = ref_rng.uniform(setup.interval.mu - a, setup.interval.mu + a, size=samples)
+        pts = np.exp(z)[:, None] * setup.ray.direction @ setup.transform.rotation.T
+        pts = pts + setup.transform.translation
+        norm = np.linalg.norm(pts, axis=1)
+        cam = setup.cam_q
+        beta = pts[:, 2] + cam.xi * norm
+        ub = (cam.fx / cam.width) * pts[:, 0] / beta
+        vb = (cam.fy / cam.height) * pts[:, 1] / beta
+        den = np.sqrt(ub * ub + vb * vb + 1.0)
+        theta = setup.omega * np.stack([ub / den, vb / den, norm], axis=0)
+        want = np.stack([np.cos(theta).mean(axis=1), np.sin(theta).mean(axis=1)], axis=1)
+        assert got.shape == (3, 2)
+        assert np.max(np.abs(got - want)) <= 1e-15, samples
+        assert rng.uniform() == ref_rng.uniform(), samples
+
+
 def test_expected_phasor_matches_quadrature():
     """Second independent route: Simpson quadrature of the exact-projection
     phasor over z, deterministic and much tighter than the sampling check."""

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from curverope import trainer
+from curverope.head import HeadParams, head_backward_batch
 from curverope.scene import make_layer_features
 from curverope.supervision import TokenTargets
-from curverope.trainer import run_layer_probe, train_head_on_tokens
+from curverope.trainer import DivergenceError, run_layer_probe, train_head_on_tokens
 
 
 def _iid_targets(seed=7, frames=2, side=8):
@@ -79,3 +83,54 @@ def test_rejects_nonpositive_targets():
     batch = np.zeros((4, 16))
     with pytest.raises(ValueError):
         train_head_on_tokens(batch, np.array([1.0, 2.0, 0.0, 3.0]), 10, 0.01, seed=0)
+
+
+def test_fused_step_gradients_equal_head_backward_batch(monkeypatch):
+    """Each step's backward reuses its forward cache; the gradients it applies
+    equal a fresh head_backward_batch at the same parameters bit for bit."""
+    targets = _iid_targets()
+    batch = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
+    calls = []
+    fused = trainer.head_backward_from_cache
+
+    def spy(params, cache, gm, gs):
+        g = fused(params, cache, gm, gs)
+        frozen = HeadParams(*(a.copy() for _, a in params.field_arrays()))
+        calls.append((frozen, cache["x"].copy(), gm.copy(), gs.copy(), g))
+        return g
+
+    monkeypatch.setattr(trainer, "head_backward_from_cache", spy)
+    train_head_on_tokens(batch.features.reshape(-1, 32), targets.targets.reshape(-1), 60, 0.01, seed=3)
+    assert len(calls) == 60
+    for params, x, gm, gs, g in calls[::10] + calls[-1:]:
+        want = head_backward_batch(params, x, gm, gs)
+        for name in ("norm_scale", "norm_bias", "w1", "b1", "w2", "b2", "feature"):
+            assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
+
+def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
+    """The clamped head keeps real losses finite, so step 3's loss is made NaN."""
+    targets = _iid_targets()
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).features.reshape(-1, 32)
+    losses, norms = [], []
+    exact_loss, exact_backward = trainer.radial_loss, trainer.head_backward_from_cache
+
+    def loss_spy(*args):
+        res = exact_loss(*args)
+        losses.append(res.loss)
+        return replace(res, loss=float("nan")) if len(losses) == 4 else res
+
+    def backward_spy(*args):
+        g = exact_backward(*args)
+        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
+        return g
+
+    monkeypatch.setattr(trainer, "radial_loss", loss_spy)
+    monkeypatch.setattr(trainer, "head_backward_from_cache", backward_spy)
+    with pytest.raises(DivergenceError) as info:
+        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
+    err = info.value
+    assert err.step == 3 and len(norms) == 3
+    assert err.last_finite_loss == losses[2]
+    assert err.last_grad_norm == norms[2] > 0
+    assert repr(err.last_finite_loss) in str(err) and repr(err.last_grad_norm) in str(err)

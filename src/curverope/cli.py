@@ -203,7 +203,8 @@ def _resolve_trajectory(cfg: dict):
 
 
 def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
-    """Interval grids (mu, sigma) per (frame, row, col) token.
+    """Interval grids (mu, sigma) per (frame, row, col) token, and the
+    number of tokens that took a teacher interval.
 
     Without an RDM1 input every token carries the freshly initialized
     head interval (0, 3); with one, valid pooled tokens take the teacher
@@ -212,6 +213,7 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
     rows, cols = token_grid(cam.height, cam.width, cfg["patch_size"])
     mu = np.zeros((frames, rows, cols))
     sigma = np.full((frames, rows, cols), 3.0)
+    substituted = 0
     if cfg["rdm1"]:
         rmap = read_rdm1(cfg["rdm1"])
         if rmap.frames != frames:
@@ -228,10 +230,11 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
             mu, sigma, rmap, float(near), teacher_sigma=float(cfg["coeffs"]["teacher_sigma"])
         )
         mu, sigma = result.mu, result.sigma
+        substituted = int(np.count_nonzero(result.substituted))
     override = cfg["coeffs"]["sigma_override"]
     if override is not None:
         sigma = np.full_like(sigma, float(override))
-    return mu, sigma
+    return mu, sigma, substituted
 
 
 def _plan(cfg: dict):
@@ -243,16 +246,17 @@ def _plan(cfg: dict):
 
 def _token_setup(cfg: dict):
     """What coeffs and trace-path share: camera, poses, token grid (rows, cols),
-    offset rays (tokens, 3, 3) and per-source-frame breakpoints (F, tokens, 1, K)."""
+    offset rays (tokens, 3, 3), per-source-frame breakpoints (F, tokens, 1, K)
+    and the number of teacher-substituted tokens."""
     cam, poses = _resolve_trajectory(cfg)
-    mu, sigma = _token_intervals(cfg, cam, len(poses))
+    mu, sigma, substituted = _token_intervals(cfg, cam, len(poses))
     frames, rows, cols = mu.shape
     radii = breakpoints(mu, sigma, cfg["k"]).reshape(frames, rows * cols, 1, cfg["k"])
-    return cam, poses, (rows, cols), token_rays(cam, cfg["patch_size"]), radii
+    return cam, poses, (rows, cols), token_rays(cam, cfg["patch_size"]), radii, substituted
 
 
 def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
-    cam, poses, (rows, cols), rays, radii = _token_setup(cfg)
+    cam, poses, (rows, cols), rays, radii, substituted = _token_setup(cfg)
     frames = len(poses)
     plan = _plan(cfg)
 
@@ -285,6 +289,7 @@ def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
             "min_magnitude": float(mags.min()),
             "max_magnitude": float(mags.max()),
             "identity_fallback_count": int(fallbacks),
+            "teacher_substituted_tokens": substituted,
             "magnitude_bound_ok": bound_ok,
         },
     )
@@ -292,7 +297,7 @@ def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
 
 
 def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
-    cam, poses, _, rays, radii = _token_setup(cfg)
+    cam, poses, _, rays, radii, _ = _token_setup(cfg)
     frames = len(poses)
     qf = cfg["trace"]["query_frame"] % frames
     sf = cfg["trace"]["source_frame"] % frames
@@ -371,10 +376,11 @@ def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     _write_csv(
         out / "probe_errors.csv", chash,
         ["layer", "depth_weight", "init_loss", "final_loss", "loss_reduction",
-         "init_probe_error", "final_probe_error"],
+         "init_probe_error", "final_probe_error", "max_grad_norm", "clipped_step_fraction"],
         [
             [r.layer, repr(r.depth_weight), repr(r.init_loss), repr(r.final_loss),
-             repr(r.loss_reduction), repr(r.init_probe_error), repr(r.final_probe_error)]
+             repr(r.loss_reduction), repr(r.init_probe_error), repr(r.final_probe_error),
+             repr(r.max_grad_norm), repr(r.clipped_step_fraction)]
             for r in results
         ],
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .phasor import LOG_RANGE_BOUND, RadialInterval
+from .phasor import LOG_RANGE_BOUND, RadialInterval, clamp_interval
 
 __all__ = [
     "LN_EPS",
@@ -24,6 +24,8 @@ __all__ = [
     "head_init",
     "head_forward",
     "head_forward_batch",
+    "head_layer_norm",
+    "head_forward_normalized",
     "head_forward_cache",
     "head_backward",
     "head_backward_batch",
@@ -58,7 +60,11 @@ class HeadParams:
 
 @dataclass
 class HeadGradients:
-    """Gradients matching HeadParams plus the input-feature gradient."""
+    """Gradients matching HeadParams plus the input-feature gradient.
+
+    ``feature`` is set by ``head_backward``/``head_backward_batch``;
+    ``head_backward_from_cache`` leaves it None.
+    """
 
     norm_scale: np.ndarray
     norm_bias: np.ndarray
@@ -66,7 +72,7 @@ class HeadGradients:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    feature: np.ndarray
+    feature: np.ndarray | None = None
 
     def param_arrays(self):
         return [
@@ -102,18 +108,25 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def head_forward_cache(params: HeadParams, x: np.ndarray) -> dict:
-    """Forward pass keeping the intermediates the backward pass needs.
+def head_layer_norm(x: np.ndarray):
+    """Layer-norm statistics of features ``x`` (..., d_model): ``(std, xhat)``.
 
-    ``x`` is (..., d_model) and is not validated here. The outputs are
-    ``cache["mu"]`` and ``cache["sigma"]``; pass the whole cache to
-    ``head_backward_from_cache``. Parameter arrays may carry extra leading
-    axes, which broadcast against ``x``.
+    ``xhat`` is ``x`` standardised over its last axis; it depends on the
+    features only, so fixed features need it once.
     """
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     std = np.sqrt(var + LN_EPS)
-    xhat = (x - mean) / std
+    return std, (x - mean) / std
+
+
+def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
+    """Forward pass from standardised features ``xhat`` (see ``head_layer_norm``).
+
+    Returns the intermediates the parameter gradients need; the outputs are
+    ``cache["mu"]`` and ``cache["sigma"]``. Parameter arrays may carry extra
+    leading axes, which broadcast against ``xhat``.
+    """
     y = xhat * params.norm_scale + params.norm_bias
     u = y @ params.w1 + params.b1
     sig = _sigmoid(u)
@@ -121,16 +134,25 @@ def head_forward_cache(params: HeadParams, x: np.ndarray) -> dict:
     raw = h @ params.w2 + params.b2
     mu_raw = raw[..., 0]
     sigma_raw = raw[..., 1]
-    mu = np.clip(mu_raw, -LOG_RANGE_BOUND, LOG_RANGE_BOUND)
-    cap = LOG_RANGE_BOUND - np.abs(mu)
-    abs_sig = np.abs(sigma_raw)
-    sigma = np.where(abs_sig <= cap, sigma_raw, np.copysign(cap, sigma_raw))
+    mu, sigma = clamp_interval(mu_raw, sigma_raw)
     return {
-        "x": x, "std": std, "xhat": xhat, "y": y, "u": u, "sig": sig, "h": h,
-        "mu_raw": mu_raw, "sigma_raw": sigma_raw, "mu": mu, "sigma": sigma,
+        "xhat": xhat, "y": y, "u": u, "sig": sig, "h": h,
+        "sigma_raw": sigma_raw, "mu": mu, "sigma": sigma,
         "mu_active": np.abs(mu_raw) <= LOG_RANGE_BOUND,
-        "sigma_active": abs_sig <= cap,
+        "sigma_active": np.abs(sigma_raw) <= LOG_RANGE_BOUND - np.abs(mu),
     }
+
+
+def head_forward_cache(params: HeadParams, x: np.ndarray) -> dict:
+    """Forward pass from raw features ``x`` (..., d_model), not validated here.
+
+    The cache of ``head_forward_normalized`` plus ``std``, which the
+    feature gradient needs.
+    """
+    std, xhat = head_layer_norm(x)
+    cache = head_forward_normalized(params, xhat)
+    cache["std"] = std
+    return cache
 
 
 def _check_feature(params: HeadParams, feature: np.ndarray, batch: bool) -> np.ndarray:
@@ -166,24 +188,37 @@ def head_backward_batch(
     """Exact reverse-mode gradients, summed over the batch for parameters.
 
     Clamped regions use subgradient 0; in the sigma-capped region the cap
-    3 - |mu| routes part of the sigma gradient into mu.
+    3 - |mu| routes part of the sigma gradient into mu. ``feature`` holds
+    the per-token input-feature gradient.
     """
     x = _check_feature(params, features, batch=True)
     gm = np.asarray(grad_mu, dtype=float)
     gs = np.asarray(grad_sigma, dtype=float)
     if gm.shape != x.shape[:1] or gs.shape != x.shape[:1]:
         raise ValueError("upstream gradients must be one scalar per token")
-    return head_backward_from_cache(params, head_forward_cache(params, x), gm, gs)
+    c = head_forward_cache(params, x)
+    g, g_y = _backward(params, c, gm, gs)
+    g_xhat = g_y * params.norm_scale
+    m1 = g_xhat.mean(axis=-1, keepdims=True)
+    m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
+    g.feature = (g_xhat - m1 - c["xhat"] * m2) / c["std"]
+    return g
 
 
 def head_backward_from_cache(
     params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
 ) -> HeadGradients:
-    """Gradients of ``head_backward_batch`` from a (N, d_model) forward cache.
+    """Parameter gradients of ``head_backward_batch`` from a (N, d_model) cache.
 
-    The cache must come from ``head_forward_cache`` with these ``params``,
-    so a training step runs the forward pass once.
+    The cache must come from ``head_forward_normalized`` (or
+    ``head_forward_cache``) with these ``params``, so a training step runs
+    the forward pass once. ``feature`` is left None.
     """
+    return _backward(params, c, gm, gs)[0]
+
+
+def _backward(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
+    """Parameter gradients and the gradient at y = xhat * norm_scale + norm_bias."""
     g_sigma_raw = np.where(c["sigma_active"], gs, 0.0)
     # sigma = sign(sigma_raw) * (3 - |mu|) when capped: d sigma / d mu.
     cap_to_mu = np.where(
@@ -203,18 +238,12 @@ def head_backward_from_cache(
     g_w1 = c["y"].T @ g_u
     g_b1 = g_u.sum(axis=0)
 
-    g_xhat = g_y * params.norm_scale
     g_scale = (g_y * c["xhat"]).sum(axis=0)
     g_bias = g_y.sum(axis=0)
-    m1 = g_xhat.mean(axis=-1, keepdims=True)
-    m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
-    g_x = (g_xhat - m1 - c["xhat"] * m2) / c["std"]
-
-    return HeadGradients(
-        norm_scale=g_scale, norm_bias=g_bias,
-        w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
-        feature=g_x,
+    grads = HeadGradients(
+        norm_scale=g_scale, norm_bias=g_bias, w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2
     )
+    return grads, g_y
 
 
 def head_backward(

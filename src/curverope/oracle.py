@@ -53,9 +53,10 @@ def _small_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
 def random_setup(rng: np.random.Generator, k_check: int = 129) -> PhasorSetup:
     """Draw a geometrically benign configuration.
 
-    Setups are resampled until every breakpoint of a fine path is valid
-    with margin, so the Monte-Carlo route never straddles the projection
-    guard.
+    Setups are resampled until every breakpoint of a fine path is in front
+    of the query camera with margin (beta > 1e-3 and z > 1e-3, which makes
+    every point valid for the analytic path), so the Monte-Carlo route never
+    straddles the projection guard.
     """
     while True:
         w = h = 128
@@ -84,11 +85,10 @@ def random_setup(rng: np.random.Generator, k_check: int = 129) -> PhasorSetup:
         interval = RadialInterval(rng.uniform(-0.5, 1.5), rng.uniform(0.1, 1.0))
         omega = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
         radii = breakpoints(interval.mu, interval.sigma, k_check)
-        path = projected_path(cam_q, transform, ray, radii)
         pts = transform.apply(radii[:, None] * ray.direction)
         z = pts[:, 2]
         beta = z + cam_q.xi * np.linalg.norm(pts, axis=1)
-        if np.all(path.valid) and np.min(beta) > 1e-3 and np.min(z) > 1e-3:
+        if np.min(beta) > 1e-3 and np.min(z) > 1e-3:
             return PhasorSetup(cam_q, transform, ray, interval, omega)
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "LOG_RANGE_BOUND",
     "PATCH_OFFSETS",
     "RadialInterval",
+    "clamp_interval",
     "ProjectedPath",
     "token_grid",
     "token_rays",
@@ -56,9 +57,18 @@ class RadialInterval:
 
     def clamp(self, bound: float = LOG_RANGE_BOUND) -> "RadialInterval":
         """Clamp mu to [-bound, bound] and cap |sigma| so the interval fits."""
-        mu = float(np.clip(self.mu, -bound, bound))
-        width = min(abs(self.sigma), bound - abs(mu))
-        return RadialInterval(mu, float(np.copysign(width, self.sigma)))
+        mu, sigma = clamp_interval(self.mu, self.sigma, bound)
+        return RadialInterval(float(mu), float(sigma))
+
+
+def clamp_interval(mu, sigma, bound: float = LOG_RANGE_BOUND):
+    """The interval clamp on arrays: (mu, sigma) with mu clipped to
+    [-bound, bound] and |sigma| capped at bound - |mu|, keeping sigma's sign.
+
+    mu and sigma are scalars or arrays that broadcast together.
+    """
+    mu = np.clip(mu, -bound, bound)
+    return mu, np.copysign(np.minimum(np.abs(sigma), bound - np.abs(mu)), sigma)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ MOTIONS = ("orbit", "dolly", "pan")
 # Orbit trajectories pivot about a point this far ahead of the first camera.
 ORBIT_PIVOT_DISTANCE = 4.0
 _HIT_EPS = 1e-9
+# Sphere hits are evaluated for this many rays at a time, so the (rays,
+# spheres) work arrays stay near 0.6 MB each at 300 spheres instead of
+# growing with the image.
+_RAYS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,16 @@ def _scene_spheres(spec: SceneSpec):
     return centers, 0.12 * e
 
 
-def _intersect(spec: SceneSpec, origins: np.ndarray, dirs: np.ndarray):
-    """Nearest positive hit distance per ray; inf where nothing is hit."""
-    n = origins.shape[0]
+def _intersect(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray):
+    """Nearest positive hit distance per ray from one origin; inf where nothing is hit."""
+    n = dirs.shape[0]
     best = np.full(n, np.inf)
     for z0, x_min, x_max, y_min, y_max in _scene_planes(spec):
         dz = dirs[:, 2]
         ok = np.abs(dz) > 1e-12
-        t = np.where(ok, (z0 - origins[:, 2]) / np.where(ok, dz, 1.0), np.inf)
-        hit_x = origins[:, 0] + t * dirs[:, 0]
-        hit_y = origins[:, 1] + t * dirs[:, 1]
+        t = np.where(ok, (z0 - origin[2]) / np.where(ok, dz, 1.0), np.inf)
+        hit_x = origin[0] + t * dirs[:, 0]
+        hit_y = origin[1] + t * dirs[:, 1]
         inside = (
             ok
             & (t > _HIT_EPS)
@@ -134,17 +138,25 @@ def _intersect(spec: SceneSpec, origins: np.ndarray, dirs: np.ndarray):
         )
         best = np.where(inside & (t < best), t, best)
     centers, radius = _scene_spheres(spec)
-    if centers.shape[0]:
-        oc = centers[None, :, :] - origins[:, None, :]  # (n, m, 3)
-        proj = np.einsum("nmk,nk->nm", oc, dirs)
-        disc = proj * proj - (np.einsum("nmk,nmk->nm", oc, oc) - radius * radius)
-        ok = disc >= 0
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        t_near = proj - root
-        t_far = proj + root
-        t = np.where(t_near > _HIT_EPS, t_near, t_far)
-        t = np.where(ok & (t > _HIT_EPS), t, np.inf)
-        best = np.minimum(best, t.min(axis=1))
+    m = centers.shape[0]
+    if m:
+        oc = centers - origin  # (m, 3): every ray shares the origin
+        cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
+        for start in range(0, n, _RAYS_PER_BLOCK):
+            rows = slice(start, start + _RAYS_PER_BLOCK)
+            d = dirs[rows]
+            # einsum over a broadcast view sums each product in the same
+            # order as over a dense (rays, spheres, 3) array, so hits stay
+            # bit-identical; a BLAS matmul rounds differently.
+            proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
+            disc = proj * proj - cc
+            ok = disc >= 0
+            root = np.sqrt(np.where(ok, disc, 0.0))
+            t_near = proj - root
+            t_far = proj + root
+            t = np.where(t_near > _HIT_EPS, t_near, t_far)
+            t = np.where(ok & (t > _HIT_EPS), t, np.inf)
+            best[rows] = np.minimum(best[rows], t.min(axis=1))
     return best
 
 
@@ -156,10 +168,8 @@ def render_radial_map(spec: SceneSpec, pose: RigidTransform, cam: UcmCamera):
     """
     jj, ii = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
     pixels = np.stack([jj + 0.5, ii + 0.5], axis=-1).reshape(-1, 2)
-    dirs_cam = unproject_points(cam, pixels)
-    dirs_world = dirs_cam @ pose.rotation.T
-    origins = np.broadcast_to(pose.translation, dirs_world.shape)
-    t = _intersect(spec, origins, dirs_world)
+    dirs_world = unproject_points(cam, pixels) @ pose.rotation.T
+    t = _intersect(spec, pose.translation, dirs_world)
     valid = np.isfinite(t)
     values = np.where(valid, t, np.nan)
     return values.reshape(cam.height, cam.width), valid.reshape(cam.height, cam.width)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .phasor import LOG_RANGE_BOUND, RadialInterval
+from .phasor import RadialInterval, clamp_interval
 from .supervision import RadialMap, normalize_and_pool, validity_mask
 
 __all__ = [
@@ -155,8 +155,7 @@ def external_override(
     mask = validity_mask(external, r_max)
     tokens = normalize_and_pool(external, mask, near_stat, patch)
     log_t = np.log(np.where(tokens.mask, tokens.targets, 1.0))
-    t_mu = np.clip(log_t, -LOG_RANGE_BOUND, LOG_RANGE_BOUND)
-    t_sigma = np.minimum(abs(teacher_sigma), LOG_RANGE_BOUND - np.abs(t_mu))
+    t_mu, t_sigma = clamp_interval(log_t, abs(teacher_sigma))
     return OverrideResult(
         mu=np.where(tokens.mask, t_mu, pred_mu),
         sigma=np.where(tokens.mask, t_sigma, pred_sigma),

@@ -21,8 +21,9 @@ import numpy as np
 from .head import (
     head_backward_from_cache,
     head_forward_batch,
-    head_forward_cache,
+    head_forward_normalized,
     head_init,
+    head_layer_norm,
 )
 from .scene import depth_signal_weight, make_layer_features
 from .supervision import LossConfig, TokenTargets, radial_loss
@@ -62,6 +63,8 @@ class LayerProbeResult:
     loss_reduction: float
     init_probe_error: float
     final_probe_error: float
+    max_grad_norm: float
+    clipped_step_fraction: float
     params: object
     curve: list
 
@@ -86,8 +89,9 @@ def train_head_on_tokens(
     """Train one head on (N, d) features against positive normalized targets.
 
     Returns (params, stats) with init/final training loss, init/final
-    held-out probe error and, when record_every > 0, the training curve
-    as (step, loss) pairs.
+    held-out probe error, the largest global gradient norm before clipping,
+    the fraction of steps whose gradient was clipped and, when
+    record_every > 0, the training curve as (step, loss) pairs.
     """
     feats = np.asarray(features, dtype=float)
     vals = np.asarray(target_values, dtype=float)
@@ -127,11 +131,14 @@ def train_head_on_tokens(
     init_loss = None
     loss = None
     total = None
+    max_total = 0.0
+    clipped = 0
     curve = []
-    # The features were checked once above; each step runs one forward pass
-    # and reuses its cache for the backward pass.
+    # The features were checked once above and are normalised once here;
+    # each step runs one forward pass and reuses its cache for the backward.
+    _, train_xhat = head_layer_norm(train_feats)
     for step in range(steps):
-        cache = head_forward_cache(params, train_feats)
+        cache = head_forward_normalized(params, train_xhat)
         res = radial_loss(
             cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1),
             train_targets, loss_config,
@@ -148,7 +155,12 @@ def train_head_on_tokens(
             grad_mu = np.zeros_like(grad_mu)
         g = head_backward_from_cache(params, cache, grad_mu, res.grad_sigma.reshape(-1))
         total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
-        scale = lr if total <= clip_norm else lr * clip_norm / total
+        max_total = max(max_total, total)
+        if total <= clip_norm:
+            scale = lr
+        else:
+            scale = lr * clip_norm / total
+            clipped += 1
         for name, grad in g.param_arrays():
             getattr(params, name).__isub__(scale * grad)
     final_probe = probe_error(params)
@@ -158,6 +170,8 @@ def train_head_on_tokens(
         "loss_reduction": float((init_loss - loss) / abs(init_loss)) if init_loss else 0.0,
         "init_probe_error": init_probe,
         "final_probe_error": final_probe,
+        "max_grad_norm": max_total,
+        "clipped_step_fraction": clipped / steps,
         "curve": curve,
     }
     return params, stats
@@ -200,6 +214,8 @@ def run_layer_probe(
                 loss_reduction=stats["loss_reduction"],
                 init_probe_error=stats["init_probe_error"],
                 final_probe_error=stats["final_probe_error"],
+                max_grad_norm=stats["max_grad_norm"],
+                clipped_step_fraction=stats["clipped_step_fraction"],
                 params=params,
                 curve=stats["curve"],
             )

@@ -10,6 +10,7 @@ from curverope.cli import main
 from curverope.formats import save_trajectory, write_rdm1
 from curverope.rope import make_frequency_plan
 from curverope.scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
+from curverope.supervision import RadialMap
 
 
 def _write_config(tmp_path, **overrides):
@@ -55,6 +56,7 @@ def test_coeffs_sigma_zero_exact_rope(tmp_path):
     assert abs(summary["max_magnitude"] - 1.0) < 1e-9
     assert summary["magnitude_bound_ok"] is True
     assert summary["identity_fallback_count"] == 0
+    assert summary["teacher_substituted_tokens"] == 0
     assert "config_hash" in summary
 
 
@@ -104,13 +106,17 @@ def test_coeffs_with_rdm1_teacher_intervals(tmp_path):
     traj, cam, poses = _make_trajectory_file(tmp_path, frames=2, amplitude=0.1)
     scene = SceneSpec(kind="fronto_plane", extent=3.0)
     rmap = render_clip(scene, poses, cam)
-    rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, rmap, near_stat=2.0)
-    cfg = _write_config(tmp_path, trajectory=traj, rdm1=str(rdm))
-    out = tmp_path / "out"
-    assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
-    summary = json.loads((out / "coeffs_summary.json").read_text())
-    assert summary["max_magnitude"] <= 1.0 + 1e-9
+    invalid = RadialMap(values=np.full(rmap.values.shape, np.nan), source_valid=np.zeros(rmap.values.shape, bool))
+    # 2 frames of 4 x 4 tokens; every token of the fronto plane is valid.
+    for name, radial_map, substituted in (("maps", rmap, 32), ("invalid", invalid, 0)):
+        rdm = tmp_path / f"{name}.rdm1"
+        write_rdm1(rdm, radial_map, near_stat=2.0)
+        cfg = _write_config(tmp_path, trajectory=traj, rdm1=str(rdm))
+        out = tmp_path / name
+        assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "coeffs_summary.json").read_text())
+        assert summary["max_magnitude"] <= 1.0 + 1e-9
+        assert summary["teacher_substituted_tokens"] == substituted, name
 
 
 def test_trace_identity_constant_uv(tmp_path):
@@ -262,6 +268,9 @@ def test_train_head_command_small(tmp_path):
     assert main(["train-head", "--config", cfg, "--out", str(out)]) == 0
     rows = _read_csv(out / "probe_errors.csv")
     assert len(rows) == 4
+    for r in rows:
+        assert float(r["max_grad_norm"]) > 0
+        assert 0.0 <= float(r["clipped_step_fraction"]) <= 1.0
     report = json.loads((out / "train_report.json").read_text())
     assert report["valid_tokens"] > 0
     assert (out / "head_best.ckpt").exists()

@@ -6,6 +6,7 @@ from curverope.phasor import (
     ProjectedPath,
     RadialInterval,
     breakpoints,
+    clamp_interval,
     coefficients_from_paths,
     expected_coefficients,
     expected_phasor,
@@ -25,6 +26,31 @@ def test_interval_clamp():
     assert RadialInterval(0.0, 3.0).clamp() == RadialInterval(0.0, 3.0)
     c = RadialInterval(-1.0, -5.0).clamp()
     assert c.mu == -1.0 and c.sigma == -2.0 and c.half_width == 2.0
+
+
+def test_clamp_interval_matches_each_former_clamp_bit_for_bit():
+    """The one array clamp equals the head's where-form, the scalar
+    RadialInterval form and the teacher form on edge and random values."""
+    b = 3.0
+    rng = np.random.default_rng(11)
+    mu = np.concatenate([[0.0, -0.0, 3.0, -3.0, 4.0, -4.0, 1.0, 1.0, -2.5, 0.5], rng.uniform(-5, 5, 400)])
+    sigma = np.concatenate([[0.0, -0.0, 1.0, -1.0, 0.0, 2.0, 2.0, -2.0, -0.5, 2.5], rng.uniform(-5, 5, 400)])
+    got_mu, got_sigma = clamp_interval(mu, sigma)
+
+    head_mu = np.clip(mu, -b, b)
+    cap = b - np.abs(head_mu)
+    head_sigma = np.where(np.abs(sigma) <= cap, sigma, np.copysign(cap, sigma))
+    assert got_mu.tobytes() == head_mu.tobytes()
+    assert got_sigma.tobytes() == head_sigma.tobytes()
+
+    for m, s, gm, gs in zip(mu, sigma, got_mu, got_sigma):
+        scalar_mu = float(np.clip(m, -b, b))
+        scalar_sigma = float(np.copysign(min(abs(s), b - abs(scalar_mu)), s))
+        assert np.array([scalar_mu, scalar_sigma]).tobytes() == np.array([gm, gs]).tobytes()
+
+    teacher_mu, teacher_sigma = clamp_interval(mu, 0.1)
+    assert teacher_mu.tobytes() == head_mu.tobytes()
+    assert teacher_sigma.tobytes() == np.minimum(0.1, b - np.abs(head_mu)).tobytes()
 
 
 def test_breakpoints_degenerate():

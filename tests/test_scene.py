@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from curverope.camera import UcmCamera, project_points, ucm_unproject
+from curverope import scene as scene_module
+from curverope.camera import UcmCamera, project_points, ucm_unproject, unproject_points
 from curverope.scene import (
     SceneSpec,
     TrajectorySpec,
@@ -173,3 +176,62 @@ def test_layer_features_depth_weight_scales_signal():
     mask = t.mask.reshape(-1)
     assert np.allclose(flat[~mask], 0.0)
     assert np.linalg.norm(flat[mask]) > 0
+
+
+def _dense_render(spec, pose, cam):
+    """Unblocked reference renderer: one (pixels, spheres, 3) array per frame."""
+    jj, ii = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    pixels = np.stack([jj + 0.5, ii + 0.5], axis=-1).reshape(-1, 2)
+    dirs = unproject_points(cam, pixels) @ pose.rotation.T
+    origins = np.broadcast_to(pose.translation, dirs.shape)
+    eps = scene_module._HIT_EPS
+    best = np.full(dirs.shape[0], np.inf)
+    for z0, x_min, x_max, y_min, y_max in scene_module._scene_planes(spec):
+        dz = dirs[:, 2]
+        ok = np.abs(dz) > 1e-12
+        t = np.where(ok, (z0 - origins[:, 2]) / np.where(ok, dz, 1.0), np.inf)
+        hit_x = origins[:, 0] + t * dirs[:, 0]
+        hit_y = origins[:, 1] + t * dirs[:, 1]
+        inside = ok & (t > eps) & (hit_x >= x_min) & (hit_x <= x_max) & (hit_y >= y_min) & (hit_y <= y_max)
+        best = np.where(inside & (t < best), t, best)
+    centers, radius = scene_module._scene_spheres(spec)
+    if centers.shape[0]:
+        oc = centers[None, :, :] - origins[:, None, :]
+        proj = np.einsum("nmk,nk->nm", oc, dirs)
+        disc = proj * proj - (np.einsum("nmk,nmk->nm", oc, oc) - radius * radius)
+        ok = disc >= 0
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        t = np.where(proj - root > eps, proj - root, proj + root)
+        best = np.minimum(best, np.where(ok & (t > eps), t, np.inf).min(axis=1))
+    valid = np.isfinite(best)
+    shape = (cam.height, cam.width)
+    return np.where(valid, best, np.nan).reshape(shape), valid.reshape(shape)
+
+
+@pytest.mark.parametrize("kind", ["point_cloud", "two_planes"])
+def test_render_matches_dense_reference_bit_for_bit(kind):
+    spec = SceneSpec(kind=kind, extent=2.0, num_points=300, seed=4)
+    # 50 x 38 pixels leave a partial last block of rays.
+    for cam in (UcmCamera(50.0, 52.0, 32.0, 32.0, 0.6, 64, 64), UcmCamera(40.0, 41.0, 25.0, 19.0, 0.6, 50, 38)):
+        poses = make_trajectory(TrajectorySpec(frames=3, motion="orbit", amplitude=0.3, camera=cam))
+        for pose in (poses[0], poses[2]):
+            values, valid = render_radial_map(spec, pose, cam)
+            want_values, want_valid = _dense_render(spec, pose, cam)
+            assert valid.any()
+            assert np.array_equal(valid, want_valid)
+            assert values.tobytes() == want_values.tobytes()
+
+
+def test_render_memory_is_bounded_by_the_ray_block():
+    """One 64x64 frame against 300 spheres; a dense (pixels, spheres, 3)
+    renderer peaks near 96 MiB of traced numpy memory."""
+    spec = SceneSpec(kind="point_cloud", extent=2.0, num_points=300, seed=0)
+    cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.3, 64, 64)
+    pose = make_trajectory(TrajectorySpec(frames=2, motion="dolly", amplitude=0.4, camera=cam))[1]
+    tracemalloc.start()
+    try:
+        render_radial_map(spec, pose, cam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak

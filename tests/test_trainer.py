@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curverope import trainer
-from curverope.head import HeadParams, head_backward_batch
+from curverope.head import HeadParams, head_backward_batch, head_forward_cache
 from curverope.scene import make_layer_features
 from curverope.supervision import TokenTargets
 from curverope.trainer import DivergenceError, run_layer_probe, train_head_on_tokens
@@ -86,26 +86,79 @@ def test_rejects_nonpositive_targets():
 
 
 def test_fused_step_gradients_equal_head_backward_batch(monkeypatch):
-    """Each step's backward reuses its forward cache; the gradients it applies
-    equal a fresh head_backward_batch at the same parameters bit for bit."""
+    """Each step's backward reuses its forward cache over the features
+    normalised once; the parameter gradients it applies equal a fresh
+    head_backward_batch on the raw training features bit for bit."""
     targets = _iid_targets()
     batch = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
-    calls = []
-    fused = trainer.head_backward_from_cache
+    calls, normalised = [], []
+    fused, layer_norm = trainer.head_backward_from_cache, trainer.head_layer_norm
+
+    def norm_spy(x):
+        normalised.append(x.copy())
+        return layer_norm(x)
 
     def spy(params, cache, gm, gs):
         g = fused(params, cache, gm, gs)
         frozen = HeadParams(*(a.copy() for _, a in params.field_arrays()))
-        calls.append((frozen, cache["x"].copy(), gm.copy(), gs.copy(), g))
+        calls.append((frozen, gm.copy(), gs.copy(), g))
         return g
 
+    monkeypatch.setattr(trainer, "head_layer_norm", norm_spy)
     monkeypatch.setattr(trainer, "head_backward_from_cache", spy)
     train_head_on_tokens(batch.features.reshape(-1, 32), targets.targets.reshape(-1), 60, 0.01, seed=3)
-    assert len(calls) == 60
-    for params, x, gm, gs, g in calls[::10] + calls[-1:]:
-        want = head_backward_batch(params, x, gm, gs)
-        for name in ("norm_scale", "norm_bias", "w1", "b1", "w2", "b2", "feature"):
-            assert np.array_equal(getattr(g, name), getattr(want, name)), name
+    assert len(calls) == 60 and len(normalised) == 1
+    for params, gm, gs, g in calls[::10] + calls[-1:]:
+        want = head_backward_batch(params, normalised[0], gm, gs)
+        for name, grad in want.param_arrays():
+            assert np.array_equal(getattr(g, name), grad), name
+        assert g.feature is None
+
+
+def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
+    """Normalising the training features once gives the same parameters and
+    curve as a loop that runs head_forward_cache on the raw features every step."""
+    targets = _iid_targets()
+    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).features.reshape(-1, 32)
+    flat = targets.targets.reshape(-1)
+    hoisted, s1 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
+    per_step = []
+
+    def forward_from_raw(params, x):
+        per_step.append(x)
+        return head_forward_cache(params, x)
+
+    # The reference loop hands the raw features to head_forward_cache each step.
+    monkeypatch.setattr(trainer, "head_layer_norm", lambda x: (None, x))
+    monkeypatch.setattr(trainer, "head_forward_normalized", forward_from_raw)
+    reference, s2 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
+    assert len(per_step) == 200
+    assert s1 == s2
+    for (name, a), (_, b) in zip(hoisted.field_arrays(), reference.field_arrays()):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_gradient_norm_counters(monkeypatch):
+    """max_grad_norm is the largest pre-clip global norm; clipped_step_fraction
+    counts the steps whose norm exceeded clip_norm."""
+    targets = _iid_targets()
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).features.reshape(-1, 32)
+    flat = targets.targets.reshape(-1)
+    exact_backward = trainer.head_backward_from_cache
+    norms = []
+
+    def backward_spy(*args):
+        g = exact_backward(*args)
+        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
+        return g
+
+    monkeypatch.setattr(trainer, "head_backward_from_cache", backward_spy)
+    for clip_norm, fraction in ((1e-9, 1.0), (1e9, 0.0)):
+        norms.clear()
+        _, stats = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0, clip_norm=clip_norm)
+        assert len(norms) == 40
+        assert stats["clipped_step_fraction"] == fraction
+        assert stats["max_grad_norm"] == max(norms) > 0
 
 
 def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):

@@ -1,15 +1,14 @@
 """Depth-aware rotary positional encoding along curved projected ray paths
 for unified central cameras, with its supervision and scheduling machinery."""
 
-from .attention import AttentionParams, TokenBatch, attention_forward, attention_init, modulate_key
+from .attention import AttentionParams, TokenBatch, attention_forward, attention_init
 from .camera import (
     Ray,
     RigidTransform,
     UcmCamera,
-    lift_point,
+    project_points,
     relative_transform,
-    ucm_project,
-    ucm_unproject,
+    unproject_points,
 )
 from .head import HeadParams, head_backward, head_forward, head_init
 from .phasor import (
@@ -38,7 +37,6 @@ from .supervision import (
 )
 from .teacher_mix import (
     MixSchedule,
-    TeacherMixState,
     effective_interval,
     external_override,
     sample_mask,

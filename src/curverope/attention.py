@@ -18,7 +18,6 @@ __all__ = [
     "AttentionParams",
     "TokenBatch",
     "attention_init",
-    "modulate_key",
     "attention_forward",
 ]
 
@@ -87,14 +86,6 @@ def attention_init(d_model: int, head_dim: int, seed: int) -> AttentionParams:
     )
 
 
-def modulate_key(key: np.ndarray, coeffs: np.ndarray, plan: FrequencyPlan) -> np.ndarray:
-    """Conformal per-pair map of a key vector by (c, s) coefficients."""
-    k = np.asarray(key, dtype=float)
-    if k.shape[-1] != plan.total_dim:
-        raise ValueError(f"key dim {k.shape[-1]} does not match plan dim {plan.total_dim}")
-    return apply_coefficients(k, coeffs, plan)
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -134,7 +125,7 @@ def attention_forward(
     out = np.empty_like(feats)
     scale = 1.0 / np.sqrt(d)
     for qf in range(f):
-        k_mod = modulate_key(k, cf[qf], plan).reshape(f * p, d)
+        k_mod = apply_coefficients(k, cf[qf], plan).reshape(f * p, d)
         logits = (q[qf] @ k_mod.T) * scale
         attn = _softmax_rows(logits)
         out[qf] = feats[qf] + (attn @ v) @ params.wo

@@ -16,12 +16,9 @@ __all__ = [
     "UcmCamera",
     "RigidTransform",
     "Ray",
-    "ucm_project",
-    "ucm_unproject",
     "project_points",
     "unproject_points",
     "relative_transform",
-    "lift_point",
 ]
 
 # Projection denominator guard; sign-preserving (see project_points).
@@ -151,16 +148,6 @@ def project_points(cam: UcmCamera, points: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def ucm_unproject(cam: UcmCamera, pixel: np.ndarray) -> Ray:
-    """Unproject a single pixel to its unit viewing ray."""
-    return Ray(unproject_points(cam, np.asarray(pixel, dtype=float).reshape(2)))
-
-
-def ucm_project(cam: UcmCamera, point: np.ndarray) -> np.ndarray:
-    """Project a single camera-frame point to pixel coordinates."""
-    return project_points(cam, np.asarray(point, dtype=float).reshape(3))
-
-
 def relative_transform(pose_source: RigidTransform, pose_query: RigidTransform) -> RigidTransform:
     """Transform from source-camera coordinates into query-camera coordinates.
 
@@ -172,9 +159,3 @@ def relative_transform(pose_source: RigidTransform, pose_query: RigidTransform) 
     rel_t = rq.T @ (pose_source.translation - pose_query.translation)
     return RigidTransform(rel_rot, rel_t)
 
-
-def lift_point(ray: Ray, r: float) -> np.ndarray:
-    """Point at radial distance r along the ray; |result| == r."""
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError(f"radial distance must be positive, got {r}")
-    return r * ray.direction

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .head import head_backward, head_forward, head_forward_cache, head_init
+from .head import head_backward, head_feature_gradient, head_forward, head_init
 from .phasor import LOG_RANGE_BOUND
 from .supervision import LossConfig, TokenTargets, radial_loss
 
@@ -52,6 +52,12 @@ def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd)) / scale)
 
 
+def _check_samples(samples: int) -> None:
+    # With no samples a check would pass without checking anything.
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def run_head_gradcheck(
     samples: int,
     d_model: int,
@@ -64,6 +70,7 @@ def run_head_gradcheck(
     Returns max relative error over accepted samples plus the count of
     excluded clamp-boundary configurations.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     excluded = 0
@@ -76,8 +83,9 @@ def run_head_gradcheck(
         params.b2 = np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)])
         feature = rng.normal(size=d_model)
 
-        interval = head_forward(params, feature)
-        mu, sigma = interval.mu, interval.sigma
+        x = feature[None, :]
+        cache = head_forward(params, x)
+        mu, sigma = float(cache["mu"][0]), float(cache["sigma"][0])
         cap = LOG_RANGE_BOUND - abs(mu)
         near_boundary = (
             LOG_RANGE_BOUND - abs(mu) < boundary_margin
@@ -89,16 +97,15 @@ def run_head_gradcheck(
             continue
         accepted += 1
 
-        gmu, gsigma = rng.normal(size=2)
-        grads = head_backward(params, feature, gmu, gsigma)
+        gm, gs = rng.normal(size=(2, 1))  # one upstream gradient for the one token
+        grads = head_backward(params, cache, gm, gs)
 
         def objective(p, x):
-            """gmu * mu + gsigma * sigma, one value per stacked probe."""
-            c = head_forward_cache(p, x)
-            return (gmu * c["mu"] + gsigma * c["sigma"]).reshape(-1)
+            """gm * mu + gs * sigma, one value per stacked probe."""
+            c = head_forward(p, x)
+            return (gm * c["mu"] + gs * c["sigma"]).reshape(-1)
 
-        x = feature[None, :]
-        for name, analytic in grads.param_arrays():
+        for name, analytic in grads.field_arrays():
             base = getattr(params, name)
             # Each block of perturbed copies is stacked on a leading axis;
             # 1-D fields get a singleton token axis to broadcast over.
@@ -109,8 +116,9 @@ def run_head_gradcheck(
             ])
             max_rel = max(max_rel, _relative_error(analytic.reshape(-1), _central(f, step)))
 
+        analytic = head_feature_gradient(params, cache, gm, gs)[0]
         f = np.concatenate([objective(params, block) for block in _perturbed_blocks(feature, step)])
-        max_rel = max(max_rel, _relative_error(grads.feature, _central(f, step)))
+        max_rel = max(max_rel, _relative_error(analytic, _central(f, step)))
     return {
         "samples": accepted,
         "excluded": excluded,
@@ -130,6 +138,7 @@ def run_loss_gradcheck(
     Tokens near the |exp(mu) - target| kink or the scale floor/ceiling are
     flagged and skipped, not failed.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     flagged = 0

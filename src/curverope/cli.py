@@ -408,13 +408,18 @@ def cmd_mix_sim(cfg: dict, out: Path, chash: str) -> bool:
     schedule = MixSchedule(
         mode=m["mode"], decay_start=int(m["decay_start"]), decay_end=int(m["decay_end"])
     )
-    granules = int(m["granules"])
+    granules, total_steps, stride = int(m["granules"]), int(m["total_steps"]), int(m["stride"])
+    # The rates divide by granules and by the number of logged steps, and a
+    # negative total or a stride below 1 would log none.
+    limits = (("granules", granules, 1), ("total_steps", total_steps, 0), ("stride", stride, 1))
+    for name, value, least in limits:
+        if value < least:
+            raise ValueError(f"mix.{name} must be >= {least}, got {value}")
     valid = np.zeros(granules, dtype=bool)
     valid[: int(round(float(m["valid_fraction"]) * granules))] = True
     rows = []
     total_sub = 0
-    steps = range(0, int(m["total_steps"]) + 1, int(m["stride"]))
-    for step in steps:
+    for step in range(0, total_steps + 1, stride):
         p = substitution_probability(schedule, step)
         mask = sample_mask(p, granules, seed=[cfg["seed"], step])
         substituted = mask & valid

@@ -151,9 +151,11 @@ def load_trajectory(path):
     Accepted rotations are re-orthonormalized so the stricter transform
     invariant holds downstream.
     """
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"trajectory is not UTF-8: {e.reason}", e.start) from e
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid trajectory JSON: {e.msg}", e.pos) from e
     try:

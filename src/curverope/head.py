@@ -14,22 +14,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .phasor import LOG_RANGE_BOUND, RadialInterval, clamp_interval
+from .phasor import LOG_RANGE_BOUND, clamp_interval
 
 __all__ = [
     "LN_EPS",
     "HeadParams",
-    "HeadGradients",
     "hidden_width",
     "head_init",
-    "head_forward",
-    "head_forward_batch",
     "head_layer_norm",
     "head_forward_normalized",
-    "head_forward_cache",
+    "head_forward",
     "head_backward",
-    "head_backward_batch",
-    "head_backward_from_cache",
+    "head_feature_gradient",
 ]
 
 LN_EPS = 1e-5
@@ -37,7 +33,7 @@ LN_EPS = 1e-5
 
 @dataclass
 class HeadParams:
-    """Head parameters; field order defines the checkpoint layout."""
+    """Head parameters, or their gradients; field order defines the checkpoint layout."""
 
     norm_scale: np.ndarray
     norm_bias: np.ndarray
@@ -45,40 +41,9 @@ class HeadParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-
-    @property
-    def d_model(self) -> int:
-        return self.norm_scale.shape[0]
-
-    @property
-    def d_hidden(self) -> int:
-        return self.b1.shape[0]
 
     def field_arrays(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
-
-
-@dataclass
-class HeadGradients:
-    """Gradients matching HeadParams plus the input-feature gradient.
-
-    ``feature`` is set by ``head_backward``/``head_backward_batch``;
-    ``head_backward_from_cache`` leaves it None.
-    """
-
-    norm_scale: np.ndarray
-    norm_bias: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    feature: np.ndarray | None = None
-
-    def param_arrays(self):
-        return [
-            (name, getattr(self, name))
-            for name in ("norm_scale", "norm_bias", "w1", "b1", "w2", "b2")
-        ]
 
 
 def hidden_width(d_model: int) -> int:
@@ -143,82 +108,35 @@ def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
     }
 
 
-def head_forward_cache(params: HeadParams, x: np.ndarray) -> dict:
-    """Forward pass from raw features ``x`` (..., d_model), not validated here.
+def head_forward(params: HeadParams, x: np.ndarray) -> dict:
+    """Forward pass over finite features ``x`` (..., d_model).
 
     The cache of ``head_forward_normalized`` plus ``std``, which the
-    feature gradient needs.
+    feature gradient needs. The width is checked against
+    ``params.norm_scale.shape[-1]``, so stacked parameter copies pass.
     """
+    x = np.asarray(x, dtype=float)
+    d_model = params.norm_scale.shape[-1]
+    if x.ndim < 1 or x.shape[-1] != d_model:
+        raise ValueError(f"feature shape {x.shape} does not match d_model={d_model}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     std, xhat = head_layer_norm(x)
     cache = head_forward_normalized(params, xhat)
     cache["std"] = std
     return cache
 
 
-def _check_feature(params: HeadParams, feature: np.ndarray, batch: bool) -> np.ndarray:
-    x = np.asarray(feature, dtype=float)
-    want = 2 if batch else 1
-    if x.ndim != want or x.shape[-1] != params.d_model:
-        raise ValueError(f"feature shape {x.shape} does not match d_model={params.d_model}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-    return x
-
-
-def head_forward(params: HeadParams, feature: np.ndarray) -> RadialInterval:
-    """Predict the clamped radial interval for one token feature."""
-    x = _check_feature(params, feature, batch=False)
-    cache = head_forward_cache(params, x[None, :])
-    return RadialInterval(float(cache["mu"][0]), float(cache["sigma"][0]))
-
-
-def head_forward_batch(params: HeadParams, features: np.ndarray):
-    """Vectorized forward over (N, d_model) features; returns (mu, sigma)."""
-    x = _check_feature(params, features, batch=True)
-    cache = head_forward_cache(params, x)
-    return cache["mu"], cache["sigma"]
-
-
-def head_backward_batch(
-    params: HeadParams,
-    features: np.ndarray,
-    grad_mu: np.ndarray,
-    grad_sigma: np.ndarray,
-) -> HeadGradients:
-    """Exact reverse-mode gradients, summed over the batch for parameters.
+def _upstream(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
+    """Gradients at raw = h @ w2 + b2 and at u = y @ w1 + b1.
 
     Clamped regions use subgradient 0; in the sigma-capped region the cap
-    3 - |mu| routes part of the sigma gradient into mu. ``feature`` holds
-    the per-token input-feature gradient.
+    3 - |mu| routes part of the sigma gradient into mu.
     """
-    x = _check_feature(params, features, batch=True)
-    gm = np.asarray(grad_mu, dtype=float)
-    gs = np.asarray(grad_sigma, dtype=float)
-    if gm.shape != x.shape[:1] or gs.shape != x.shape[:1]:
+    gm = np.asarray(gm, dtype=float)
+    gs = np.asarray(gs, dtype=float)
+    if gm.shape != c["mu"].shape or gs.shape != c["mu"].shape:
         raise ValueError("upstream gradients must be one scalar per token")
-    c = head_forward_cache(params, x)
-    g, g_y = _backward(params, c, gm, gs)
-    g_xhat = g_y * params.norm_scale
-    m1 = g_xhat.mean(axis=-1, keepdims=True)
-    m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
-    g.feature = (g_xhat - m1 - c["xhat"] * m2) / c["std"]
-    return g
-
-
-def head_backward_from_cache(
-    params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
-) -> HeadGradients:
-    """Parameter gradients of ``head_backward_batch`` from a (N, d_model) cache.
-
-    The cache must come from ``head_forward_normalized`` (or
-    ``head_forward_cache``) with these ``params``, so a training step runs
-    the forward pass once. ``feature`` is left None.
-    """
-    return _backward(params, c, gm, gs)[0]
-
-
-def _backward(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
-    """Parameter gradients and the gradient at y = xhat * norm_scale + norm_bias."""
     g_sigma_raw = np.where(c["sigma_active"], gs, 0.0)
     # sigma = sign(sigma_raw) * (3 - |mu|) when capped: d sigma / d mu.
     cap_to_mu = np.where(
@@ -226,34 +144,36 @@ def _backward(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
     )
     g_mu = gm + gs * cap_to_mu
     g_mu_raw = np.where(c["mu_active"], g_mu, 0.0)
-
     g_raw = np.stack([g_mu_raw, g_sigma_raw], axis=-1)
-    g_h = g_raw @ params.w2.T
-    g_w2 = c["h"].T @ g_raw
-    g_b2 = g_raw.sum(axis=0)
-
     dsilu = c["sig"] * (1.0 + c["u"] * (1.0 - c["sig"]))
-    g_u = g_h * dsilu
+    return g_raw, (g_raw @ params.w2.T) * dsilu
+
+
+def head_backward(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray) -> HeadParams:
+    """Exact parameter gradients, summed over the tokens of a (N, d_model) cache.
+
+    ``c`` comes from ``head_forward`` (or ``head_forward_normalized``) with
+    these ``params``, and ``gm``/``gs`` hold one upstream gradient per token,
+    so a training step runs the forward pass once.
+    """
+    g_raw, g_u = _upstream(params, c, gm, gs)
     g_y = g_u @ params.w1.T
-    g_w1 = c["y"].T @ g_u
-    g_b1 = g_u.sum(axis=0)
-
-    g_scale = (g_y * c["xhat"]).sum(axis=0)
-    g_bias = g_y.sum(axis=0)
-    grads = HeadGradients(
-        norm_scale=g_scale, norm_bias=g_bias, w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2
+    return HeadParams(
+        norm_scale=(g_y * c["xhat"]).sum(axis=0),
+        norm_bias=g_y.sum(axis=0),
+        w1=c["y"].T @ g_u,
+        b1=g_u.sum(axis=0),
+        w2=c["h"].T @ g_raw,
+        b2=g_raw.sum(axis=0),
     )
-    return grads, g_y
 
 
-def head_backward(
-    params: HeadParams,
-    feature: np.ndarray,
-    grad_mu: float,
-    grad_sigma: float,
-) -> HeadGradients:
-    """Gradients for a single token; see head_backward_batch."""
-    x = _check_feature(params, feature, batch=False)
-    g = head_backward_batch(params, x[None, :], np.array([grad_mu]), np.array([grad_sigma]))
-    g.feature = g.feature[0]
-    return g
+def head_feature_gradient(
+    params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
+) -> np.ndarray:
+    """Per-token input-feature gradient (N, d_model) from a ``head_forward`` cache."""
+    _, g_u = _upstream(params, c, gm, gs)
+    g_xhat = (g_u @ params.w1.T) * params.norm_scale
+    m1 = g_xhat.mean(axis=-1, keepdims=True)
+    m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
+    return (g_xhat - m1 - c["xhat"] * m2) / c["std"]

@@ -99,6 +99,8 @@ def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generato
     set stays in cache; successive draws continue one generator stream, so
     the samples are those of a single draw of ``samples`` values.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     iv = setup.interval
     a = abs(iv.sigma)
     # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
@@ -149,6 +151,8 @@ def run_oracle_check(
     tolerance everywhere, and K=5 beating K=2 (vs the reference) on at
     least win_fraction of configurations when both are requested.
     """
+    if num_configs < 1:
+        raise ValueError(f"num_configs must be >= 1, got {num_configs}")
     k_values = sorted(set(int(k) for k in k_values) | {reference_k})
     rows = []
     for i in range(num_configs):

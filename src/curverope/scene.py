@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import TokenBatch
 from .camera import RigidTransform, UcmCamera, unproject_points
 from .supervision import RadialMap, TokenTargets
 
@@ -202,8 +201,8 @@ def make_layer_features(
     seed: int,
     depth_weight: float | None = None,
     noise_scale: float = 0.1,
-) -> TokenBatch:
-    """Token features carrying a layer-dependent amount of depth signal.
+) -> np.ndarray:
+    """Token features (frames, patches, d_model) carrying a layer-dependent amount of depth signal.
 
     Features are a frozen random affine mix of the standardized log radial
     target, positional sinusoids and per-layer noise. The depth-signal
@@ -243,4 +242,4 @@ def make_layer_features(
     noise_rng = np.random.default_rng([seed, layer_index])
     eps = noise_rng.standard_normal((n, d_model))
     feats = w * signal[:, None] * u[None, :] + pos @ b + noise_scale * eps
-    return TokenBatch(features=feats.reshape(f, ht * wt, d_model))
+    return feats.reshape(f, ht * wt, d_model)

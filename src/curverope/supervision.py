@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasor import RadialInterval, token_grid
+from .phasor import token_grid
 
 __all__ = [
     "NEAR_STAT_FLOOR",
@@ -25,7 +25,6 @@ __all__ = [
     "near_distance_stat",
     "normalize_and_pool",
     "uncertainty_scale",
-    "uncertainty_scale_arrays",
     "radial_loss",
     "timestep_gate",
 ]
@@ -149,7 +148,7 @@ def normalize_and_pool(
     return TokenTargets(targets=targets, mask=token_mask, near_stat=float(near_stat))
 
 
-def uncertainty_scale_arrays(
+def uncertainty_scale(
     mu: np.ndarray,
     sigma: np.ndarray,
     floor_var: float = 1e-6,
@@ -171,14 +170,6 @@ def uncertainty_scale_arrays(
     floor_s = 1e-3 if floor_var == 1e-6 else float(np.sqrt(floor_var))
     s = np.where(floored, floor_s, np.where(ceiled, ceiling, root))
     return s, floored, ceiled
-
-
-def uncertainty_scale(interval: RadialInterval, floor_var: float = 1e-6, ceiling: float = 10.0) -> float:
-    """Scalar uncertainty scale for one clamped interval."""
-    s, _, _ = uncertainty_scale_arrays(
-        np.asarray(interval.mu), np.asarray(interval.sigma), floor_var, ceiling
-    )
-    return float(s)
 
 
 def radial_loss(
@@ -207,7 +198,7 @@ def radial_loss(
     diff = r - targets.targets
     adiff = np.abs(diff)
     sgn = np.sign(diff)
-    s, floored, ceiled = uncertainty_scale_arrays(mu, sigma, config.s_floor_var, config.s_ceiling)
+    s, floored, ceiled = uncertainty_scale(mu, sigma, config.s_floor_var, config.s_ceiling)
     active = ~(floored | ceiled)
 
     per_token = adiff / s + config.alpha * np.log(s)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .phasor import RadialInterval, clamp_interval
+from .phasor import clamp_interval
 from .supervision import RadialMap, normalize_and_pool, validity_mask
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "VIDEO",
     "TEACHER_SIGMA",
     "MixSchedule",
-    "TeacherMixState",
     "substitution_probability",
     "sample_mask",
     "effective_interval",
@@ -87,40 +86,29 @@ def sample_mask(p: float, granules: int, seed) -> np.ndarray:
     return rng.random(granules) < p
 
 
-@dataclass(frozen=True)
-class TeacherMixState:
-    """Per-forward-pass substitution state, shared across all layer slots."""
-
-    step: int
-    mask: np.ndarray
-    teacher_sigma: float = TEACHER_SIGMA
-
-    @classmethod
-    def sample(cls, schedule: MixSchedule, step: int, granules: int, seed: int) -> "TeacherMixState":
-        p = substitution_probability(schedule, step)
-        return cls(step=step, mask=sample_mask(p, granules, seed))
-
-
-def _teacher_interval(log_target: float, teacher_sigma: float) -> RadialInterval:
-    # Out-of-range teachers are clamped into the head's log bound so the
-    # interval invariants hold downstream.
-    return RadialInterval(log_target, abs(teacher_sigma)).clamp()
-
-
 def effective_interval(
-    pred: RadialInterval,
-    gt_normalized: float | None,
-    substituted: bool,
-    valid: bool,
+    pred_mu: np.ndarray,
+    pred_sigma: np.ndarray,
+    gt_normalized: np.ndarray,
+    substituted: np.ndarray,
+    valid: np.ndarray,
     teacher_sigma: float = TEACHER_SIGMA,
-) -> RadialInterval:
-    """Teacher interval iff substituted-and-valid, else the prediction."""
-    if valid:
-        if gt_normalized is None or not (np.isfinite(gt_normalized) and gt_normalized > 0):
-            raise ValueError("a valid target requires a finite positive normalized value")
-    if substituted and valid:
-        return _teacher_interval(float(np.log(gt_normalized)), teacher_sigma)
-    return pred
+):
+    """Interval grids (mu, sigma) after teacher substitution.
+
+    All arguments broadcast together. A token takes the teacher interval
+    clamp_interval(log target, |teacher_sigma|) iff it is substituted and
+    valid, and keeps its prediction otherwise; out-of-range teachers are
+    clamped into the head's log bound so the interval invariants hold
+    downstream. Every valid token needs a finite positive target.
+    """
+    target = np.asarray(gt_normalized, dtype=float)
+    valid = np.asarray(valid, dtype=bool)
+    if np.any(valid & ~(np.isfinite(target) & (target > 0))):
+        raise ValueError("a valid target requires a finite positive normalized value")
+    take = np.asarray(substituted, dtype=bool) & valid
+    t_mu, t_sigma = clamp_interval(np.log(np.where(take, target, 1.0)), abs(teacher_sigma))
+    return np.where(take, t_mu, pred_mu), np.where(take, t_sigma, pred_sigma)
 
 
 @dataclass
@@ -154,10 +142,7 @@ def external_override(
     patch = eh // ht
     mask = validity_mask(external, r_max)
     tokens = normalize_and_pool(external, mask, near_stat, patch)
-    log_t = np.log(np.where(tokens.mask, tokens.targets, 1.0))
-    t_mu, t_sigma = clamp_interval(log_t, abs(teacher_sigma))
-    return OverrideResult(
-        mu=np.where(tokens.mask, t_mu, pred_mu),
-        sigma=np.where(tokens.mask, t_sigma, pred_sigma),
-        substituted=tokens.mask.copy(),
+    mu, sigma = effective_interval(
+        pred_mu, pred_sigma, tokens.targets, True, tokens.mask, teacher_sigma
     )
+    return OverrideResult(mu=mu, sigma=sigma, substituted=tokens.mask.copy())

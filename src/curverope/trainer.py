@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import (
-    head_backward_from_cache,
-    head_forward_batch,
-    head_forward_normalized,
-    head_init,
-    head_layer_norm,
-)
+from .head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from .scene import depth_signal_weight, make_layer_features
 from .supervision import LossConfig, TokenTargets, radial_loss
 
@@ -101,6 +95,8 @@ def train_head_on_tokens(
         raise ValueError("features must be finite")
     if not np.all(vals > 0):
         raise ValueError("targets must be positive normalized radial distances")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     n = feats.shape[0]
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -122,7 +118,7 @@ def train_head_on_tokens(
     def probe_error(params):
         if not n_hold:
             return float("nan")
-        mu, _ = head_forward_batch(params, feats[hold_idx])
+        mu = head_forward(params, feats[hold_idx])["mu"]
         return float(np.mean(np.abs(np.exp(mu) - vals[hold_idx])))
 
     params = head_init(feats.shape[1], seed)
@@ -153,15 +149,15 @@ def train_head_on_tokens(
         grad_mu = res.grad_mu.reshape(-1)
         if step < warmup:
             grad_mu = np.zeros_like(grad_mu)
-        g = head_backward_from_cache(params, cache, grad_mu, res.grad_sigma.reshape(-1))
-        total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
+        g = head_backward(params, cache, grad_mu, res.grad_sigma.reshape(-1))
+        total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
         max_total = max(max_total, total)
         if total <= clip_norm:
             scale = lr
         else:
             scale = lr * clip_norm / total
             clipped += 1
-        for name, grad in g.param_arrays():
+        for name, grad in g.field_arrays():
             getattr(params, name).__isub__(scale * grad)
     final_probe = probe_error(params)
     stats = {
@@ -190,16 +186,17 @@ def run_layer_probe(
     record_every: int = 0,
 ):
     """Train one probe head per layer slot; returns LayerProbeResult rows."""
+    if num_layers < 1:
+        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     flat_vals, flat_mask = _flat_targets(targets)
     if not flat_mask.any():
         raise ValueError("no valid tokens to probe")
     rows = []
     for layer in range(num_layers):
-        batch = make_layer_features(
+        feats = make_layer_features(
             targets, layer, num_layers, d_model, seed,
             depth_weight=depth_weight, noise_scale=noise_scale,
-        )
-        feats = batch.features.reshape(-1, d_model)[flat_mask]
+        ).reshape(-1, d_model)[flat_mask]
         params, stats = train_head_on_tokens(
             feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
             holdout_fraction=holdout_fraction, record_every=record_every,

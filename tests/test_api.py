@@ -1,0 +1,60 @@
+"""Public-name hygiene: every exported name resolves.
+
+The bench tracer wraps the functions a module lists in ``__all__`` and
+skips names that do not resolve, so a stale entry would silently drop out
+of the trace; the benchmark also calls a few names directly.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import curverope
+
+MODULES = (
+    "cli", "camera", "phasor", "rope", "attention", "head", "supervision",
+    "teacher_mix", "scene", "oracle", "checks", "trainer", "formats",
+)
+
+# Names the benchmark scripts import or the tracer test reads.
+BENCHMARK_NAMES = (
+    ("attention", "AttentionParams"),
+    ("attention", "TokenBatch"),
+    ("attention", "attention_forward"),
+    ("rope", "make_frequency_plan"),
+    ("oracle", "mc_expected_phasor"),
+    ("cli", "main"),
+    ("phasor", "projected_path"),
+    ("oracle", "projected_path"),
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"curverope.{module}")
+    names = mod.__all__
+    assert len(names) == len(set(names)), names
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, missing
+
+
+def test_package_root_imports_exist():
+    tree = ast.parse(Path(curverope.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if not hasattr(curverope, name)] == []
+
+
+@pytest.mark.parametrize("module, name", BENCHMARK_NAMES)
+def test_benchmark_names_exist(module, name):
+    assert hasattr(importlib.import_module(f"curverope.{module}"), name)
+
+
+def test_projected_path_at_package_root():
+    assert curverope.projected_path is importlib.import_module("curverope.phasor").projected_path

@@ -6,11 +6,10 @@ from curverope.attention import (
     TokenBatch,
     attention_forward,
     attention_init,
-    modulate_key,
 )
 from curverope.camera import RigidTransform
 from curverope.phasor import RadialInterval, expected_coefficients, token_rays
-from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
+from curverope.rope import apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
 
 from util import oracle_bounded_coordinate, random_camera, small_transform
 
@@ -108,8 +107,8 @@ def test_sigma_zero_matches_exact_rope_logits():
     q = batch.features @ params.wq
     k = batch.features @ params.wk
     for qf in range(frames):
-        km = modulate_key(k, coeffs[qf], PLAN).reshape(-1, D)
-        ke = modulate_key(k, exact[qf], PLAN).reshape(-1, D)
+        km = apply_coefficients(k, coeffs[qf], PLAN).reshape(-1, D)
+        ke = apply_coefficients(k, exact[qf], PLAN).reshape(-1, D)
         logits_modulated = q[qf] @ km.T / np.sqrt(D)
         logits_exact = q[qf] @ ke.T / np.sqrt(D)
         assert np.max(np.abs(logits_modulated - logits_exact)) < 1e-9
@@ -132,10 +131,11 @@ def test_permutation_equivariance():
 
 
 def test_modulate_key_identity():
+    """Keys are modulated by rope.apply_coefficients, as attention_forward does."""
     rng = np.random.default_rng(6)
     key = rng.normal(size=D)
     ident = np.tile([1.0, 0.0], (PLAN.num_pairs, 1))
-    assert np.array_equal(modulate_key(key, ident, PLAN), key)
+    assert np.array_equal(apply_coefficients(key, ident, PLAN), key)
 
 
 def test_modulate_key_zero_coefficient_annihilates_pair():
@@ -143,7 +143,7 @@ def test_modulate_key_zero_coefficient_annihilates_pair():
     key = rng.normal(size=D)
     coeffs = np.tile([1.0, 0.0], (PLAN.num_pairs, 1))
     coeffs[3] = [0.0, 0.0]
-    out = modulate_key(key, coeffs, PLAN)
+    out = apply_coefficients(key, coeffs, PLAN)
     assert out[6] == 0.0 and out[7] == 0.0
     mask = np.ones(D, bool)
     mask[6:8] = False
@@ -154,7 +154,7 @@ def test_modulate_key_unit_magnitude_preserves_norm():
     rng = np.random.default_rng(8)
     key = rng.normal(size=D)
     coeffs = exact_rotation(rng.uniform(-8, 8, PLAN.num_pairs))
-    assert abs(np.linalg.norm(modulate_key(key, coeffs, PLAN)) - np.linalg.norm(key)) < 1e-12
+    assert abs(np.linalg.norm(apply_coefficients(key, coeffs, PLAN)) - np.linalg.norm(key)) < 1e-12
 
 
 def test_dimension_errors():
@@ -164,7 +164,11 @@ def test_dimension_errors():
     with pytest.raises(ValueError):
         attention_forward(params, batch, np.zeros((2, 2, 3, PLAN.num_pairs, 2)), PLAN)
     with pytest.raises(ValueError):
-        modulate_key(np.zeros(D - 2), np.tile([1.0, 0.0], (PLAN.num_pairs, 1)), PLAN)
+        apply_coefficients(np.zeros(D - 2), np.tile([1.0, 0.0], (PLAN.num_pairs, 1)), PLAN)
+    with pytest.raises(ValueError):
+        # a head dim other than the plan's fails before any key is modulated
+        narrow = attention_init(12, D - 2, seed=10)
+        attention_forward(narrow, batch, np.zeros((2, 2, 4, PLAN.num_pairs, 2)), PLAN)
 
 
 def test_attention_params_validation():

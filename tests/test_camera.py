@@ -5,44 +5,42 @@ from curverope.camera import (
     Ray,
     RigidTransform,
     UcmCamera,
-    lift_point,
     project_points,
     relative_transform,
-    ucm_project,
-    ucm_unproject,
     unproject_points,
 )
+from curverope.phasor import projected_path, token_paths
 
 from util import oracle_project, random_camera, random_rotation
 
 
 def test_unproject_center_pinhole():
     cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
-    ray = ucm_unproject(cam, (50, 50))
-    assert np.allclose(ray.direction, [0, 0, 1], atol=1e-15)
+    direction = unproject_points(cam, (50, 50))
+    assert np.allclose(direction, [0, 0, 1], atol=1e-15)
 
 
 def test_unproject_pinhole_45deg():
     cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
-    ray = ucm_unproject(cam, (150, 50))
+    direction = unproject_points(cam, (150, 50))
     s = 1 / np.sqrt(2)
-    assert np.allclose(ray.direction, [s, 0, s], atol=1e-15)
+    assert np.allclose(direction, [s, 0, s], atol=1e-15)
 
 
 def test_unproject_center_full_distortion():
     cam = UcmCamera(100, 100, 50, 50, 1.0, 100, 100)
-    ray = ucm_unproject(cam, (50, 50))
-    assert np.allclose(ray.direction, [0, 0, 1], atol=1e-15)
+    direction = unproject_points(cam, (50, 50))
+    assert np.allclose(direction, [0, 0, 1], atol=1e-15)
 
 
 def test_project_on_axis():
     cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
-    assert np.allclose(ucm_project(cam, (0, 0, 2)), [50, 50], atol=1e-15)
+    assert np.allclose(project_points(cam, (0, 0, 2)), [50, 50], atol=1e-15)
 
 
 def test_project_full_distortion():
     cam = UcmCamera(100, 100, 0, 0, 1.0, 100, 100)
-    px = ucm_project(cam, (1, 0, 1))
+    px = project_points(cam, (1, 0, 1))
     assert np.allclose(px, [100 * (np.sqrt(2) - 1), 0], atol=1e-12)
 
 
@@ -85,7 +83,7 @@ def test_project_matches_scalar_oracle():
     for _ in range(50):
         cam = random_camera(rng)
         point = rng.uniform(-2, 2, 3) + [0, 0, 2.5]
-        assert np.allclose(ucm_project(cam, point), oracle_project(cam, point), atol=1e-10)
+        assert np.allclose(project_points(cam, point), oracle_project(cam, point), atol=1e-10)
 
 
 def test_relative_transform_identity():
@@ -116,27 +114,30 @@ def test_relative_transform_against_world_frame():
 
 
 def test_lift_point():
-    ray = Ray(np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(lift_point(ray, 2.0), [0, 0, 2])
-    assert np.allclose(lift_point(ray, 1.0), ray.direction)
+    """Lifting puts each radius along its ray: under the identity transform
+    the range coordinate of the projected path equals the radii."""
+    cam = UcmCamera(100, 100, 50, 50, 0.5, 100, 100)
+    identity = RigidTransform.identity()
+    path = projected_path(cam, identity, Ray(np.array([0.0, 0.0, 1.0])), np.array([1.0, 2.0]))
+    assert np.allclose(path.points[:, 2], [1, 2])
+    assert np.allclose(path.points[:, :2], 0)
     rng = np.random.default_rng(7)
     for _ in range(20):
         d = rng.normal(size=3)
         ray = Ray(d / np.linalg.norm(d))
         r = rng.uniform(0.01, 100)
-        assert np.isclose(np.linalg.norm(lift_point(ray, r)), r)
+        assert np.isclose(projected_path(cam, identity, ray, np.array([r, r])).points[0, 2], r)
 
 
 def test_input_errors():
     cam = UcmCamera(100, 100, 50, 50, 0.5, 100, 100)
     with pytest.raises(ValueError):
-        ucm_unproject(cam, (np.nan, 10))
+        unproject_points(cam, (np.nan, 10))
     with pytest.raises(ValueError):
-        ucm_project(cam, (0, 0, 0))
-    with pytest.raises(ValueError):
-        lift_point(Ray(np.array([0.0, 0.0, 1.0])), -1.0)
-    with pytest.raises(ValueError):
-        lift_point(Ray(np.array([0.0, 0.0, 1.0])), 0.0)
+        project_points(cam, (0, 0, 0))
+    for radii in ([-1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            token_paths(cam, RigidTransform.identity(), np.array([0.0, 0.0, 1.0]), np.array(radii))
 
 
 def test_construction_errors():

@@ -298,6 +298,17 @@ def test_exit_code_parse_error_config(tmp_path, capsys):
     assert "byte offset 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["coeffs", "trace-path"])
+def test_exit_code_parse_error_non_utf8_trajectory(tmp_path, capsys, command):
+    traj = tmp_path / "traj.json"
+    traj.write_bytes(b"\xff\xfe{")
+    cfg = _write_config(tmp_path, trajectory=str(traj))
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "byte offset 0" in err
+
+
 def test_exit_code_parse_error_rdm1(tmp_path):
     traj, _, _ = _make_trajectory_file(tmp_path)
     bad = tmp_path / "bad.rdm1"
@@ -341,6 +352,30 @@ def test_exit_code_unknown_config_key(tmp_path, capsys):
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code, doc
         assert "error" in capsys.readouterr().err, doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("train-head", {"train": {"steps": 0}}, "steps"),
+        ("train-head", {"train": {"steps": -3}}, "steps"),
+        ("train-head", {"train": {"num_layers": 0}}, "num_layers"),
+        ("mix-sim", {"mix": {"granules": 0}}, "mix.granules"),
+        ("mix-sim", {"mix": {"total_steps": -1}}, "mix.total_steps"),
+        ("mix-sim", {"mix": {"stride": -1}}, "mix.stride"),
+        ("gradcheck", {"gradcheck": {"samples": 0}}, "samples"),
+        ("oracle-check", {"oracle": {"samples": 0}}, "samples"),
+        ("oracle-check", {"oracle": {"num_configs": 0}}, "num_configs"),
+    ],
+)
+def test_exit_code_nonpositive_counts(tmp_path, capsys, command, doc, key):
+    """A count that leaves nothing to do, or divides by zero, is a validation
+    error that names its key; no traceback and no vacuous pass."""
+    cfg = _write_config(tmp_path, **doc)
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and key in err, err
 
 
 def test_exit_code_bad_trajectory_rotation(tmp_path):

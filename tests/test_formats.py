@@ -152,6 +152,16 @@ def test_trajectory_parse_error_offset(tmp_path):
     assert e.value.offset > 0
 
 
+def test_trajectory_not_utf8_is_a_parse_error(tmp_path):
+    """A trajectory that is not UTF-8 fails at the offset of its first bad byte."""
+    path = tmp_path / "traj.json"
+    for raw, offset in ((b"\xff\xfe{", 0), (b'{"camera": \xff}', 11)):
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="not UTF-8") as e:
+            load_trajectory(path)
+        assert e.value.offset == offset
+
+
 def test_trajectory_missing_field(tmp_path):
     path = tmp_path / "traj.json"
     path.write_text(json.dumps({"camera": {"fx": 10}}))

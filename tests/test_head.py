@@ -5,9 +5,10 @@ import pytest
 
 from curverope import checks
 from curverope.head import (
+    HeadParams,
     head_backward,
+    head_feature_gradient,
     head_forward,
-    head_forward_batch,
     head_init,
     hidden_width,
 )
@@ -24,9 +25,9 @@ def test_init_outputs_broad_interval():
     for d in (32, 64, 128):
         params = head_init(d, seed=3)
         for _ in range(20):
-            iv = head_forward(params, rng.normal(size=d) * rng.uniform(0.1, 50))
-            assert iv.mu == 0.0
-            assert iv.sigma == 3.0
+            c = head_forward(params, rng.normal(size=d) * rng.uniform(0.1, 50))
+            assert c["mu"] == 0.0
+            assert c["sigma"] == 3.0
 
 
 def test_init_deterministic():
@@ -46,16 +47,16 @@ def _bias_only_params(d, mu_raw, sigma_raw):
 
 def test_clamp_saturates_mu():
     params = _bias_only_params(16, 5.0, 0.4)
-    iv = head_forward(params, np.zeros(16))
-    assert iv.mu == 3.0
-    assert iv.sigma == 0.0
+    c = head_forward(params, np.zeros(16))
+    assert c["mu"] == 3.0
+    assert c["sigma"] == 0.0
 
 
 def test_clamp_caps_sigma():
     params = _bias_only_params(16, 1.0, 10.0)
-    iv = head_forward(params, np.zeros(16))
-    assert iv.mu == 1.0
-    assert abs(iv.sigma) == 2.0
+    c = head_forward(params, np.zeros(16))
+    assert c["mu"] == 1.0
+    assert abs(c["sigma"]) == 2.0
 
 
 def test_interval_bounds_always_hold():
@@ -63,7 +64,8 @@ def test_interval_bounds_always_hold():
     params = head_init(32, seed=0)
     params.w2 = rng.normal(0, 2.0, size=params.w2.shape)
     params.b2 = rng.normal(0, 3.0, size=2)
-    mu, sigma = head_forward_batch(params, rng.normal(size=(500, 32)))
+    c = head_forward(params, rng.normal(size=(500, 32)))
+    mu, sigma = c["mu"], c["sigma"]
     assert np.all(np.abs(mu) <= 3.0)
     assert np.all(np.abs(mu) + np.abs(sigma) <= 3.0 + 1e-12)
 
@@ -71,7 +73,7 @@ def test_interval_bounds_always_hold():
 def test_backward_at_init_blocks_w1():
     """Zero final weights cut the chain below them for the mu gradient."""
     params = head_init(64, seed=5)
-    g = head_backward(params, np.random.default_rng(2).normal(size=64), 1.0, 0.0)
+    g = _backward_one(params, np.random.default_rng(2).normal(size=64), 1.0, 0.0)
     assert np.all(g.w1 == 0.0)
     assert np.all(g.norm_scale == 0.0)
     assert np.any(g.w2[:, 0] != 0.0)
@@ -80,8 +82,8 @@ def test_backward_at_init_blocks_w1():
 
 def test_backward_saturated_clamp_zero_gradient():
     params = _bias_only_params(16, 5.0, 0.0)
-    g = head_backward(params, np.zeros(16), 1.0, 0.0)
-    for _, arr in g.param_arrays():
+    g = _backward_one(params, np.zeros(16), 1.0, 0.0)
+    for _, arr in g.field_arrays():
         assert np.all(arr == 0.0)
 
 
@@ -96,17 +98,20 @@ def test_backward_matches_finite_differences():
         feature = rng.normal(size=d)
         gmu, gsig = rng.normal(size=2)
 
-        iv = head_forward(params, feature)
-        if 3.0 - abs(iv.mu) < 1e-3 or abs(abs(iv.sigma) - (3.0 - abs(iv.mu))) < 1e-3:
+        cache = head_forward(params, feature[None, :])
+        mu, sigma = cache["mu"][0], cache["sigma"][0]
+        if 3.0 - abs(mu) < 1e-3 or abs(abs(sigma) - (3.0 - abs(mu))) < 1e-3:
             continue
 
-        grads = head_backward(params, feature, gmu, gsig)
+        upstream = (np.array([gmu]), np.array([gsig]))
+        grads = head_backward(params, cache, *upstream)
+        feature_grad = head_feature_gradient(params, cache, *upstream)[0]
 
         def probe():
-            out = head_forward(params, feature)
-            return gmu * out.mu + gsig * out.sigma
+            out = head_forward(params, feature[None, :])
+            return gmu * out["mu"][0] + gsig * out["sigma"][0]
 
-        for name, analytic in grads.param_arrays():
+        for name, analytic in grads.field_arrays():
             base = getattr(params, name).reshape(-1)
             fd = np.empty_like(base)
             for j in range(base.size):
@@ -130,7 +135,7 @@ def test_backward_matches_finite_differences():
             feature[j] = orig
             fd[j] = (up - down) / (2 * step)
         scale = max(np.max(np.abs(fd)), 1e-8)
-        assert np.max(np.abs(grads.feature - fd)) / scale < 1e-4
+        assert np.max(np.abs(feature_grad - fd)) / scale < 1e-4
 
 
 def test_batched_gradcheck_catches_a_wrong_gradient(monkeypatch):
@@ -192,4 +197,32 @@ def test_forward_deterministic():
     x = np.random.default_rng(5).normal(size=48)
     a = head_forward(params, x)
     b = head_forward(params, x)
-    assert a.mu == b.mu and a.sigma == b.sigma
+    assert a["mu"] == b["mu"] and a["sigma"] == b["sigma"]
+
+
+def test_forward_accepts_stacked_parameter_copies():
+    """Copies stacked on a leading axis (as the gradient check builds them)
+    pass the width check and each gives its own forward pass."""
+    params = head_init(16, seed=1)
+    params.w2 = np.random.default_rng(6).normal(0, 0.2, size=params.w2.shape)
+    x = np.random.default_rng(7).normal(size=(1, 16))
+    scales = 1.0 + 0.1 * np.arange(3)[:, None, None] * np.ones((3, 1, 16))
+    stacked = head_forward(HeadParams(scales, *(a for _, a in params.field_arrays()[1:])), x)
+    for i in range(3):
+        params.norm_scale = scales[i, 0]
+        np.testing.assert_array_equal(stacked["mu"][i], head_forward(params, x)["mu"])
+
+
+def test_backward_rejects_misshapen_upstream_gradients():
+    params = head_init(16, seed=0)
+    cache = head_forward(params, np.zeros((4, 16)))
+    with pytest.raises(ValueError):
+        head_backward(params, cache, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        head_feature_gradient(params, cache, np.zeros(4), np.zeros((4, 1)))
+
+
+def _backward_one(params, feature, gmu, gsig):
+    """Parameter gradients of one token's forward pass."""
+    x = feature[None, :]
+    return head_backward(params, head_forward(params, x), np.array([gmu]), np.array([gsig]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curverope.camera import Ray, RigidTransform, UcmCamera
+from curverope.camera import Ray, RigidTransform, UcmCamera, unproject_points
 from curverope.phasor import (
     ProjectedPath,
     RadialInterval,
@@ -92,9 +92,7 @@ def test_projected_path_identity_constant_coords():
     for _ in range(20):
         cam = random_camera(rng)
         pixel = rng.uniform(10, 54, 2)
-        from curverope.camera import ucm_unproject
-
-        ray = ucm_unproject(cam, pixel)
+        ray = Ray(unproject_points(cam, pixel))
         iv = RadialInterval(rng.uniform(-1, 1), rng.uniform(0, 2)).clamp()
         radii = breakpoints(iv.mu, iv.sigma, 7)
         path = projected_path(cam, RigidTransform.identity(), ray, radii)
@@ -108,9 +106,7 @@ def test_projected_path_matches_composition_oracle():
     for _ in range(50):
         cam_s = random_camera(rng)
         cam_q = random_camera(rng, xi=rng.uniform(0.05, 1.0))
-        from curverope.camera import ucm_unproject
-
-        ray = ucm_unproject(cam_s, rng.uniform(20, 44, 2))
+        ray = Ray(unproject_points(cam_s, rng.uniform(20, 44, 2)))
         transform = small_transform(rng)
         radii = breakpoints(rng.uniform(-0.5, 1.0), rng.uniform(0.1, 1.0), 5)
         path = projected_path(cam_q, transform, ray, radii)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curverope import scene as scene_module
-from curverope.camera import UcmCamera, project_points, ucm_unproject, unproject_points
+from curverope.camera import UcmCamera, project_points, unproject_points
 from curverope.scene import (
     SceneSpec,
     TrajectorySpec,
@@ -27,11 +27,10 @@ def test_fronto_plane_center_pixel():
     values, valid = render_radial_map(scene, RigidTransform.identity(), CAM)
     # principal point (32, 32) lies at the corner of pixels 31/32: the
     # pixel-center ray of (31, 31) is (31.5+..) -> use the exact ray instead
-    ray = ucm_unproject(CAM, (32.0, 32.0))
-    assert np.allclose(ray.direction, [0, 0, 1])
+    assert np.allclose(unproject_points(CAM, (32.0, 32.0)), [0, 0, 1])
     # nearest pixel centers straddle the axis; check the analytic value 4/dz
     for (i, j) in [(31, 31), (31, 32), (32, 31), (32, 32)]:
-        d = ucm_unproject(CAM, (j + 0.5, i + 0.5)).direction
+        d = unproject_points(CAM, (j + 0.5, i + 0.5))
         assert valid[i, j]
         assert abs(values[i, j] - 4.0 / d[2]) < 1e-9
 
@@ -44,7 +43,7 @@ def test_fronto_plane_off_axis_matches_formula():
     rng = np.random.default_rng(0)
     for _ in range(30):
         i, j = rng.integers(8, 56, 2)
-        d = ucm_unproject(CAM, (j + 0.5, i + 0.5)).direction
+        d = unproject_points(CAM, (j + 0.5, i + 0.5))
         assert valid[i, j]
         assert abs(values[i, j] - 4.0 / d[2]) < 1e-9
 
@@ -82,7 +81,7 @@ def test_rendered_points_reproject_to_pixel():
         for idx in sel:
             i, j = ii[idx], jj[idx]
             pixel = np.array([j + 0.5, i + 0.5])
-            d = ucm_unproject(cam, pixel).direction
+            d = unproject_points(cam, pixel)
             px = project_points(cam, values[i, j] * d)
             assert np.max(np.abs(px - pixel)) < 1e-6
 
@@ -160,17 +159,17 @@ def test_layer_features_shape_and_determinism():
     t = _targets()
     a = make_layer_features(t, 3, 8, 32, seed=5)
     b = make_layer_features(t, 3, 8, 32, seed=5)
-    assert a.features.shape == (2, 16, 32)
-    assert np.array_equal(a.features, b.features)
+    assert a.shape == (2, 16, 32)
+    assert np.array_equal(a, b)
     c = make_layer_features(t, 4, 8, 32, seed=5)
-    assert not np.array_equal(a.features, c.features)
+    assert not np.array_equal(a, c)
 
 
 def test_layer_features_depth_weight_scales_signal():
     t = _targets()
     weak = make_layer_features(t, 0, 8, 32, seed=5, depth_weight=0.0, noise_scale=0.0)
     strong = make_layer_features(t, 0, 8, 32, seed=5, depth_weight=1.0, noise_scale=0.0)
-    diff = strong.features - weak.features
+    diff = strong - weak
     # the difference is exactly the rank-one depth term: nonzero only on valid tokens
     flat = diff.reshape(-1, 32)
     mask = t.mask.reshape(-1)

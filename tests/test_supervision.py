@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curverope.phasor import RadialInterval
+from curverope.phasor import clamp_interval
 from curverope.supervision import (
     LossConfig,
     RadialMap,
@@ -125,19 +125,19 @@ def test_pool_far_field_exclusion():
 
 
 def test_uncertainty_scale_values():
-    assert uncertainty_scale(RadialInterval(0.0, 0.0)) == 1e-3
+    s, floored, ceiled = uncertainty_scale(np.array([0.0, 0.0, 3.0]), np.array([0.0, 3.0, 3.0]))
+    assert s[0] == 1e-3 and floored.tolist() == [True, False, False]
     want = np.sinh(3.0) / np.sqrt(3.0)
-    assert abs(uncertainty_scale(RadialInterval(0.0, 3.0)) - want) < 1e-9
+    assert abs(s[1] - want) < 1e-9
     # ceiling engages only for intervals wider than the clamp admits
-    assert uncertainty_scale(RadialInterval(3.0, 3.0)) == 10.0
+    assert s[2] == 10.0 and ceiled.tolist() == [False, False, True]
 
 
 def test_uncertainty_scale_bounded():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        iv = RadialInterval(rng.uniform(-4, 4), rng.uniform(-4, 4)).clamp()
-        s = uncertainty_scale(iv)
-        assert 1e-3 <= s <= 10.0
+    draws = np.array([(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(200)])
+    s, _, _ = uncertainty_scale(*clamp_interval(draws[:, 0], draws[:, 1]))
+    assert np.all((1e-3 <= s) & (s <= 10.0))
 
 
 def _one_token(mu, sigma, target):

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from curverope.phasor import RadialInterval
 from curverope.supervision import RadialMap
 from curverope.teacher_mix import (
     MixSchedule,
-    TeacherMixState,
     effective_interval,
     external_override,
     sample_mask,
@@ -71,46 +69,36 @@ def test_sample_mask_deterministic():
 
 
 def test_effective_interval_truth_table():
-    pred = RadialInterval(0.5, 1.2)
-    for m in (False, True):
-        for v in (False, True):
-            out = effective_interval(pred, 2.0 if v else None, m, v)
-            if m and v:
-                assert abs(out.mu - np.log(2.0)) < 1e-12
-                assert out.sigma == 0.1
-            else:
-                assert out is pred
+    substituted = np.array([False, False, True, True])
+    valid = np.array([False, True, False, True])
+    pred_mu, pred_sigma = np.full(4, 0.5), np.full(4, 1.2)
+    targets = np.where(valid, 2.0, np.nan)
+    mu, sigma = effective_interval(pred_mu, pred_sigma, targets, substituted, valid)
+    assert abs(mu[3] - np.log(2.0)) < 1e-12
+    assert sigma[3] == 0.1
+    assert mu[:3].tobytes() == pred_mu[:3].tobytes()
+    assert sigma[:3].tobytes() == pred_sigma[:3].tobytes()
 
 
 def test_effective_interval_teacher_values():
-    out = effective_interval(RadialInterval(0, 0), 2.0, True, True)
-    assert abs(out.mu - 0.6931471805599453) < 1e-12
-    assert out.sigma == 0.1
+    mu, sigma = effective_interval(0.0, 0.0, 2.0, True, True)
+    assert abs(mu - 0.6931471805599453) < 1e-12
+    assert sigma == 0.1
 
 
 def test_effective_interval_clamps_extreme_teacher():
-    out = effective_interval(RadialInterval(0, 0), 1e9, True, True)
-    assert out.mu == 3.0
-    assert out.sigma == 0.0
-    out = effective_interval(RadialInterval(0, 0), 1e-9, True, True)
-    assert out.mu == -3.0
+    mu, sigma = effective_interval(0.0, 0.0, 1e9, True, True)
+    assert mu == 3.0
+    assert sigma == 0.0
+    mu, _ = effective_interval(0.0, 0.0, 1e-9, True, True)
+    assert mu == -3.0
 
 
 def test_effective_interval_missing_target():
     with pytest.raises(ValueError):
-        effective_interval(RadialInterval(0, 0), None, True, True)
+        effective_interval(0.0, 0.0, np.nan, True, True)
     with pytest.raises(ValueError):
-        effective_interval(RadialInterval(0, 0), -1.0, False, True)
-
-
-def test_state_shared_across_layers():
-    schedule = MixSchedule(mode="block_frame")
-    state = TeacherMixState.sample(schedule, step=500, granules=32, seed=3)
-    views = [state.mask for _ in range(4)]  # layer slots read the same mask
-    for v in views[1:]:
-        assert v is views[0]
-    again = TeacherMixState.sample(schedule, step=500, granules=32, seed=3)
-    assert np.array_equal(state.mask, again.mask)
+        effective_interval(0.0, 0.0, -1.0, False, True)
 
 
 def _grids(f=1, ht=2, wt=2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curverope import trainer
-from curverope.head import HeadParams, head_backward_batch, head_forward_cache
+from curverope.head import HeadParams, head_backward, head_forward
 from curverope.scene import make_layer_features
 from curverope.supervision import TokenTargets
 from curverope.trainer import DivergenceError, run_layer_probe, train_head_on_tokens
@@ -20,8 +20,8 @@ def _iid_targets(seed=7, frames=2, side=8):
 def test_signal_case_recovers_targets():
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    batch = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=1.0, noise_scale=0.0)
-    _, stats = train_head_on_tokens(batch.features.reshape(-1, 64), flat, 2000, 0.01, seed=0)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=1.0, noise_scale=0.0)
+    _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
     assert stats["loss_reduction"] >= 0.9
     assert stats["final_probe_error"] < 0.15 * stats["init_probe_error"]
     assert stats["final_probe_error"] < 0.08
@@ -30,8 +30,8 @@ def test_signal_case_recovers_targets():
 def test_null_case_no_probe_improvement():
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    batch = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=0.0, noise_scale=0.1)
-    _, stats = train_head_on_tokens(batch.features.reshape(-1, 64), flat, 2000, 0.01, seed=0)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=0.0, noise_scale=0.1)
+    _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
     reduction = 1.0 - stats["final_probe_error"] / stats["init_probe_error"]
     assert reduction < 0.05
 
@@ -39,8 +39,7 @@ def test_null_case_no_probe_improvement():
 def test_training_deterministic():
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    batch = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
-    feats = batch.features.reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).reshape(-1, 32)
     p1, s1 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4)
     p2, s2 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4)
     assert s1["final_loss"] == s2["final_loss"]
@@ -51,9 +50,9 @@ def test_training_deterministic():
 def test_training_curve_recorded():
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    batch = make_layer_features(targets, 2, 6, 32, seed=1)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1)
     _, stats = train_head_on_tokens(
-        batch.features.reshape(-1, 32), flat, 100, 0.01, seed=0, record_every=25
+        feats.reshape(-1, 32), flat, 100, 0.01, seed=0, record_every=25
     )
     steps = [s for s, _ in stats["curve"]]
     assert steps == [0, 25, 50, 75, 99]
@@ -79,20 +78,31 @@ def test_probe_requires_valid_tokens():
         run_layer_probe(empty, num_layers=2, d_model=16, steps=10, lr=0.01, seed=0)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_rejects_step_counts_below_one(steps):
+    with pytest.raises(ValueError, match="steps"):
+        train_head_on_tokens(np.zeros((4, 16)), np.ones(4), steps, 0.01, seed=0)
+
+
+def test_probe_rejects_zero_layers():
+    with pytest.raises(ValueError, match="num_layers"):
+        run_layer_probe(_iid_targets(), num_layers=0, d_model=16, steps=10, lr=0.01, seed=0)
+
+
 def test_rejects_nonpositive_targets():
     batch = np.zeros((4, 16))
     with pytest.raises(ValueError):
         train_head_on_tokens(batch, np.array([1.0, 2.0, 0.0, 3.0]), 10, 0.01, seed=0)
 
 
-def test_fused_step_gradients_equal_head_backward_batch(monkeypatch):
+def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
     """Each step's backward reuses its forward cache over the features
-    normalised once; the parameter gradients it applies equal a fresh
-    head_backward_batch on the raw training features bit for bit."""
+    normalised once; the parameter gradients it applies equal head_backward
+    on a fresh head_forward of the raw training features bit for bit."""
     targets = _iid_targets()
-    batch = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
     calls, normalised = [], []
-    fused, layer_norm = trainer.head_backward_from_cache, trainer.head_layer_norm
+    fused, layer_norm = trainer.head_backward, trainer.head_layer_norm
 
     def norm_spy(x):
         normalised.append(x.copy())
@@ -105,30 +115,29 @@ def test_fused_step_gradients_equal_head_backward_batch(monkeypatch):
         return g
 
     monkeypatch.setattr(trainer, "head_layer_norm", norm_spy)
-    monkeypatch.setattr(trainer, "head_backward_from_cache", spy)
-    train_head_on_tokens(batch.features.reshape(-1, 32), targets.targets.reshape(-1), 60, 0.01, seed=3)
+    monkeypatch.setattr(trainer, "head_backward", spy)
+    train_head_on_tokens(feats.reshape(-1, 32), targets.targets.reshape(-1), 60, 0.01, seed=3)
     assert len(calls) == 60 and len(normalised) == 1
     for params, gm, gs, g in calls[::10] + calls[-1:]:
-        want = head_backward_batch(params, normalised[0], gm, gs)
-        for name, grad in want.param_arrays():
+        want = head_backward(params, head_forward(params, normalised[0]), gm, gs)
+        for name, grad in want.field_arrays():
             assert np.array_equal(getattr(g, name), grad), name
-        assert g.feature is None
 
 
 def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
     """Normalising the training features once gives the same parameters and
-    curve as a loop that runs head_forward_cache on the raw features every step."""
+    curve as a loop that runs head_forward on the raw features every step."""
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).features.reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).reshape(-1, 32)
     flat = targets.targets.reshape(-1)
     hoisted, s1 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
     per_step = []
 
     def forward_from_raw(params, x):
         per_step.append(x)
-        return head_forward_cache(params, x)
+        return head_forward(params, x)
 
-    # The reference loop hands the raw features to head_forward_cache each step.
+    # The reference loop hands the raw features to head_forward each step.
     monkeypatch.setattr(trainer, "head_layer_norm", lambda x: (None, x))
     monkeypatch.setattr(trainer, "head_forward_normalized", forward_from_raw)
     reference, s2 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
@@ -142,17 +151,17 @@ def test_gradient_norm_counters(monkeypatch):
     """max_grad_norm is the largest pre-clip global norm; clipped_step_fraction
     counts the steps whose norm exceeded clip_norm."""
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).features.reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
     flat = targets.targets.reshape(-1)
-    exact_backward = trainer.head_backward_from_cache
+    exact_backward = trainer.head_backward
     norms = []
 
     def backward_spy(*args):
         g = exact_backward(*args)
-        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
+        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
         return g
 
-    monkeypatch.setattr(trainer, "head_backward_from_cache", backward_spy)
+    monkeypatch.setattr(trainer, "head_backward", backward_spy)
     for clip_norm, fraction in ((1e-9, 1.0), (1e9, 0.0)):
         norms.clear()
         _, stats = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0, clip_norm=clip_norm)
@@ -164,9 +173,9 @@ def test_gradient_norm_counters(monkeypatch):
 def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
     """The clamped head keeps real losses finite, so step 3's loss is made NaN."""
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).features.reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
     losses, norms = [], []
-    exact_loss, exact_backward = trainer.radial_loss, trainer.head_backward_from_cache
+    exact_loss, exact_backward = trainer.radial_loss, trainer.head_backward
 
     def loss_spy(*args):
         res = exact_loss(*args)
@@ -175,11 +184,11 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
 
     def backward_spy(*args):
         g = exact_backward(*args)
-        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.param_arrays())))
+        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
         return g
 
     monkeypatch.setattr(trainer, "radial_loss", loss_spy)
-    monkeypatch.setattr(trainer, "head_backward_from_cache", backward_spy)
+    monkeypatch.setattr(trainer, "head_backward", backward_spy)
     with pytest.raises(DivergenceError) as info:
         train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
     err = info.value

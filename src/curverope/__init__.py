@@ -15,8 +15,6 @@ from .phasor import (
     ProjectedPath,
     RadialInterval,
     breakpoints,
-    expected_coefficients,
-    expected_phasor,
     projected_path,
     segment_phasor,
     token_paths,

@@ -53,10 +53,6 @@ class UcmCamera:
         if not (np.isfinite(self.xi) and 0.0 <= self.xi <= 1.0):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
 
-    @property
-    def principal_point(self) -> np.ndarray:
-        return np.array([self.cx, self.cy], dtype=float)
-
 
 @dataclass(frozen=True)
 class Ray:

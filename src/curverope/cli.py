@@ -31,7 +31,14 @@ from .formats import (
     save_head_params,
 )
 from .oracle import run_oracle_check
-from .phasor import breakpoints, coefficients_from_paths, token_grid, token_paths, token_rays
+from .phasor import (
+    LOG_RANGE_BOUND,
+    breakpoints,
+    coefficients_from_paths,
+    token_grid,
+    token_paths,
+    token_rays,
+)
 from .rope import make_frequency_plan
 from .scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
 from .supervision import near_distance_stat, normalize_and_pool, validity_mask
@@ -207,12 +214,12 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
     number of tokens that took a teacher interval.
 
     Without an RDM1 input every token carries the freshly initialized
-    head interval (0, 3); with one, valid pooled tokens take the teacher
-    interval over that baseline.
+    head interval (0, LOG_RANGE_BOUND); with one, valid pooled tokens take
+    the teacher interval over that baseline.
     """
     rows, cols = token_grid(cam.height, cam.width, cfg["patch_size"])
     mu = np.zeros((frames, rows, cols))
-    sigma = np.full((frames, rows, cols), 3.0)
+    sigma = np.full((frames, rows, cols), LOG_RANGE_BOUND)
     substituted = 0
     if cfg["rdm1"]:
         rmap = read_rdm1(cfg["rdm1"])
@@ -415,8 +422,12 @@ def cmd_mix_sim(cfg: dict, out: Path, chash: str) -> bool:
     for name, value, least in limits:
         if value < least:
             raise ValueError(f"mix.{name} must be >= {least}, got {value}")
+    # A fraction below 0 would slice from the end and one above 1 would clip.
+    valid_fraction = float(m["valid_fraction"])
+    if not 0.0 <= valid_fraction <= 1.0:
+        raise ValueError(f"mix.valid_fraction must be in [0, 1], got {valid_fraction}")
     valid = np.zeros(granules, dtype=bool)
-    valid[: int(round(float(m["valid_fraction"]) * granules))] = True
+    valid[: int(round(valid_fraction * granules))] = True
     rows = []
     total_sub = 0
     for step in range(0, total_steps + 1, stride):

@@ -5,7 +5,8 @@ Samples log radial distance uniformly, pushes every sample through exact
 averages the phasor directly. This is the definitional estimate that the
 analytic piecewise-segment integration is checked against; the projection
 math is written out here rather than shared, so the two routes stay
-independent.
+independent. The analytic side is the production kernel itself:
+token_paths then coefficients_from_paths, as the coeffs subcommand runs it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Ray, RigidTransform, UcmCamera
-from .phasor import RadialInterval, breakpoints, expected_phasor, projected_path
+from .phasor import RadialInterval, breakpoints, coefficients_from_paths, token_paths
+from .phasor import projected_path  # noqa: F401  (the benchmark's tracer test reads oracle.projected_path)
+from .rope import FrequencyPlan
 
 __all__ = [
     "PhasorSetup",
@@ -124,14 +127,16 @@ def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generato
 
 
 def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:
-    """Segment-integrated phasor per coordinate, shape (3, 2)."""
+    """Segment-integrated phasor per coordinate, shape (3, 2), computed by
+    the production kernel on a one-offset, one-frequency path."""
     iv = setup.interval
-    path = projected_path(setup.cam_q, setup.transform, setup.ray, breakpoints(iv.mu, iv.sigma, k))
-    pts = path.points[path.valid]
-    if pts.shape[0] < 2:
+    path = token_paths(
+        setup.cam_q, setup.transform, setup.ray.direction[None], breakpoints(iv.mu, iv.sigma, k)[None]
+    )
+    coeffs, fallbacks = coefficients_from_paths(path, FrequencyPlan(3, [setup.omega]))
+    if fallbacks:
         raise ValueError("oracle setups must keep at least two valid breakpoints")
-    phases = setup.omega * pts.T  # (3, K)
-    return expected_phasor(phases)
+    return coeffs
 
 
 def run_oracle_check(

@@ -29,9 +29,7 @@ __all__ = [
     "token_paths",
     "projected_path",
     "segment_phasor",
-    "expected_phasor",
     "coefficients_from_paths",
-    "expected_coefficients",
 ]
 
 # Bound on log normalized radial distance; exp(+-3) ~ [0.05, 20].
@@ -50,15 +48,6 @@ class RadialInterval:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
             raise ValueError("interval parameters must be finite")
-
-    @property
-    def half_width(self) -> float:
-        return abs(self.sigma)
-
-    def clamp(self, bound: float = LOG_RANGE_BOUND) -> "RadialInterval":
-        """Clamp mu to [-bound, bound] and cap |sigma| so the interval fits."""
-        mu, sigma = clamp_interval(self.mu, self.sigma, bound)
-        return RadialInterval(float(mu), float(sigma))
 
 
 def clamp_interval(mu, sigma, bound: float = LOG_RANGE_BOUND):
@@ -198,19 +187,6 @@ def segment_phasor(theta_a, theta_b) -> np.ndarray:
     return np.stack([damp * np.cos(mid), damp * np.sin(mid)], axis=-1)
 
 
-def expected_phasor(phases: np.ndarray) -> np.ndarray:
-    """Mean of the segment phasors over consecutive phases, shape (..., 2).
-
-    With two phases this reduces to the single-segment endpoint value;
-    the magnitude is always <= 1.
-    """
-    th = np.asarray(phases, dtype=float)
-    if th.shape[-1] < 2:
-        raise ValueError("need at least 2 phases along the last axis")
-    pairs = segment_phasor(th[..., :-1], th[..., 1:])
-    return pairs.mean(axis=-2)
-
-
 def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
     """Expected coefficients from offset-ray paths, plus the fallback count.
 
@@ -238,20 +214,3 @@ def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
     coeffs = np.where((n_seg < 1)[..., None, None, None], [1.0, 0.0], mean)
     return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg < 1))
 
-
-def expected_coefficients(
-    cam_q: UcmCamera,
-    transform: RigidTransform,
-    rays: np.ndarray,
-    interval: RadialInterval,
-    plan: FrequencyPlan,
-    k: int,
-) -> np.ndarray:
-    """Expected modulation coefficients for one token, shape (D/2, 2).
-
-    rays (offsets, 3) are the token's offset rays (one row of token_rays);
-    the plan must carry three coordinates (u_bounded, v_bounded, range)
-    per offset ray, in that order per offset.
-    """
-    path = token_paths(cam_q, transform, rays, breakpoints(interval.mu, interval.sigma, k))
-    return coefficients_from_paths(path, plan)[0]

@@ -78,18 +78,15 @@ class TokenTargets:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss knobs; lambda_rad is the weight a consumer applies when
-    blending this loss with its main training objective."""
+    """Loss knobs read by radial_loss: the loss weight alpha and the floor
+    and ceiling of the uncertainty scale."""
 
     alpha: float = 1.0
-    lambda_rad: float = 1e-3
     s_floor_var: float = 1e-6
     s_ceiling: float = 10.0
-    gate_fraction: float = 0.03
-    r_max: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "lambda_rad", "s_floor_var", "s_ceiling", "gate_fraction", "r_max"):
+        for name in ("alpha", "s_floor_var", "s_ceiling"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

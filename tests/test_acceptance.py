@@ -17,10 +17,9 @@ from curverope.formats import read_rdm1, save_trajectory, write_rdm1
 from curverope.head import head_forward, head_init
 from curverope.oracle import run_oracle_check
 from curverope.phasor import (
-    RadialInterval,
     breakpoints,
-    expected_coefficients,
-    expected_phasor,
+    clamp_interval,
+    coefficients_from_paths,
     segment_phasor,
     token_paths,
     token_rays,
@@ -42,7 +41,7 @@ from curverope.teacher_mix import (
     substitution_probability,
 )
 
-from util import oracle_bounded_coordinate, random_camera, small_transform
+from util import mean_segment_phasor, oracle_bounded_coordinate, random_camera, small_transform
 
 PLAN9 = make_frequency_plan(36, 9)
 
@@ -62,17 +61,17 @@ def test_criterion_01_rope_collapse():
         transform = small_transform(rng)
         row, col = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         rays = token_rays(cam_s, 16)[4 * row + col]
-        interval = RadialInterval(float(rng.uniform(-1.0, 1.0)), 0.0)
-        radii = breakpoints(interval.mu, interval.sigma, 5)
-        if not token_paths(cam_q, transform, rays, radii).valid.all():
+        mu = float(rng.uniform(-1.0, 1.0))
+        path = token_paths(cam_q, transform, rays, breakpoints(mu, 0.0, 5))
+        if not path.valid.all():
             continue
         checked += 1
-        coeffs = expected_coefficients(cam_q, transform, rays, interval, PLAN9, 5)
+        coeffs = coefficients_from_paths(path, PLAN9)[0]
         coords = np.concatenate(
             [
                 oracle_bounded_coordinate(
                     cam_q, transform.rotation, transform.translation,
-                    rays[a], np.exp(interval.mu),
+                    rays[a], np.exp(mu),
                 )
                 for a in range(3)
             ]
@@ -94,7 +93,7 @@ def test_criterion_02_endpoint_equivalence():
         if abs(b - a) < 1e-5:
             continue
         n += 1
-        got = expected_phasor(np.array([a, b]))
+        got = segment_phasor(a, b)
         closed = np.array(
             [(np.sin(b) - np.sin(a)) / (b - a), (np.cos(a) - np.cos(b)) / (b - a)]
         )
@@ -123,7 +122,7 @@ def test_criterion_03_monte_carlo_oracle():
 def test_criterion_04_magnitude_bound():
     rng = np.random.default_rng(104)
     phases = np.sort(rng.uniform(-60.0, 60.0, (90000, 9)), axis=1)
-    out = expected_phasor(phases)
+    out = mean_segment_phasor(phases)
     worst = float(np.max((out**2).sum(-1)))
     # plus full-path coefficient computations across random geometry
     for _ in range(10000 // 48):
@@ -131,8 +130,9 @@ def test_criterion_04_magnitude_bound():
         cam_s = random_camera(rng)
         row, col = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         rays = token_rays(cam_s, 16)[4 * row + col]
-        iv = RadialInterval(float(rng.uniform(-2, 2)), float(rng.uniform(-3, 3))).clamp()
-        coeffs = expected_coefficients(cam_q, small_transform(rng, 1.0, 1.0), rays, iv, PLAN9, 5)
+        mu, sigma = clamp_interval(float(rng.uniform(-2, 2)), float(rng.uniform(-3, 3)))
+        path = token_paths(cam_q, small_transform(rng, 1.0, 1.0), rays, breakpoints(mu, sigma, 5))
+        coeffs = coefficients_from_paths(path, PLAN9)[0]
         worst = max(worst, float(np.max((coeffs**2).sum(-1))))
     assert worst <= 1.0 + 1e-12, worst
     _report(4, f"phasor magnitude bound holds over 1e5 computations, max sq mag {worst:.12f}")

@@ -18,16 +18,27 @@ MODULES = (
     "teacher_mix", "scene", "oracle", "checks", "trainer", "formats",
 )
 
-# Names the benchmark scripts import or the tracer test reads.
+# Names the benchmark scripts import, its per-layer probes wrap, or the
+# tracer test reads.
 BENCHMARK_NAMES = (
     ("attention", "AttentionParams"),
     ("attention", "TokenBatch"),
     ("attention", "attention_forward"),
     ("rope", "make_frequency_plan"),
     ("oracle", "mc_expected_phasor"),
+    ("oracle", "random_setup"),
+    ("oracle", "analytic_expected_phasor"),
     ("cli", "main"),
+    ("cli", "token_paths"),
     ("phasor", "projected_path"),
     ("oracle", "projected_path"),
+    ("teacher_mix", "external_override"),
+    ("head", "head_forward"),
+    ("head", "head_backward"),
+    ("formats", "read_rdm1"),
+    ("formats", "read_sidecar"),
+    ("formats", "load_trajectory"),
+    ("formats", "load_head_params"),
 )
 
 

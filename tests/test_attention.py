@@ -8,7 +8,7 @@ from curverope.attention import (
     attention_init,
 )
 from curverope.camera import RigidTransform
-from curverope.phasor import RadialInterval, expected_coefficients, token_rays
+from curverope.phasor import breakpoints, coefficients_from_paths, token_paths, token_rays
 from curverope.rope import apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
 
 from util import oracle_bounded_coordinate, random_camera, small_transform
@@ -91,9 +91,8 @@ def test_sigma_zero_matches_exact_rope_logits():
             rel = relative_transform(poses[sf], poses[qf])
             for p, (r, c) in enumerate(tokens):
                 rays = token_rays(cam, patch_size)[4 * r + c]
-                coeffs[qf, sf, p] = expected_coefficients(
-                    cam, rel, rays, RadialInterval(mu[sf, p], 0.0), PLAN, 5
-                )
+                path = token_paths(cam, rel, rays, breakpoints(mu[sf, p], 0.0, 5))
+                coeffs[qf, sf, p] = coefficients_from_paths(path, PLAN)[0]
                 coords = np.concatenate(
                     [
                         oracle_bounded_coordinate(

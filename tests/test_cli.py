@@ -407,3 +407,24 @@ def test_config_hash_consistent_across_outputs(tmp_path):
     summary = json.loads((out / "coeffs_summary.json").read_text())
     first_line = (out / "trace.csv").read_text().splitlines()[0]
     assert first_line == f"# config_hash={summary['config_hash']}"
+
+
+@pytest.mark.parametrize("fraction, code", [(-0.5, 1), (1.5, 1), (0.0, 0), (1.0, 0)])
+def test_mix_sim_valid_fraction_range(tmp_path, capsys, fraction, code):
+    """A fraction outside [0, 1] is a validation error, not a slice from the
+    end (negative) or a silent clip (above 1); the bounds themselves run."""
+    cfg = _write_config(tmp_path, mix={"valid_fraction": fraction})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["mix-sim", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "mix.valid_fraction" in err, err
+        assert not (out / "mix_sim.csv").exists()
+        return
+    rows = _read_csv(out / "mix_sim.csv")
+    assert rows and all(r["valid_fraction"] == repr(fraction) for r in rows)
+    if fraction == 1.0:  # the default, so the run equals a run without a config
+        assert main(["mix-sim", "--out", str(tmp_path / "default")]) == 0
+        for name in ("mix_sim.csv", "mix_summary.json"):
+            assert (out / name).read_bytes() == (tmp_path / "default" / name).read_bytes()

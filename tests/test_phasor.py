@@ -8,8 +8,6 @@ from curverope.phasor import (
     breakpoints,
     clamp_interval,
     coefficients_from_paths,
-    expected_coefficients,
-    expected_phasor,
     projected_path,
     segment_phasor,
     token_paths,
@@ -17,20 +15,32 @@ from curverope.phasor import (
 )
 from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
 
-from util import oracle_bounded_coordinate, random_camera, small_transform
+from util import (
+    exact_expected_phasor,
+    mean_segment_phasor,
+    oracle_bounded_coordinate,
+    random_camera,
+    small_transform,
+)
+
+
+def _token_coefficients(cam_q, transform, rays, mu, sigma, plan, k):
+    """Coefficients of one token from its (offsets, 3) rays, shape (D/2, 2)."""
+    path = token_paths(cam_q, transform, rays, breakpoints(mu, sigma, k))
+    return coefficients_from_paths(path, plan)[0]
 
 
 def test_interval_clamp():
-    assert RadialInterval(5.0, 1.0).clamp() == RadialInterval(3.0, 0.0)
-    assert RadialInterval(1.0, 10.0).clamp() == RadialInterval(1.0, 2.0)
-    assert RadialInterval(0.0, 3.0).clamp() == RadialInterval(0.0, 3.0)
-    c = RadialInterval(-1.0, -5.0).clamp()
-    assert c.mu == -1.0 and c.sigma == -2.0 and c.half_width == 2.0
+    assert clamp_interval(5.0, 1.0) == (3.0, 0.0)
+    assert clamp_interval(1.0, 10.0) == (1.0, 2.0)
+    assert clamp_interval(0.0, 3.0) == (0.0, 3.0)
+    mu, sigma = clamp_interval(-1.0, -5.0)
+    assert mu == -1.0 and sigma == -2.0
 
 
 def test_clamp_interval_matches_each_former_clamp_bit_for_bit():
-    """The one array clamp equals the head's where-form, the scalar
-    RadialInterval form and the teacher form on edge and random values."""
+    """The one array clamp equals the head's where-form, the former scalar
+    form and the teacher form on edge and random values."""
     b = 3.0
     rng = np.random.default_rng(11)
     mu = np.concatenate([[0.0, -0.0, 3.0, -3.0, 4.0, -4.0, 1.0, 1.0, -2.5, 0.5], rng.uniform(-5, 5, 400)])
@@ -93,8 +103,8 @@ def test_projected_path_identity_constant_coords():
         cam = random_camera(rng)
         pixel = rng.uniform(10, 54, 2)
         ray = Ray(unproject_points(cam, pixel))
-        iv = RadialInterval(rng.uniform(-1, 1), rng.uniform(0, 2)).clamp()
-        radii = breakpoints(iv.mu, iv.sigma, 7)
+        mu, sigma = clamp_interval(rng.uniform(-1, 1), rng.uniform(0, 2))
+        radii = breakpoints(mu, sigma, 7)
         path = projected_path(cam, RigidTransform.identity(), ray, radii)
         assert path.valid.all()
         assert np.max(np.abs(path.points[:, :2] - path.points[0, :2])) < 1e-9
@@ -171,14 +181,14 @@ def test_segment_phasor_branch_continuity():
 
 def test_expected_phasor_constant():
     theta = -1.2
-    out = expected_phasor(np.full(7, theta))
+    out = mean_segment_phasor(np.full(7, theta))
     assert np.allclose(out, [np.cos(theta), np.sin(theta)], atol=1e-15)
 
 
 def test_expected_phasor_two_points_is_single_segment():
     rng = np.random.default_rng(4)
     pairs = rng.uniform(-10, 10, (1000, 2))
-    out = expected_phasor(pairs)
+    out = mean_segment_phasor(pairs)
     single = segment_phasor(pairs[:, 0], pairs[:, 1])
     assert np.array_equal(out, single)
 
@@ -186,18 +196,18 @@ def test_expected_phasor_two_points_is_single_segment():
 def test_expected_phasor_magnitude_bound():
     rng = np.random.default_rng(5)
     phases = rng.uniform(-40, 40, (2000, 9))
-    out = expected_phasor(np.sort(phases, axis=1))
+    out = mean_segment_phasor(np.sort(phases, axis=1))
     assert np.max((out**2).sum(-1)) <= 1.0 + 1e-12
     # the mean-of-unit-phasors bound needs no monotone phases
-    out = expected_phasor(phases)
+    out = mean_segment_phasor(phases)
     assert np.max((out**2).sum(-1)) <= 1.0 + 1e-12
 
 
 def test_expected_phasor_reversal_symmetry():
     rng = np.random.default_rng(6)
     phases = rng.uniform(-10, 10, (200, 9))
-    fwd = expected_phasor(phases)
-    rev = expected_phasor(phases[:, ::-1])
+    fwd = mean_segment_phasor(phases)
+    rev = mean_segment_phasor(phases[:, ::-1])
     assert np.max(np.abs(fwd - rev)) < 1e-12
 
 
@@ -268,6 +278,52 @@ def test_expected_phasor_matches_quadrature():
         assert np.max(np.abs(ref - quad)) < 5e-5
 
 
+def test_production_kernel_converges_to_the_exact_expected_phasor():
+    """The oracle's analytic side, the production kernel, against a 30-digit
+    mpmath quadrature: the K=129 error stays within a measured bound, the
+    error falls about 4x per doubling of the segment count (second order),
+    and the 1e6-sample MC estimate on the oracle's own draws is within the
+    criterion-3 tolerance of the exact value."""
+    pytest.importorskip("mpmath")
+    from curverope.oracle import analytic_expected_phasor, mc_expected_phasor, random_setup
+
+    ks = (17, 33, 65, 129)
+    worst = 0.0
+    for i in range(20):
+        rng = np.random.default_rng([103, i])
+        setup = random_setup(rng)
+        exact = exact_expected_phasor(setup)
+        errs = [np.max(np.abs(analytic_expected_phasor(setup, k) - exact)) for k in ks]
+        worst = max(worst, errs[-1])
+        ratios = [coarse / fine for coarse, fine in zip(errs, errs[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), (i, ratios)
+        if i < 5:
+            assert np.max(np.abs(mc_expected_phasor(setup, 10**6, rng) - exact)) < 5e-3, i
+    assert worst <= 3e-5, worst
+
+
+def test_oracle_check_runs_every_analytic_value_through_the_production_kernel(monkeypatch):
+    """run_oracle_check reports errors of values that coefficients_from_paths
+    computed: one kernel call per (config, K), reference K first."""
+    from curverope import oracle
+
+    seen = []
+
+    def spy(path, plan):
+        out = coefficients_from_paths(path, plan)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(oracle, "coefficients_from_paths", spy)
+    k_values = [2, 5, 129]
+    rows = oracle.run_oracle_check(num_configs=3, samples=100, k_values=k_values, seed=7)["rows"]
+    assert len(seen) == 3 * len(k_values)
+    for i, row in enumerate(rows):
+        ref, k2, k5 = seen[3 * i : 3 * i + 3]
+        assert row["err_k2"] == float(np.max(np.abs(k2 - ref)))
+        assert row["err_k5"] == float(np.max(np.abs(k5 - ref)))
+
+
 def test_degenerate_interval_agrees_with_monte_carlo_for_every_k():
     from curverope.oracle import PhasorSetup, analytic_expected_phasor, mc_expected_phasor, random_setup
 
@@ -296,9 +352,9 @@ def test_coefficients_collapse_to_exact_rotation():
         row, col = rng.integers(0, 4), rng.integers(0, 4)
         rays = token_rays(cam_s, 16)[4 * row + col]
         transform = small_transform(rng)
-        interval = RadialInterval(rng.uniform(-1, 1), 0.0)
-        coeffs = expected_coefficients(cam_q, transform, rays, interval, plan, 5)
-        r = np.exp(interval.mu)
+        mu = rng.uniform(-1, 1)
+        coeffs = _token_coefficients(cam_q, transform, rays, mu, 0.0, plan, 5)
+        r = np.exp(mu)
         coords = np.concatenate(
             [
                 oracle_bounded_coordinate(
@@ -318,9 +374,7 @@ def test_coefficients_identity_transform_channels():
     cam = random_camera(rng)
     plan = _token_plan()
     rays = token_rays(cam, 16)[4 * 1 + 2]
-    coeffs = expected_coefficients(
-        cam, RigidTransform.identity(), rays, RadialInterval(0.0, 3.0), plan, 9
-    )
+    coeffs = _token_coefficients(cam, RigidTransform.identity(), rays, 0.0, 3.0, plan, 9)
     mags = np.sqrt((coeffs**2).sum(-1))
     for a in range(3):
         for c in range(3):
@@ -382,10 +436,10 @@ def test_coefficients_channel_locality():
     transform = small_transform(rng)
     p1 = token_rays(cam, 16)[0]
     p2 = token_rays(cam, 16)[4 * 2 + 3]
-    a = expected_coefficients(cam, transform, p1, RadialInterval(0.2, 0.5), plan, 5)
-    b = expected_coefficients(cam, transform, p2, RadialInterval(0.2, 0.5), plan, 5)
-    a2 = expected_coefficients(cam, transform, p1, RadialInterval(-0.4, 1.0), plan, 5)
-    b2 = expected_coefficients(cam, transform, p2, RadialInterval(0.2, 0.5), plan, 5)
+    a = _token_coefficients(cam, transform, p1, 0.2, 0.5, plan, 5)
+    b = _token_coefficients(cam, transform, p2, 0.2, 0.5, plan, 5)
+    a2 = _token_coefficients(cam, transform, p1, -0.4, 1.0, plan, 5)
+    b2 = _token_coefficients(cam, transform, p2, 0.2, 0.5, plan, 5)
     assert np.array_equal(b, b2)
     assert not np.array_equal(a, a2)
 
@@ -395,10 +449,7 @@ def test_coefficients_plan_mismatch():
     cam = random_camera(rng)
     rays = token_rays(cam, 16)[0]
     with pytest.raises(ValueError):
-        expected_coefficients(
-            cam, RigidTransform.identity(), rays, RadialInterval(0, 1),
-            make_frequency_plan(12, 3), 5,
-        )
+        _token_coefficients(cam, RigidTransform.identity(), rays, 0, 1, make_frequency_plan(12, 3), 5)
 
 
 def test_patch_rays_center_token():
@@ -436,7 +487,7 @@ def test_patch_rays_match_direct_unprojection():
 
 def test_coefficients_mixed_validity_batch():
     """One batch mixing offsets with 0, 1, 2 and K valid breakpoints, plus
-    interior gaps: each offset equals expected_phasor over its kept points,
+    interior gaps: each offset equals the segment mean over its kept points,
     computed by the scalar composition oracle; short paths fall back."""
     k = 7
     cam = UcmCamera(90, 70, 32, 30, 0.0, 64, 64)
@@ -470,5 +521,5 @@ def test_coefficients_mixed_validity_batch():
                         )[c]
                         for j in range(k) if valid[t, a, j]
                     ]
-                    want = expected_phasor(plan.frequencies[:, None] * np.array(kept)[None, :])
+                    want = mean_segment_phasor(plan.frequencies[:, None] * np.array(kept)[None, :])
                     assert np.max(np.abs(got - want)) < 1e-12

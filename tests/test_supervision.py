@@ -229,4 +229,4 @@ def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        LossConfig(r_max=-1.0)
+        LossConfig(s_ceiling=-1.0)

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite.
 
-The oracle_* functions re-derive geometry step by step with scalar math,
-independently of the library's vectorized implementations, so tests can
-compare two routes that share no code.
+The oracle_* functions and exact_expected_phasor re-derive geometry step
+by step with scalar math, independently of the library's vectorized
+implementations, so tests can compare two routes that share no code.
 """
 
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from curverope.camera import RigidTransform, UcmCamera
+from curverope.phasor import segment_phasor
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -69,3 +70,51 @@ def small_transform(rng, max_angle=0.1, max_shift=0.05):
     return RigidTransform(
         random_rotation(rng, max_angle), rng.uniform(-max_shift, max_shift, size=3)
     )
+
+
+def mean_segment_phasor(phases):
+    """Mean of the segment phasors over consecutive phases, shape (..., 2).
+
+    The reference for raw phase arrays (any sign, any order) that cannot be
+    written as projected paths; the library reduces paths with
+    coefficients_from_paths.
+    """
+    th = np.asarray(phases, dtype=float)
+    return segment_phasor(th[..., :-1], th[..., 1:]).mean(axis=-2)
+
+
+def exact_expected_phasor(setup, dps=30):
+    """Expected phasor per coordinate, shape (3, 2), by mpmath quadrature.
+
+    Integrates (1 / 2a) * int exp(i omega x_c(z)) dz over z in [mu - a, mu + a],
+    a = |sigma|, where x_c is the bounded coordinate c of the breakpoint at
+    radius exp(z), written out in mpmath at dps digits with no library code.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        rot = mpmath.matrix(setup.transform.rotation.tolist())
+        shift = mpmath.matrix(setup.transform.translation.tolist())
+        direction = rot * mpmath.matrix(setup.ray.direction.tolist())  # in the query frame
+        cam = setup.cam_q
+        sx = mpmath.mpf(cam.fx) / cam.width
+        sy = mpmath.mpf(cam.fy) / cam.height
+        omega = mpmath.mpf(setup.omega)
+
+        def coordinate(z, c):
+            q = mpmath.exp(z) * direction + shift
+            norm = mpmath.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
+            if c == 2:
+                return norm
+            beta = q[2] + cam.xi * norm
+            ubar, vbar = sx * q[0] / beta, sy * q[1] / beta
+            return (ubar, vbar)[c] / mpmath.sqrt(ubar * ubar + vbar * vbar + 1)
+
+        mu, a = mpmath.mpf(setup.interval.mu), abs(mpmath.mpf(setup.interval.sigma))
+        out = np.empty((3, 2))
+        for c in range(3):
+            value = mpmath.quad(
+                lambda z: mpmath.expj(omega * coordinate(z, c)), [mu - a, mu + a]
+            ) / (2 * a)
+            out[c] = float(value.real), float(value.imag)
+    return out

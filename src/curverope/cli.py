@@ -303,11 +303,18 @@ def cmd_coeffs(cfg: dict, out: Path, chash: str) -> bool:
     return bound_ok
 
 
+def _frame_index(section: dict, key: str, frames: int) -> int:
+    """A frame index in [-frames, frames), where -1 is the last frame."""
+    index = section[key]
+    if not -frames <= index < frames:
+        raise ValueError(f"trace.{key} must be in [{-frames}, {frames}) for {frames} frames, got {index}")
+    return index % frames
+
+
 def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
     cam, poses, _, rays, radii, _ = _token_setup(cfg)
     frames = len(poses)
-    qf = cfg["trace"]["query_frame"] % frames
-    sf = cfg["trace"]["source_frame"] % frames
+    qf, sf = (_frame_index(cfg["trace"], key, frames) for key in ("query_frame", "source_frame"))
     path = token_paths(cam, relative_transform(poses[sf], poses[qf]), rays, radii[sf])
 
     token, offset, j = np.indices(path.valid.shape).reshape(3, -1)

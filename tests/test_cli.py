@@ -169,6 +169,27 @@ def test_trace_curved_path_turns(tmp_path):
     assert max_turn > 1e-6
 
 
+@pytest.mark.parametrize("key", ["query_frame", "source_frame"])
+def test_trace_frame_index_range(tmp_path, capsys, key):
+    """trace-path takes frame indices in [-F, F): -1 is the last frame and
+    traces what F - 1 traces; 9 and -5 on a 4-frame clip are validation
+    errors naming the key, not frames 1 and 3 by wrap-around."""
+    traj, _, _ = _make_trajectory_file(tmp_path, frames=4, motion="orbit", amplitude=0.25)
+    bodies = {}
+    for index, code in ((9, 1), (-5, 1), (3, 0), (-1, 0)):
+        cfg = _write_config(tmp_path, trajectory=traj, k=5, trace={key: index})
+        out = tmp_path / f"out{index}"
+        capsys.readouterr()
+        assert main(["trace-path", "--config", cfg, "--out", str(out)]) == code, index
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("validation error:") and f"trace.{key}" in err, err
+            assert not (out / "trace.csv").exists()
+        else:
+            bodies[index] = (out / "trace.csv").read_text().splitlines()[1:]
+    assert bodies[-1] == bodies[3]
+
+
 def test_trace_and_coeffs_all_invalid_token(tmp_path):
     # query camera 30 units ahead of every lifted point, pinhole: all behind
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.0, 64, 64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,19 @@ def test_expected_phasor_matches_quadrature():
         assert np.max(np.abs(ref - quad)) < 5e-5
 
 
+def _kernel_error_at_k129(setup, label):
+    """The production kernel against a 30-digit mpmath quadrature: the error
+    falls about 4x per doubling of the segment count from K=17 to K=129
+    (second order). Returns the K=129 error and the exact value."""
+    from curverope.oracle import analytic_expected_phasor
+
+    exact = exact_expected_phasor(setup)
+    errs = [np.max(np.abs(analytic_expected_phasor(setup, k) - exact)) for k in (17, 33, 65, 129)]
+    ratios = [coarse / fine for coarse, fine in zip(errs, errs[1:])]
+    assert all(3.5 <= r <= 4.5 for r in ratios), (label, ratios)
+    return errs[-1], exact
+
+
 def test_production_kernel_converges_to_the_exact_expected_phasor():
     """The oracle's analytic side, the production kernel, against a 30-digit
     mpmath quadrature: the K=129 error stays within a measured bound, the
@@ -285,21 +300,37 @@ def test_production_kernel_converges_to_the_exact_expected_phasor():
     and the 1e6-sample MC estimate on the oracle's own draws is within the
     criterion-3 tolerance of the exact value."""
     pytest.importorskip("mpmath")
-    from curverope.oracle import analytic_expected_phasor, mc_expected_phasor, random_setup
+    from curverope.oracle import mc_expected_phasor, random_setup
 
-    ks = (17, 33, 65, 129)
     worst = 0.0
     for i in range(20):
         rng = np.random.default_rng([103, i])
         setup = random_setup(rng)
-        exact = exact_expected_phasor(setup)
-        errs = [np.max(np.abs(analytic_expected_phasor(setup, k) - exact)) for k in ks]
-        worst = max(worst, errs[-1])
-        ratios = [coarse / fine for coarse, fine in zip(errs, errs[1:])]
-        assert all(3.5 <= r <= 4.5 for r in ratios), (i, ratios)
+        err, exact = _kernel_error_at_k129(setup, i)
+        worst = max(worst, err)
         if i < 5:
             assert np.max(np.abs(mc_expected_phasor(setup, 10**6, rng) - exact)) < 5e-3, i
     assert worst <= 3e-5, worst
+
+
+@pytest.mark.parametrize("camera_class, seed", [("pinhole", 104), ("fisheye", 105)])
+def test_production_kernel_accuracy_per_camera_class(camera_class, seed):
+    """The same accuracy gate per query-camera class, where the projected
+    path is straight-ish (pinhole, xi = 0) or strongly curved (fisheye,
+    xi in [0.5, 1]): seeded oracle setups with the query camera's xi set to
+    the class. random_setup keeps z > 1e-3 on every breakpoint, so every
+    point stays valid for any xi >= 0."""
+    pytest.importorskip("mpmath")
+    from curverope.oracle import random_setup
+
+    worst = 0.0
+    for i in range(20):
+        rng = np.random.default_rng([seed, i])
+        setup = random_setup(rng)
+        xi = 0.0 if camera_class == "pinhole" else float(rng.uniform(0.5, 1.0))
+        setup = replace(setup, cam_q=replace(setup.cam_q, xi=xi))
+        worst = max(worst, _kernel_error_at_k129(setup, i)[0])
+    assert worst <= 3e-5, (camera_class, worst)
 
 
 def test_oracle_check_runs_every_analytic_value_through_the_production_kernel(monkeypatch):
@@ -523,3 +554,39 @@ def test_coefficients_mixed_validity_batch():
                     ]
                     want = mean_segment_phasor(plan.frequencies[:, None] * np.array(kept)[None, :])
                     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_all_valid_rows_same_bits_with_or_without_compaction():
+    """A token whose breakpoints are all valid gets the same coefficient bits
+    when its batch is all valid (no compaction) and when the batch also holds
+    tokens with invalid breakpoints (compaction and the segment mask)."""
+    rng = np.random.default_rng(13)
+    plan = _token_plan()
+    checked = 0
+    for _ in range(40):
+        cam_q = random_camera(rng, xi=0.0)
+        rays = token_rays(random_camera(rng), 16)
+        k = int(rng.integers(2, 130))
+        radii = breakpoints(rng.uniform(-2, 2, (len(rays), 1)), rng.uniform(0, 3, (len(rays), 1)), k)
+        path = token_paths(cam_q, small_transform(rng, 1.0, 1.0), rays, radii)
+        whole = path.valid.all(axis=(-2, -1))
+        if whole.all() or not whole.any():
+            continue
+        mixed, _ = coefficients_from_paths(path, plan)
+        alone, fallbacks = coefficients_from_paths(ProjectedPath(path.points[whole], path.valid[whole]), plan)
+        assert fallbacks == 0
+        assert np.array_equal(mixed[whole], alone)
+        checked += 1
+    assert checked >= 10, checked
+
+
+def test_coefficients_reject_non_finite_points():
+    """A non-finite point, valid or not, is an error rather than NaN coefficients."""
+    plan = make_frequency_plan(6, 3)
+    pts = np.zeros((1, 4, 3))
+    pts[..., 2] = np.linspace(1.0, 2.0, 4)
+    for j, valid in ((1, np.ones((1, 4), bool)), (3, np.array([[True, True, True, False]]))):
+        bad = pts.copy()
+        bad[0, j, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            coefficients_from_paths(ProjectedPath(bad, valid), plan)

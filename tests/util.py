@@ -72,6 +72,19 @@ def small_transform(rng, max_angle=0.1, max_shift=0.05):
     )
 
 
+def sinc_segment_phasor(theta_a, theta_b):
+    """Segment mean sinc((b - a) / 2) exp(i (a + b) / 2), shape (..., 2).
+
+    The libm sinc form (np.sinc, np.cos, np.sin): the independent reference
+    for the library's tangent half-angle segment mean.
+    """
+    ta = np.asarray(theta_a, dtype=float)
+    tb = np.asarray(theta_b, dtype=float)
+    mid = 0.5 * (ta + tb)
+    damp = np.sinc((tb - ta) / (2.0 * np.pi))
+    return np.stack([damp * np.cos(mid), damp * np.sin(mid)], axis=-1)
+
+
 def mean_segment_phasor(phases):
     """Mean of the segment phasors over consecutive phases, shape (..., 2).
 

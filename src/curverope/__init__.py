@@ -23,7 +23,6 @@ from .phasor import (
 from .rope import FrequencyPlan, apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
 from .scene import SceneSpec, TrajectorySpec, make_layer_features, make_trajectory, render_radial_map
 from .supervision import (
-    LossConfig,
     RadialMap,
     TokenTargets,
     near_distance_stat,

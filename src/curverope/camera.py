@@ -44,8 +44,10 @@ class UcmCamera:
     height: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.fx) and np.isfinite(self.fy)):
-            raise ValueError("focal lengths must be finite")
+        if not np.all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
+            raise ValueError(
+                f"fx, fy, cx and cy must be finite, got {self.fx}, {self.fy}, {self.cx}, {self.cy}"
+            )
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width < 1 or self.height < 1:

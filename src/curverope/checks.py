@@ -14,7 +14,7 @@ import numpy as np
 
 from .head import head_backward, head_feature_gradient, head_forward, head_init
 from .phasor import LOG_RANGE_BOUND
-from .supervision import LossConfig, TokenTargets, radial_loss
+from .supervision import S_CEILING, S_FLOOR_VAR, TokenTargets, radial_loss
 
 __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 
@@ -23,6 +23,9 @@ __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 # many float64 entries (16 MiB), so memory stays linear in the parameter
 # count; at the default d_model = 64 all of w1's probes fit in one block.
 _PROBE_BLOCK_ENTRIES = 2**21
+# Head samples whose mu or sigma lies this close to a clamp edge or to
+# sigma = 0 are excluded.
+_BOUNDARY_MARGIN = 1e-3
 
 
 def _perturbed_blocks(flat: np.ndarray, step: float):
@@ -63,7 +66,6 @@ def run_head_gradcheck(
     d_model: int,
     seed: int,
     step: float = 1e-5,
-    boundary_margin: float = 1e-3,
 ) -> dict:
     """Check head gradients at random smooth points.
 
@@ -88,9 +90,9 @@ def run_head_gradcheck(
         mu, sigma = float(cache["mu"][0]), float(cache["sigma"][0])
         cap = LOG_RANGE_BOUND - abs(mu)
         near_boundary = (
-            LOG_RANGE_BOUND - abs(mu) < boundary_margin
-            or abs(abs(sigma) - cap) < boundary_margin
-            or abs(sigma) < boundary_margin
+            LOG_RANGE_BOUND - abs(mu) < _BOUNDARY_MARGIN
+            or abs(abs(sigma) - cap) < _BOUNDARY_MARGIN
+            or abs(sigma) < _BOUNDARY_MARGIN
         )
         if near_boundary:
             excluded += 1
@@ -127,12 +129,7 @@ def run_head_gradcheck(
     }
 
 
-def run_loss_gradcheck(
-    samples: int,
-    seed: int,
-    step: float = 1e-5,
-    config: LossConfig = LossConfig(),
-) -> dict:
+def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
     """Check radial-loss gradients at random smooth points.
 
     Tokens near the |exp(mu) - target| kink or the scale floor/ceiling are
@@ -152,11 +149,11 @@ def run_loss_gradcheck(
 
         spread = np.exp(mu + sigma) - np.exp(mu - sigma)
         var = spread * spread / 12.0
-        s = np.sqrt(max(var, config.s_floor_var))
+        s = np.sqrt(max(var, S_FLOOR_VAR))
         smooth = (
             abs(np.exp(mu) - target) > 1e-3
-            and abs(var - config.s_floor_var) > 1e-7
-            and abs(s - config.s_ceiling) > 1e-3
+            and abs(var - S_FLOOR_VAR) > 1e-7
+            and abs(s - S_CEILING) > 1e-3
         )
         if not smooth:
             flagged += 1
@@ -168,11 +165,9 @@ def run_loss_gradcheck(
         )
 
         def loss_at(m, g):
-            return radial_loss(
-                np.full((1, 1, 1), m), np.full((1, 1, 1), g), targets, config
-            ).loss
+            return radial_loss(np.full((1, 1, 1), m), np.full((1, 1, 1), g), targets).loss
 
-        res = radial_loss(np.full((1, 1, 1), mu), np.full((1, 1, 1), sigma), targets, config)
+        res = radial_loss(np.full((1, 1, 1), mu), np.full((1, 1, 1), sigma), targets)
         fd_mu = (loss_at(mu + step, sigma) - loss_at(mu - step, sigma)) / (2 * step)
         fd_sigma = (loss_at(mu, sigma + step) - loss_at(mu, sigma - step)) / (2 * step)
         analytic = np.array([res.grad_mu[0, 0, 0], res.grad_sigma[0, 0, 0]])

@@ -14,6 +14,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -215,8 +216,16 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
 
     Without an RDM1 input every token carries the freshly initialized
     head interval (0, LOG_RANGE_BOUND); with one, valid pooled tokens take
-    the teacher interval over that baseline.
+    the teacher interval over that baseline. coeffs.sigma_override, when
+    set, replaces every sigma; it must be finite with |value| at most
+    LOG_RANGE_BOUND, the widest half-width the head produces; a wider one
+    overflows the projected ranges.
     """
+    override = cfg["coeffs"]["sigma_override"]
+    if override is not None and not abs(override) <= LOG_RANGE_BOUND:
+        raise ValueError(
+            f"coeffs.sigma_override must be finite with |value| <= {LOG_RANGE_BOUND}, got {override}"
+        )
     rows, cols = token_grid(cam.height, cam.width, cfg["patch_size"])
     mu = np.zeros((frames, rows, cols))
     sigma = np.full((frames, rows, cols), LOG_RANGE_BOUND)
@@ -238,7 +247,6 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
         )
         mu, sigma = result.mu, result.sigma
         substituted = int(np.count_nonzero(result.substituted))
-    override = cfg["coeffs"]["sigma_override"]
     if override is not None:
         sigma = np.full_like(sigma, float(override))
     return mu, sigma, substituted
@@ -334,13 +342,20 @@ def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_oracle_check(cfg: dict, out: Path, chash: str) -> bool:
     o = cfg["oracle"]
+    # A NaN tolerance would fail every config and a fraction outside [0, 1]
+    # would make the K=5 gate always pass or always fail.
+    tolerance, win_fraction = float(o["tolerance"]), float(o["win_fraction"])
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"oracle.tolerance must be finite and > 0, got {tolerance}")
+    if not 0.0 <= win_fraction <= 1.0:
+        raise ValueError(f"oracle.win_fraction must be in [0, 1], got {win_fraction}")
     result = run_oracle_check(
         num_configs=int(o["num_configs"]),
         samples=int(o["samples"]),
         k_values=o["k_values"],
         seed=cfg["seed"],
-        mc_tolerance=float(o["tolerance"]),
-        win_fraction=float(o["win_fraction"]),
+        mc_tolerance=tolerance,
+        win_fraction=win_fraction,
     )
     report = result["report"]
     rows = result["rows"]
@@ -355,17 +370,24 @@ def cmd_oracle_check(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_gradcheck(cfg: dict, out: Path, chash: str) -> bool:
     g = cfg["gradcheck"]
-    head = run_head_gradcheck(
-        samples=int(g["samples"]), d_model=int(g["d_model"]),
-        seed=cfg["seed"], step=float(g["step"]),
-    )
-    loss = run_loss_gradcheck(samples=int(g["samples"]), seed=cfg["seed"], step=float(g["step"]))
+    # The central differences divide by the step.
+    step = float(g["step"])
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"gradcheck.step must be finite and > 0, got {step}")
+    samples = int(g["samples"])
+    head = run_head_gradcheck(samples=samples, d_model=int(g["d_model"]), seed=cfg["seed"], step=step)
+    loss = run_loss_gradcheck(samples=samples, seed=cfg["seed"], step=step)
     _write_json(out / "gradcheck_report.json", chash, {"head": head, "radial_loss": loss})
     return bool(head["pass"] and loss["pass"])
 
 
 def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     t = cfg["train"]
+    # A negative fraction would still hold out one token, and 1 would leave
+    # no training tokens.
+    holdout = float(t["holdout"])
+    if not 0.0 <= holdout < 1.0:
+        raise ValueError(f"train.holdout must be in [0, 1), got {holdout}")
     cam = camera_from_dict(t["camera"])
     scene = SceneSpec(
         kind=t["scene"]["kind"], extent=float(t["scene"]["extent"]),
@@ -383,7 +405,7 @@ def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
         targets,
         num_layers=int(t["num_layers"]), d_model=int(t["d_model"]),
         steps=int(t["steps"]), lr=float(t["lr"]), seed=cfg["seed"],
-        holdout_fraction=float(t["holdout"]), noise_scale=float(t["noise"]),
+        holdout_fraction=holdout, noise_scale=float(t["noise"]),
         record_every=int(t["record_every"]),
     )
 

@@ -50,8 +50,8 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None, units: str = "meters") -> None:
-    """Write a radial map; invalid pixels are stored as NaN."""
+def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None) -> None:
+    """Write a radial map in meters; invalid pixels are stored as NaN."""
     path = Path(path)
     f, h, w = radial_map.values.shape
     payload = np.where(radial_map.source_valid, radial_map.values, np.nan)
@@ -63,7 +63,7 @@ def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None, unit
     if near_stat is not None:
         sidecar = {
             "near_stat": near_stat,
-            "units": units,
+            "units": "meters",
             "source_valid_policy": "nonfinite",
         }
         path.with_suffix(path.suffix + ".json").write_text(

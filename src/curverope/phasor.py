@@ -62,14 +62,15 @@ class RadialInterval:
             raise ValueError("interval parameters must be finite")
 
 
-def clamp_interval(mu, sigma, bound: float = LOG_RANGE_BOUND):
+def clamp_interval(mu, sigma):
     """The interval clamp on arrays: (mu, sigma) with mu clipped to
-    [-bound, bound] and |sigma| capped at bound - |mu|, keeping sigma's sign.
+    [-LOG_RANGE_BOUND, LOG_RANGE_BOUND] and |sigma| capped at
+    LOG_RANGE_BOUND - |mu|, keeping sigma's sign.
 
     mu and sigma are scalars or arrays that broadcast together.
     """
-    mu = np.clip(mu, -bound, bound)
-    return mu, np.copysign(np.minimum(np.abs(sigma), bound - np.abs(mu)), sigma)
+    mu = np.clip(mu, -LOG_RANGE_BOUND, LOG_RANGE_BOUND)
+    return mu, np.copysign(np.minimum(np.abs(sigma), LOG_RANGE_BOUND - np.abs(mu)), sigma)
 
 
 @dataclass(frozen=True)
@@ -77,27 +78,15 @@ class ProjectedPath:
     """Query-view coordinates of lifted breakpoints, batched over leading axes.
 
     points[..., k, :] = (u_bounded, v_bounded, range) where (u, v) lie in
-    the closed unit disk and range is the query-frame radial distance;
-    valid[..., k] flags the points that enter the phase integral.
+    the unit disk by construction ((u^2 + v^2) / (u^2 + v^2 + 1) < 1 up to
+    rounding) and range is the query-frame radial distance; valid[..., k]
+    flags the points that enter the phase integral. A valid point has
+    positive range: range 0 puts the point at the camera centre, where
+    beta = 0 marks it invalid.
     """
 
     points: np.ndarray
     valid: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        val = np.asarray(self.valid, dtype=bool)
-        if pts.ndim < 2 or pts.shape[-1] != 3 or pts.shape[-2] < 2:
-            raise ValueError("paths need at least 2 points of shape (..., K, 3)")
-        if val.shape != pts.shape[:-1]:
-            raise ValueError("validity mask must match the number of points")
-        disk = pts[..., 0] ** 2 + pts[..., 1] ** 2
-        if np.any(disk > 1.0 + 1e-12):
-            raise ValueError("bounded coordinates must lie in the closed unit disk")
-        if np.any(val & ~(pts[..., 2] > 0)):
-            raise ValueError("valid points must have positive range")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "valid", val)
 
 
 def token_grid(height: int, width: int, patch_size: int) -> tuple:
@@ -111,7 +100,9 @@ def token_rays(cam_s: UcmCamera, patch_size: int) -> np.ndarray:
     """Offset rays of every token, shape (rows * cols, 3, 3), row-major tokens.
 
     Each token casts three unit rays through fixed sub-patch positions
-    (PATCH_OFFSETS) of its patch.
+    (PATCH_OFFSETS) of its patch. Rays enter the coefficient path here, so
+    this is where they are checked: finite intrinsics can still overflow
+    the unprojection (fx = 1e-200 makes every ray NaN).
     """
     rows, cols = token_grid(cam_s.height, cam_s.width, patch_size)
     r, c = np.divmod(np.arange(rows * cols), cols)
@@ -119,20 +110,28 @@ def token_rays(cam_s: UcmCamera, patch_size: int) -> np.ndarray:
         [(c[:, None] + PATCH_OFFSETS[:, 0]) * patch_size, (r[:, None] + PATCH_OFFSETS[:, 1]) * patch_size],
         axis=-1,
     )
-    return unproject_points(cam_s, pixels)
+    rays = unproject_points(cam_s, pixels)
+    if not np.all(np.isfinite(rays)):
+        raise ValueError("the camera intrinsics give non-finite token rays")
+    return rays
 
 
 def breakpoints(mu, sigma, k: int) -> np.ndarray:
     """K radial distances exp(z_k) at uniformly spaced z over each interval.
 
     mu and sigma are scalars or arrays of one shape; the result has that
-    shape plus a trailing axis of length K.
+    shape plus a trailing axis of length K. Radii enter the coefficient
+    path here, so this is where they are checked: finite mu and sigma give
+    positive radii, non-decreasing along the trailing axis (and finite
+    while |mu| + |sigma| stays below exp's overflow at about 709).
     """
     if k < 2:
         raise ValueError(f"need at least 2 breakpoints, got {k}")
+    mu = np.asarray(mu, dtype=float)[..., None]
     a = np.abs(np.asarray(sigma, dtype=float))[..., None]
-    z = np.asarray(mu, dtype=float)[..., None] - a + (np.arange(k, dtype=float) / (k - 1)) * (2.0 * a)
-    return np.exp(z)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(a))):
+        raise ValueError("interval mu and sigma must be finite")
+    return np.exp(mu - a + (np.arange(k, dtype=float) / (k - 1)) * (2.0 * a))
 
 
 def token_paths(
@@ -148,16 +147,11 @@ def token_paths(
     of shape (tokens, offsets, K). A point is flagged invalid when the
     query camera is pinhole (xi = 0) and the point sits at or behind its
     principal plane, or when the projection denominator is smaller than
-    the guard; projection itself stays total.
+    the guard; projection itself stays total. The radii are taken as
+    breakpoints makes them (positive, finite, non-decreasing, K >= 2) and
+    are not checked again here.
     """
     r = np.asarray(radii, dtype=float)
-    if r.ndim < 1 or r.shape[-1] < 2:
-        raise ValueError("radii need a trailing axis with at least 2 entries")
-    if not np.all(np.isfinite(r)) or np.any(r <= 0):
-        raise ValueError("radii must be positive finite reals")
-    if np.any(np.diff(r, axis=-1) < 0):
-        raise ValueError("radii must be non-decreasing")
-
     pts = transform.apply(r[..., :, None] * np.asarray(rays, dtype=float)[..., None, :])
     rng = np.linalg.norm(pts, axis=-1)
     z = pts[..., 2]

@@ -49,8 +49,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.extent <= 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < np.inf:
+            raise ValueError(f"extent must be finite and positive, got {self.extent}")
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
 

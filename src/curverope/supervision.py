@@ -19,7 +19,8 @@ __all__ = [
     "NEAR_STAT_FLOOR",
     "RadialMap",
     "TokenTargets",
-    "LossConfig",
+    "S_FLOOR_VAR",
+    "S_CEILING",
     "RadialLossResult",
     "validity_mask",
     "near_distance_stat",
@@ -30,6 +31,16 @@ __all__ = [
 ]
 
 NEAR_STAT_FLOOR = 0.1
+# Metric radial values above this are excluded, never clipped.
+_R_MAX = 20.0
+# Floor on the variance and ceiling on the uncertainty scale s; the floor
+# gives s = sqrt(1e-6), which is exactly 1e-3 in float64.
+S_FLOOR_VAR = 1e-6
+S_CEILING = 10.0
+# Weight of the log s term of the radial loss.
+_LOSS_ALPHA = 1.0
+# The noisiest fraction of diffusion timesteps gets no radial loss.
+_GATE_FRACTION = 0.03
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -76,21 +87,6 @@ class TokenTargets:
         object.__setattr__(self, "mask", m)
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Loss knobs read by radial_loss: the loss weight alpha and the floor
-    and ceiling of the uncertainty scale."""
-
-    alpha: float = 1.0
-    s_floor_var: float = 1e-6
-    s_ceiling: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "s_floor_var", "s_ceiling"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 @dataclass
 class RadialLossResult:
     loss: float
@@ -100,13 +96,13 @@ class RadialLossResult:
     empty: bool
 
 
-def validity_mask(radial_map: RadialMap, r_max: float = 20.0) -> np.ndarray:
+def validity_mask(radial_map: RadialMap) -> np.ndarray:
     """True where the source flag holds and the value is finite, positive
-    and within range. Values above r_max are excluded, never clipped."""
+    and at most 20 (_R_MAX). Values above it are excluded, never clipped."""
     v = radial_map.values
     finite = np.isfinite(v)
     safe = np.where(finite, v, 0.0)
-    return radial_map.source_valid & finite & (safe > 0.0) & (safe <= r_max)
+    return radial_map.source_valid & finite & (safe > 0.0) & (safe <= _R_MAX)
 
 
 def near_distance_stat(radial_map: RadialMap, mask: np.ndarray) -> float:
@@ -145,38 +141,25 @@ def normalize_and_pool(
     return TokenTargets(targets=targets, mask=token_mask, near_stat=float(near_stat))
 
 
-def uncertainty_scale(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    floor_var: float = 1e-6,
-    ceiling: float = 10.0,
-):
+def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
     """Uncertainty scale s per token plus flat-region flags.
 
     s is the standard deviation of a uniform distribution over
-    [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, floor_var)
-    and capped at the ceiling. Returns (s, floored, ceiled).
+    [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, S_FLOOR_VAR)
+    and capped at S_CEILING. Returns (s, floored, ceiled).
     """
     a = np.abs(sigma)
     spread = np.exp(mu + a) - np.exp(mu - a)
     var = spread * spread / 12.0
-    floored = var <= floor_var
-    root = np.sqrt(np.maximum(var, floor_var))
-    ceiled = root >= ceiling
-    # sqrt(1e-6) is written as the exact literal 1e-3 to keep the floor crisp.
-    floor_s = 1e-3 if floor_var == 1e-6 else float(np.sqrt(floor_var))
-    s = np.where(floored, floor_s, np.where(ceiled, ceiling, root))
-    return s, floored, ceiled
+    floored = var <= S_FLOOR_VAR
+    root = np.sqrt(np.maximum(var, S_FLOOR_VAR))
+    ceiled = root >= S_CEILING
+    return np.minimum(root, S_CEILING), floored, ceiled
 
 
-def radial_loss(
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    targets: TokenTargets,
-    config: LossConfig = LossConfig(),
-) -> RadialLossResult:
-    """Mean over valid tokens of |exp(mu) - target| / s + alpha * log s,
-    with exact gradients for mu and sigma per token.
+def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> RadialLossResult:
+    """Mean over valid tokens of |exp(mu) - target| / s + alpha * log s
+    (alpha = 1), with exact gradients for mu and sigma per token.
 
     The absolute value takes subgradient 0 at ties; the floor and ceiling
     of s are flat regions. An empty valid set yields loss 0, zero
@@ -195,15 +178,15 @@ def radial_loss(
     diff = r - targets.targets
     adiff = np.abs(diff)
     sgn = np.sign(diff)
-    s, floored, ceiled = uncertainty_scale(mu, sigma, config.s_floor_var, config.s_ceiling)
+    s, floored, ceiled = uncertainty_scale(mu, sigma)
     active = ~(floored | ceiled)
 
-    per_token = adiff / s + config.alpha * np.log(s)
+    per_token = adiff / s + _LOSS_ALPHA * np.log(s)
     loss = float(per_token[mask].sum() / n)
 
     # Active region: s = exp(mu) sinh|sigma| / sqrt(3), so ds/dmu = s and
     # ds/dsigma = exp(mu) cosh|sigma| / sqrt(3) * sign(sigma).
-    dl_ds = config.alpha / s - adiff / (s * s)
+    dl_ds = _LOSS_ALPHA / s - adiff / (s * s)
     g_mu = sgn * r / s + np.where(active, dl_ds * s, 0.0)
     ds_dsigma = np.exp(mu) * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
     g_sigma = np.where(active, dl_ds * ds_dsigma, 0.0)
@@ -213,11 +196,11 @@ def radial_loss(
     return RadialLossResult(loss, g_mu, g_sigma, n, False)
 
 
-def timestep_gate(t: float, gate_fraction: float = 0.03) -> bool:
-    """True when the radial loss applies; the noisiest fraction is gated off.
+def timestep_gate(t: float) -> bool:
+    """True when the radial loss applies; the noisiest 3% is gated off.
 
     t is the diffusion timestep in [0, 1] with 1 the noisiest.
     """
     if not (np.isfinite(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"timestep must lie in [0, 1], got {t}")
-    return not (t > 1.0 - gate_fraction)
+    return not (t > 1.0 - _GATE_FRACTION)

@@ -39,24 +39,24 @@ class MixSchedule:
     """Piecewise-linear substitution-probability schedule.
 
     Full substitution up to decay_start, linear decay to the floor at
-    decay_end, constant after. Granularity: block_frame draws one mask bit
-    per frame (floor 0.1), video one bit per clip (floor 0.5).
+    decay_end, constant after. Granularity and floor follow the mode:
+    block_frame draws one mask bit per frame (floor 0.1), video one bit per
+    clip (floor 0.5).
     """
 
     mode: str
     decay_start: int = 1000
     decay_end: int = 7000
-    floor: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_FLOORS:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.floor is None:
-            object.__setattr__(self, "floor", _MODE_FLOORS[self.mode])
-        if not (0.0 <= self.floor <= 1.0):
-            raise ValueError(f"floor must lie in [0, 1], got {self.floor}")
         if self.decay_start >= self.decay_end:
             raise ValueError("decay_start must precede decay_end")
+
+    @property
+    def floor(self) -> float:
+        return _MODE_FLOORS[self.mode]
 
 
 def substitution_probability(schedule: MixSchedule, step: int) -> float:
@@ -125,7 +125,6 @@ def external_override(
     pred_sigma: np.ndarray,
     external: RadialMap,
     near_stat: float,
-    r_max: float = 20.0,
     teacher_sigma: float = TEACHER_SIGMA,
 ) -> OverrideResult:
     """Replace predictions with teacher intervals where an external radial
@@ -140,7 +139,7 @@ def external_override(
     if ef != f or eh % ht != 0 or ew % wt != 0 or eh // ht != ew // wt:
         raise ValueError("external map shape is incompatible with the token grid")
     patch = eh // ht
-    mask = validity_mask(external, r_max)
+    mask = validity_mask(external)
     tokens = normalize_and_pool(external, mask, near_stat, patch)
     mu, sigma = effective_interval(
         pred_mu, pred_sigma, tokens.targets, True, tokens.mask, teacher_sigma

@@ -20,7 +20,7 @@ import numpy as np
 
 from .head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from .scene import depth_signal_weight, make_layer_features
-from .supervision import LossConfig, TokenTargets, radial_loss
+from .supervision import TokenTargets, radial_loss
 
 __all__ = [
     "DivergenceError",
@@ -28,6 +28,11 @@ __all__ = [
     "train_head_on_tokens",
     "run_layer_probe",
 ]
+
+# The mu gradient is masked for this fraction of the steps (the warmup).
+_WARMUP_FRACTION = 0.2
+# Global gradient norm above which a step is scaled down to this norm.
+_CLIP_NORM = 1.0
 
 
 class DivergenceError(RuntimeError):
@@ -75,10 +80,7 @@ def train_head_on_tokens(
     lr: float,
     seed: int,
     holdout_fraction: float = 0.2,
-    loss_config: LossConfig = LossConfig(),
     record_every: int = 0,
-    warmup_fraction: float = 0.2,
-    clip_norm: float = 1.0,
 ):
     """Train one head on (N, d) features against positive normalized targets.
 
@@ -122,7 +124,7 @@ def train_head_on_tokens(
         return float(np.mean(np.abs(np.exp(mu) - vals[hold_idx])))
 
     params = head_init(feats.shape[1], seed)
-    warmup = int(round(warmup_fraction * steps))
+    warmup = int(round(_WARMUP_FRACTION * steps))
     init_probe = probe_error(params)
     init_loss = None
     loss = None
@@ -136,8 +138,7 @@ def train_head_on_tokens(
     for step in range(steps):
         cache = head_forward_normalized(params, train_xhat)
         res = radial_loss(
-            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1),
-            train_targets, loss_config,
+            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1), train_targets
         )
         if not np.isfinite(res.loss):
             raise DivergenceError(step, res.loss, loss, total)
@@ -152,10 +153,10 @@ def train_head_on_tokens(
         g = head_backward(params, cache, grad_mu, res.grad_sigma.reshape(-1))
         total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
         max_total = max(max_total, total)
-        if total <= clip_norm:
+        if total <= _CLIP_NORM:
             scale = lr
         else:
-            scale = lr * clip_norm / total
+            scale = lr * _CLIP_NORM / total
             clipped += 1
         for name, grad in g.field_arrays():
             getattr(params, name).__isub__(scale * grad)
@@ -182,7 +183,6 @@ def run_layer_probe(
     seed: int,
     holdout_fraction: float = 0.2,
     noise_scale: float = 0.1,
-    depth_weight: float | None = None,
     record_every: int = 0,
 ):
     """Train one probe head per layer slot; returns LayerProbeResult rows."""
@@ -193,19 +193,16 @@ def run_layer_probe(
         raise ValueError("no valid tokens to probe")
     rows = []
     for layer in range(num_layers):
-        feats = make_layer_features(
-            targets, layer, num_layers, d_model, seed,
-            depth_weight=depth_weight, noise_scale=noise_scale,
-        ).reshape(-1, d_model)[flat_mask]
+        feats = make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=noise_scale)
+        feats = feats.reshape(-1, d_model)[flat_mask]
         params, stats = train_head_on_tokens(
             feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
             holdout_fraction=holdout_fraction, record_every=record_every,
         )
-        w = depth_signal_weight(layer, num_layers) if depth_weight is None else depth_weight
         rows.append(
             LayerProbeResult(
                 layer=layer,
-                depth_weight=float(w),
+                depth_weight=float(depth_signal_weight(layer, num_layers)),
                 init_loss=stats["init_loss"],
                 final_loss=stats["final_loss"],
                 loss_reduction=stats["loss_reduction"],

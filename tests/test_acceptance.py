@@ -260,7 +260,7 @@ def test_criterion_12_validity_filtering():
         flat = vals.reshape(-1)
         flat[idx] = rng.choice(adversarial, size=20)
         rmap = RadialMap(values=vals, source_valid=np.ones_like(vals, bool))
-        mask = validity_mask(rmap, r_max=20.0)
+        mask = validity_mask(rmap)
         assert not mask.reshape(-1)[idx].any()
         near = near_distance_stat(rmap, mask)
         tokens = normalize_and_pool(rmap, mask, near, 4)
@@ -268,9 +268,7 @@ def test_criterion_12_validity_filtering():
             assert np.all(tokens.targets[tokens.mask] * near <= 20.0)
             assert np.all(np.isfinite(tokens.targets[tokens.mask]))
             assert np.all(tokens.targets[tokens.mask] > 0)
-        res = external_override(
-            np.zeros((1, 2, 2)), np.full((1, 2, 2), 3.0), rmap, near, r_max=20.0
-        )
+        res = external_override(np.zeros((1, 2, 2)), np.full((1, 2, 2), 3.0), rmap, near)
         teachers = res.substituted
         assert np.all(np.exp(res.mu[teachers]) * near <= 20.0 + 1e-9)
     _report(12, "adversarial values (NaN, 0, -1, 20.0001, 25, inf) never reach targets or teachers")

@@ -9,7 +9,7 @@ from curverope.camera import (
     relative_transform,
     unproject_points,
 )
-from curverope.phasor import projected_path, token_paths
+from curverope.phasor import breakpoints, projected_path
 
 from util import oracle_project, random_camera, random_rotation
 
@@ -135,9 +135,10 @@ def test_input_errors():
         unproject_points(cam, (np.nan, 10))
     with pytest.raises(ValueError):
         project_points(cam, (0, 0, 0))
-    for radii in ([-1.0, 1.0], [0.0, 1.0]):
-        with pytest.raises(ValueError):
-            token_paths(cam, RigidTransform.identity(), np.array([0.0, 0.0, 1.0]), np.array(radii))
+    # Radii enter the coefficient path through breakpoints, which checks them.
+    for mu, sigma in ((np.nan, 1.0), (np.inf, 1.0), (0.0, -np.inf), (0.0, [0.5, np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            breakpoints(mu, sigma, 5)
 
 
 def test_construction_errors():
@@ -149,6 +150,10 @@ def test_construction_errors():
         UcmCamera(-1, 100, 50, 50, 0.5, 100, 100)
     with pytest.raises(ValueError):
         UcmCamera(100, 100, 50, 50, 0.5, 0, 100)
+    with pytest.raises(ValueError, match="finite"):
+        UcmCamera(100, 100, np.nan, 50, 0.5, 100, 100)
+    with pytest.raises(ValueError, match="finite"):
+        UcmCamera(100, 100, 50, np.inf, 0.5, 100, 100)
     with pytest.raises(ValueError):
         Ray(np.array([0.0, 0.0, 2.0]))
     bad = np.eye(3)

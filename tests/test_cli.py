@@ -449,3 +449,105 @@ def test_mix_sim_valid_fraction_range(tmp_path, capsys, fraction, code):
         assert main(["mix-sim", "--out", str(tmp_path / "default")]) == 0
         for name in ("mix_sim.csv", "mix_summary.json"):
             assert (out / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _doc(**doc):
+    return lambda tmp_path: doc
+
+
+def _sigma_override(value):
+    return lambda tmp_path: {
+        "trajectory": _make_trajectory_file(tmp_path)[0], "coeffs": {"sigma_override": value}
+    }
+
+
+def _camera_in_file(field, value):
+    """A trajectory file whose camera field holds a non-finite number."""
+    def make(tmp_path):
+        traj, _, _ = _make_trajectory_file(tmp_path)
+        doc = json.loads((tmp_path / "traj.json").read_text())
+        doc["camera"][field] = value
+        (tmp_path / "traj.json").write_text(json.dumps(doc))
+        return {"trajectory": traj}
+    return make
+
+
+def _camera_in_spec(field, value):
+    camera = {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4, "width": 64, "height": 64}
+    camera[field] = value
+    return _doc(trajectory_spec={"camera": camera, "frames": 2, "motion": "dolly", "amplitude": 0.3})
+
+
+def _nan_teacher_sigma(tmp_path):
+    traj, cam, poses = _make_trajectory_file(tmp_path)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    return {"trajectory": traj, "rdm1": str(rdm), "coeffs": {"teacher_sigma": NAN}}
+
+
+_TOKEN_COMMANDS = ("coeffs", "trace-path")
+_MALFORMED = [
+    *(
+        pytest.param(c, _sigma_override(v), "coeffs.sigma_override", id=f"{c}-sigma_override={v}")
+        for v in (NAN, INF, 800.0, 400.0, -400.0) for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param(c, make(field, v), field, id=f"{c}-{field}={v}-{where}")
+        for field, v in (("cx", NAN), ("cy", INF))
+        for where, make in (("file", _camera_in_file), ("spec", _camera_in_spec)) for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param(c, _camera_in_spec("fx", 1e-200), "non-finite token rays", id=f"{c}-fx=1e-200")
+        for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param(c, _nan_teacher_sigma, "finite", id=f"{c}-teacher_sigma=nan")
+        for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param("gradcheck", _doc(gradcheck={"step": v}), "gradcheck.step", id=f"step={v}")
+        for v in (0.0, -1e-5, NAN, INF)
+    ),
+    *(
+        pytest.param("train-head", _doc(train={"scene": {"extent": v}}), "extent", id=f"extent={v}")
+        for v in (NAN, INF)
+    ),
+    *(
+        pytest.param("train-head", _doc(train={"holdout": v}), "train.holdout", id=f"holdout={v}")
+        for v in (-0.5, 1.0, NAN)
+    ),
+    *(
+        pytest.param("oracle-check", _doc(oracle={"win_fraction": v}), "oracle.win_fraction",
+                     id=f"win_fraction={v}")
+        for v in (-1.0, 1.5, NAN)
+    ),
+    *(
+        pytest.param("oracle-check", _doc(oracle={"tolerance": v}), "oracle.tolerance", id=f"tolerance={v}")
+        for v in (NAN, 0.0, -5e-3, INF)
+    ),
+]
+
+
+@pytest.mark.parametrize("command, make_doc, named", _MALFORMED)
+def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, make_doc, named):
+    """Each malformed value is rejected where it enters: exit 1, a
+    validation error that says what was wrong, no traceback and no output."""
+    cfg = _write_config(tmp_path, **make_doc(tmp_path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and named in err, err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
+
+def test_default_config_hash_is_pinned():
+    """Every output embeds config_hash(cfg), so renaming, adding or changing
+    a DEFAULT_CONFIG entry changes the bytes of every file the CLI writes.
+    Such a change must update this value on purpose."""
+    from curverope.cli import DEFAULT_CONFIG, config_hash
+
+    assert config_hash(DEFAULT_CONFIG) == "ef252a3f43e46ff1973deba41c5c15c1ea8d6cd67c9de1a4ced3ba51aa90dd0d"

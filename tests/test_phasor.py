@@ -157,6 +157,18 @@ def test_projected_path_unit_disk():
         assert np.all(disk <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+def test_point_at_the_query_camera_centre_is_invalid(xi):
+    """Valid points have positive range by construction: range 0 puts the
+    point at the query camera centre, where beta = 0 flags it invalid."""
+    cam = UcmCamera(100, 100, 50, 50, xi, 100, 100)
+    ray = np.array([0.6, 0.0, 0.8])
+    # The middle breakpoint (r = 2) lands exactly on the query camera centre.
+    path = token_paths(cam, RigidTransform(np.eye(3), -2.0 * ray), ray, np.array([1.0, 2.0, 3.0]))
+    assert path.points[1, 2] == 0.0 and not path.valid[1]
+    assert path.valid[2] and np.all(path.points[path.valid, 2] > 0)
+
+
 def test_segment_phasor_degenerate():
     theta = 0.73
     assert np.allclose(segment_phasor(theta, theta), [np.cos(theta), np.sin(theta)], atol=1e-15)

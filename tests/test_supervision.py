@@ -3,7 +3,6 @@ import pytest
 
 from curverope.phasor import clamp_interval
 from curverope.supervision import (
-    LossConfig,
     RadialMap,
     TokenTargets,
     near_distance_stat,
@@ -24,7 +23,7 @@ def _single_map(values, valid=None):
 def test_validity_mask_rules():
     vals = np.array([[25.0, np.nan, 5.0], [0.0, -1.0, 20.0]])
     rmap = _single_map(vals)
-    mask = validity_mask(rmap, r_max=20.0)
+    mask = validity_mask(rmap)
     assert mask.tolist() == [[[False, False, True], [False, False, True]]]
 
 
@@ -48,7 +47,7 @@ def test_near_stat_floor_on_empty():
 def test_near_stat_percentile():
     vals = np.arange(1.0, 101.0).reshape(10, 10)
     rmap = _single_map(vals)
-    assert near_distance_stat(rmap, validity_mask(rmap, r_max=1000.0)) == 5.0
+    assert near_distance_stat(rmap, np.ones((1, 10, 10), dtype=bool)) == 5.0
 
 
 def test_near_stat_constant_clip():
@@ -118,7 +117,7 @@ def test_pool_far_field_exclusion():
     rng = np.random.default_rng(1)
     vals = rng.uniform(0.1, 30.0, (2, 8, 8))
     rmap = RadialMap(values=vals, source_valid=np.ones_like(vals, bool))
-    mask = validity_mask(rmap, r_max=20.0)
+    mask = validity_mask(rmap)
     near = near_distance_stat(rmap, mask)
     t = normalize_and_pool(rmap, mask, near, 4)
     assert np.all(t.targets[t.mask] * near <= 20.0)
@@ -224,9 +223,3 @@ def test_timestep_gate():
     with pytest.raises(ValueError):
         timestep_gate(-0.1)
 
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(s_ceiling=-1.0)

@@ -47,8 +47,6 @@ def test_schedule_validation():
         MixSchedule(mode="nope")
     with pytest.raises(ValueError):
         MixSchedule(mode="video", decay_start=7000, decay_end=1000)
-    with pytest.raises(ValueError):
-        MixSchedule(mode="video", floor=1.5)
 
 
 def test_sample_mask_extremes():
@@ -140,7 +138,7 @@ def test_external_override_half_valid():
 def test_external_override_far_field_rejected():
     mu, sigma = _grids(ht=1, wt=1)
     ext = RadialMap(values=np.full((1, 2, 2), 25.0), source_valid=np.ones((1, 2, 2), bool))
-    res = external_override(mu, sigma, ext, near_stat=1.0, r_max=20.0)
+    res = external_override(mu, sigma, ext, near_stat=1.0)
     assert not res.substituted.any()
 
 

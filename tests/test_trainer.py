@@ -149,7 +149,7 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
 
 def test_gradient_norm_counters(monkeypatch):
     """max_grad_norm is the largest pre-clip global norm; clipped_step_fraction
-    counts the steps whose norm exceeded clip_norm."""
+    counts the steps whose norm exceeded the clip norm."""
     targets = _iid_targets()
     feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
     flat = targets.targets.reshape(-1)
@@ -164,7 +164,8 @@ def test_gradient_norm_counters(monkeypatch):
     monkeypatch.setattr(trainer, "head_backward", backward_spy)
     for clip_norm, fraction in ((1e-9, 1.0), (1e9, 0.0)):
         norms.clear()
-        _, stats = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0, clip_norm=clip_norm)
+        monkeypatch.setattr(trainer, "_CLIP_NORM", clip_norm)
+        _, stats = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0)
         assert len(norms) == 40
         assert stats["clipped_step_fraction"] == fraction
         assert stats["max_grad_norm"] == max(norms) > 0

@@ -111,18 +111,24 @@ class RigidTransform:
 
 
 def unproject_points(cam: UcmCamera, pixels: np.ndarray) -> np.ndarray:
-    """Map pixel coordinates (..., 2) to unit ray directions (..., 3)."""
+    """Map pixel coordinates (..., 2) to unit ray directions (..., 3).
+
+    Finite but extreme intrinsics (fx = 1e-200) overflow x * x and make
+    the rays NaN. That raises no warning here: token_rays rejects such
+    rays, and render_radial_map marks their pixels invalid.
+    """
     px = np.asarray(pixels, dtype=float)
     if px.shape[-1] != 2:
         raise ValueError("pixels must have shape (..., 2)")
     if not np.all(np.isfinite(px)):
         raise ValueError("pixel coordinates must be finite")
-    x = (px[..., 0] - cam.cx) / cam.fx
-    y = (px[..., 1] - cam.cy) / cam.fy
-    rho2 = x * x + y * y
-    gamma = (cam.xi + np.sqrt(1.0 + (1.0 - cam.xi * cam.xi) * rho2)) / (1.0 + rho2)
-    vec = np.stack([gamma * x, gamma * y, gamma - cam.xi], axis=-1)
-    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (px[..., 0] - cam.cx) / cam.fx
+        y = (px[..., 1] - cam.cy) / cam.fy
+        rho2 = x * x + y * y
+        gamma = (cam.xi + np.sqrt(1.0 + (1.0 - cam.xi * cam.xi) * rho2)) / (1.0 + rho2)
+        vec = np.stack([gamma * x, gamma * y, gamma - cam.xi], axis=-1)
+        return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
 def project_points(cam: UcmCamera, points: np.ndarray) -> np.ndarray:

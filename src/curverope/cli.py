@@ -13,6 +13,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -180,12 +181,16 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_csv(path: Path, chash: str, header, rows) -> None:
+def _write_csv(path: Path, chash: str, header, rows=(), chunks=()) -> None:
+    """A CSV file after its config-hash comment line: the header, the rows
+    through csv.writer, then chunks of rows already formatted as csv.writer
+    writes them (no field that needs quoting, every row ending in CRLF)."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={chash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, chash: str, payload: dict) -> None:
@@ -319,23 +324,36 @@ def _frame_index(section: dict, key: str, frames: int) -> int:
     return index % frames
 
 
+def _reprs(values: np.ndarray) -> list:
+    """repr of every float in values, in C order: repr of a list joins the
+    same shortest round-trip reprs that map(repr, ...) gives."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
+def _trace_chunks(path, radii: np.ndarray):
+    """trace.csv rows of paths (tokens, offsets, K) and their radii
+    (tokens, 1, K), one token per chunk, each column formatted at once."""
+    tokens, offsets, k = path.valid.shape
+    keys = [f"{o},{j}" for o in range(offsets) for j in range(1, k + 1)]
+    valid_eol = ("0\r\n", "1\r\n")
+    for t in range(tokens):
+        columns = (
+            _reprs(radii[t]) * offsets,
+            *(_reprs(path.points[t, ..., c]) for c in range(3)),
+            [valid_eol[v] for v in path.valid[t].ravel().tolist()],
+        )
+        yield "".join(map(",".join, zip(itertools.repeat(str(t)), keys, *columns)))
+
+
 def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
     cam, poses, _, rays, radii, _ = _token_setup(cfg)
     frames = len(poses)
     qf, sf = (_frame_index(cfg["trace"], key, frames) for key in ("query_frame", "source_frame"))
     path = token_paths(cam, relative_transform(poses[sf], poses[qf]), rays, radii[sf])
-
-    token, offset, j = np.indices(path.valid.shape).reshape(3, -1)
-    r_k = np.broadcast_to(radii[sf], path.valid.shape).ravel().tolist()
-    u, v, rng = (path.points[..., c].ravel().tolist() for c in range(3))
-    csv_rows = zip(
-        token.tolist(), offset.tolist(), (j + 1).tolist(), map(repr, r_k), map(repr, u),
-        map(repr, v), map(repr, rng), path.valid.ravel().astype(int).tolist(),
-    )
     _write_csv(
         out / "trace.csv", chash,
         ["token", "offset", "k", "r_k", "u_bounded", "v_bounded", "range", "valid"],
-        csv_rows,
+        chunks=_trace_chunks(path, radii[sf]),
     )
     return True
 

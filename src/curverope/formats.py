@@ -160,12 +160,16 @@ def load_trajectory(path):
         raise FormatError(f"invalid trajectory JSON: {e.msg}", e.pos) from e
     try:
         cam = camera_from_dict(doc["camera"])
-        matrices = [np.asarray(m, dtype=float) for m in doc["poses"]]
+        matrices = list(doc["poses"])
     except (KeyError, TypeError) as e:
         raise FormatError(f"trajectory document missing field: {e}", 0) from e
     poses = []
     for i, m in enumerate(matrices):
-        if m.shape != (4, 4) or not np.all(np.isfinite(m)):
+        try:
+            m = np.asarray(m, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, strings, objects
+            m = None
+        if m is None or m.shape != (4, 4) or not np.all(np.isfinite(m)):
             raise ValueError(f"pose {i} is not a finite 4x4 matrix")
         if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
             raise ValueError(f"pose {i} bottom row must be [0, 0, 0, 1]")

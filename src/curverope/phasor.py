@@ -7,6 +7,10 @@ phasor is integrated analytically over each piecewise-linear phase
 segment. The resulting per-frequency (cos, sin) coefficients have
 magnitude <= 1 and replace exact RoPE rotations on the key side.
 
+The lift is ray first: token_paths rotates each ray into the query frame
+once and forms the breakpoints r d + t coordinate by coordinate, so no
+(..., K, 3) matrix product or norm over a length-3 axis is taken.
+
 The segment mean sinc(h) exp(i mid), with h = (b - a) / 2 and
 mid = (a + b) / 2, is evaluated in tangent half-angle form: every sine
 and cosine comes from the two tangents tan(h / 2) and tan(mid / 2), and
@@ -144,27 +148,33 @@ def token_paths(
 
     rays (..., 3) are unit directions and radii (..., K) broadcasts against
     them, so (tokens, offsets, 3) rays with (tokens, 1, K) radii give paths
-    of shape (tokens, offsets, K). A point is flagged invalid when the
-    query camera is pinhole (xi = 0) and the point sits at or behind its
-    principal plane, or when the projection denominator is smaller than
-    the guard; projection itself stays total. The radii are taken as
-    breakpoints makes them (positive, finite, non-decreasing, K >= 2) and
-    are not checked again here.
+    of shape (tokens, offsets, K). The lift is ray first: each ray is
+    rotated into the query frame once, d = R ray, and the breakpoint at
+    radius r is r d + t, formed per coordinate, so the rotation costs one
+    small product per ray rather than one per breakpoint. A point is
+    flagged invalid when the query camera is pinhole (xi = 0) and the point
+    sits at or behind its principal plane, or when the projection
+    denominator is smaller than the guard; projection itself stays total.
+    The radii are taken as breakpoints makes them (positive, finite,
+    non-decreasing, K >= 2) and are not checked again here.
     """
     r = np.asarray(radii, dtype=float)
-    pts = transform.apply(r[..., :, None] * np.asarray(rays, dtype=float)[..., None, :])
-    rng = np.linalg.norm(pts, axis=-1)
-    z = pts[..., 2]
+    d = np.asarray(rays, dtype=float) @ transform.rotation.T
+    t = transform.translation
+    x, y, z = (r * d[..., c, None] + t[c] for c in range(3))
+    rng = np.sqrt(x * x + y * y + z * z)
     beta = z + cam_q.xi * rng
-    invalid = np.abs(beta) < BETA_EPS
+    near = np.abs(beta) < BETA_EPS
+    valid = ~near
     if cam_q.xi == 0.0:
-        invalid |= z <= 0.0
-    beta = np.where(beta >= 0.0, np.maximum(beta, BETA_EPS), np.minimum(beta, -BETA_EPS))
-    ub = (cam_q.fx / cam_q.width) * pts[..., 0] / beta
-    vb = (cam_q.fy / cam_q.height) * pts[..., 1] / beta
+        valid &= z > 0.0
+    if near.any():  # clamp away from zero, keeping the sign (+ for 0 and -0)
+        beta[near] = np.where(beta[near] >= 0.0, BETA_EPS, -BETA_EPS)
+    ub = (cam_q.fx / cam_q.width) * x / beta
+    vb = (cam_q.fy / cam_q.height) * y / beta
     denom = np.sqrt(ub * ub + vb * vb + 1.0)
     points = np.stack([ub / denom, vb / denom, rng], axis=-1)
-    return ProjectedPath(points=points, valid=~invalid)
+    return ProjectedPath(points=points, valid=valid)
 
 
 def projected_path(
@@ -244,21 +254,23 @@ def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
         )
     if not np.all(np.isfinite(path.points)):
         raise ValueError("path points must be finite")
-    kept, used = path.points, None
+    kept, unused = path.points, None
     n_seg = k - 1
     if not np.all(path.valid):
         # Stable sort moves the valid points to the front in path order, so
         # segment j < n_valid - 1 joins the j-th and (j+1)-th kept points.
+        # Adding each path's row offset to its order makes one flat gather.
         order = np.argsort(~path.valid, axis=-1, kind="stable")
-        kept = np.take_along_axis(kept, order[..., None], axis=-2)
+        order += k * np.arange(order.size // k).reshape(*order.shape[:-1], 1)
+        kept = np.take(path.points.reshape(-1, 3), order, axis=0)
         n_seg = path.valid.sum(axis=-1) - 1
-        used = (np.arange(k - 1) < n_seg[..., None])[..., None, None, :]
+        unused = (np.arange(k - 1) >= n_seg[..., None])[..., None, None, :]
     psi = np.swapaxes(kept, -1, -2)[..., None, :] * (0.25 * plan.frequencies[:, None])
     q, m, u = _segment_terms(psi[..., :-1], psi[..., 1:])  # (..., offsets, 3, F, K-1)
-    if used is not None:
-        q = np.where(used, q, 0.0)
+    if unused is not None:
+        np.copyto(q, 0.0, where=unused)
     total = np.stack([np.vecdot(q, m), 2.0 * np.vecdot(q, u)], axis=-1)
-    if used is None:
+    if unused is None:
         return (total / n_seg).reshape(*batch, plan.num_pairs, 2), 0
     mean = total / np.maximum(n_seg, 1)[..., None, None, None]
     coeffs = np.where((n_seg < 1)[..., None, None, None], [1.0, 0.0], mean)

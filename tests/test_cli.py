@@ -1,16 +1,21 @@
 import csv
+import io
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from curverope.camera import UcmCamera
+from curverope.camera import UcmCamera, relative_transform
 from curverope.cli import main
-from curverope.formats import save_trajectory, write_rdm1
+from curverope.formats import camera_from_dict, read_rdm1, save_trajectory, write_rdm1
+from curverope.phasor import LOG_RANGE_BOUND, breakpoints, token_paths, token_rays
 from curverope.rope import make_frequency_plan
 from curverope.scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
 from curverope.supervision import RadialMap
+from curverope.teacher_mix import external_override
 
 
 def _write_config(tmp_path, **overrides):
@@ -188,6 +193,36 @@ def test_trace_frame_index_range(tmp_path, capsys, key):
         else:
             bodies[index] = (out / "trace.csv").read_text().splitlines()[1:]
     assert bodies[-1] == bodies[3]
+
+
+def test_trace_csv_bytes_equal_a_csv_writer_over_the_same_paths(tmp_path):
+    """trace.csv is formatted column by column; its bytes equal csv.writer
+    rows of repr(float) over the same token_paths arrays, with a bare LF
+    after the config-hash line and CRLF after every row. The RDM1 map gives
+    the tokens different radii and the pinhole pan flags some points invalid."""
+    camera = {"fx": 40.0, "fy": 44.0, "cx": 31.0, "cy": 33.0, "xi": 0.0, "width": 64, "height": 64}
+    cam = camera_from_dict(camera)
+    poses = make_trajectory(TrajectorySpec(frames=3, motion="pan", amplitude=1.2, camera=cam))
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="two_planes", extent=2.0), poses, cam), near_stat=1.5)
+    spec = {"camera": camera, "frames": 3, "motion": "pan", "amplitude": 1.2}
+    cfg = _write_config(tmp_path, trajectory_spec=spec, rdm1=str(rdm), k=7)
+    assert main(["trace-path", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    mu, sigma = np.zeros((3, 4, 4)), np.full((3, 4, 4), LOG_RANGE_BOUND)
+    teacher = external_override(mu, sigma, read_rdm1(rdm), 1.5, teacher_sigma=0.1)
+    radii = breakpoints(teacher.mu[0], teacher.sigma[0], 7).reshape(16, 1, 7)
+    path = token_paths(cam, relative_transform(poses[0], poses[2]), token_rays(cam, 16), radii)
+    assert 0 < path.valid.sum() < path.valid.size and np.unique(radii[:, 0, 0]).size > 1
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["token", "offset", "k", "r_k", "u_bounded", "v_bounded", "range", "valid"])
+    for t, a, j in np.ndindex(path.valid.shape):
+        floats = (radii[t, 0, j], *path.points[t, a, j])
+        writer.writerow([t, a, j + 1, *(repr(float(x)) for x in floats), int(path.valid[t, a, j])])
+    first, body = (tmp_path / "out" / "trace.csv").read_bytes().split(b"\n", 1)
+    assert re.fullmatch(rb"# config_hash=[0-9a-f]{64}", first)
+    assert body == buf.getvalue().encode()
 
 
 def test_trace_and_coeffs_all_invalid_token(tmp_path):
@@ -488,6 +523,17 @@ def _nan_teacher_sigma(tmp_path):
     return {"trajectory": traj, "rdm1": str(rdm), "coeffs": {"teacher_sigma": NAN}}
 
 
+def _pose_in_file(pose):
+    """A trajectory file whose first pose is not a 4x4 matrix of numbers."""
+    def make(tmp_path):
+        traj, _, _ = _make_trajectory_file(tmp_path)
+        doc = json.loads((tmp_path / "traj.json").read_text())
+        doc["poses"][0] = pose
+        (tmp_path / "traj.json").write_text(json.dumps(doc))
+        return {"trajectory": traj}
+    return make
+
+
 _TOKEN_COMMANDS = ("coeffs", "trace-path")
 _MALFORMED = [
     *(
@@ -503,8 +549,20 @@ _MALFORMED = [
         pytest.param(c, _camera_in_spec("fx", 1e-200), "non-finite token rays", id=f"{c}-fx=1e-200")
         for c in _TOKEN_COMMANDS
     ),
+    pytest.param(
+        "train-head", _doc(train={"camera": {"fx": 1e-200}}), "no valid tokens", id="train-head-fx=1e-200"
+    ),
     *(
         pytest.param(c, _nan_teacher_sigma, "finite", id=f"{c}-teacher_sigma=nan")
+        for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param(c, _pose_in_file(pose), "pose 0 is not a finite 4x4 matrix", id=f"{c}-pose-{name}")
+        for name, pose in (
+            ("ragged", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]]),
+            ("3x3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("object", {"rotation": 1}),
+        )
         for c in _TOKEN_COMMANDS
     ),
     *(
@@ -534,11 +592,14 @@ _MALFORMED = [
 @pytest.mark.parametrize("command, make_doc, named", _MALFORMED)
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, make_doc, named):
     """Each malformed value is rejected where it enters: exit 1, a
-    validation error that says what was wrong, no traceback and no output."""
+    validation error that says what was wrong, no traceback, no output and
+    no warning printed before the error line."""
     cfg = _write_config(tmp_path, **make_doc(tmp_path))
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and named in err, err
     assert "Traceback" not in err

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curverope.camera import Ray, RigidTransform, UcmCamera, unproject_points
+from curverope.camera import Ray, RigidTransform, UcmCamera, relative_transform, unproject_points
 from curverope.phasor import (
     ProjectedPath,
     RadialInterval,
@@ -15,14 +15,16 @@ from curverope.phasor import (
     token_paths,
     token_rays,
 )
-from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
+from curverope.rope import FrequencyPlan, exact_rotation, make_frequency_plan, rope_phases
 
 from util import (
     exact_expected_phasor,
     mean_segment_phasor,
     oracle_bounded_coordinate,
+    oracle_valid,
     random_camera,
     small_transform,
+    take_along_axis_coefficients,
 )
 
 
@@ -127,6 +129,44 @@ def test_projected_path_matches_composition_oracle():
                 cam_q, transform.rotation, transform.translation, ray.direction, radii[k]
             )
             assert np.max(np.abs(path.points[k] - expected)) < 1e-10
+
+
+def _rot_y(phi):
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+# Camera-to-world poses shaped like the benchmark clips: a 4-frame orbit
+# (yaw and forward step 0.3) and a 10-frame pan (1.6 rad) with sideways drift.
+_ORBIT = [RigidTransform(_rot_y(0.1 * f), np.array([0.03 * f, 0.0, 0.1 * f])) for f in range(4)]
+_PAN = [RigidTransform(_rot_y(1.6 * f / 9), np.array([0.6 * f / 9, 0.0, 0.0])) for f in range(10)]
+
+
+@pytest.mark.parametrize(
+    "xi, size, focal, poses, pairs",
+    [
+        pytest.param(0.9, 128, 56.0, _ORBIT, [(0, 3), (3, 0), (1, 2)], id="fisheye-orbit"),
+        pytest.param(0.0, 64, 48.0, _PAN, [(9, 0), (0, 9), (4, 5), (5, 0)], id="pinhole-pan"),
+    ],
+)
+def test_token_path_batches_match_composition_oracle(xi, size, focal, poses, pairs):
+    """Full token_rays batches under bench-like poses: every point of the
+    ray-first lift within 1e-12 of the scalar composition oracle (lift,
+    then rotate), with the same valid flags."""
+    rng = np.random.default_rng(17)
+    cam = UcmCamera(focal, focal, size / 2, size / 2, xi, size, size)
+    rays = token_rays(cam, 16)
+    radii = breakpoints(rng.uniform(-1, 1, (len(rays), 1)), rng.uniform(0.1, 3, (len(rays), 1)), 9)
+    invalid = 0
+    for qf, sf in pairs:
+        transform = relative_transform(poses[sf], poses[qf])
+        path = token_paths(cam, transform, rays, radii)
+        for t, a, j in np.ndindex(path.valid.shape):
+            args = (cam, transform.rotation, transform.translation, rays[t, a], radii[t, 0, j])
+            assert path.valid[t, a, j] == oracle_valid(*args)
+            assert np.max(np.abs(path.points[t, a, j] - oracle_bounded_coordinate(*args))) < 1e-12
+        invalid += int(np.count_nonzero(~path.valid))
+    assert invalid > 0 if xi == 0.0 else invalid == 0
 
 
 def test_projected_path_flags_behind_pinhole():
@@ -602,3 +642,27 @@ def test_coefficients_reject_non_finite_points():
         bad[0, j, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             coefficients_from_paths(ProjectedPath(bad, valid), plan)
+
+
+@pytest.mark.parametrize("batch", [(6, 3), (2, 5, 3), (1,)], ids=["tokens", "frames-tokens", "one-ray"])
+def test_flat_gather_compaction_matches_take_along_axis_bits(batch):
+    """The kernel's flat-gather compaction gives the bits of the
+    take_along_axis compaction, over (tokens, 3, K), (F, tokens, 3, K) and
+    the oracle's one-ray (1, K) paths, with 0, 1, 2 and K valid points."""
+    rng = np.random.default_rng(29)
+    offsets = batch[-1]
+    plan = make_frequency_plan(36, 9, base=10.0) if offsets == 3 else FrequencyPlan(3, [0.7])
+    for trial in range(40):
+        k = int(rng.choice([2, 3, 9, 129]))
+        counts = rng.integers(0, k + 1, size=batch)
+        # 0, 1, 2 and K valid points in every batch, or in turn for one ray.
+        counts.flat[:4] = np.roll([0, 1, 2, k], trial)[: counts.size]
+        valid = rng.random((*batch, k)).argsort(-1).argsort(-1) < counts[..., None]
+        points = np.concatenate(
+            [rng.uniform(-0.7, 0.7, (*batch, k, 2)), rng.uniform(0.05, 30.0, (*batch, k, 1))], axis=-1
+        )
+        path = ProjectedPath(points, valid)
+        got, fallbacks = coefficients_from_paths(path, plan)
+        want, want_fallbacks = take_along_axis_coefficients(path, plan)
+        assert fallbacks == want_fallbacks == int(np.count_nonzero(counts < 2))
+        assert got.tobytes() == want.tobytes()

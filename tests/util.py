@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from curverope.camera import RigidTransform, UcmCamera
-from curverope.phasor import segment_phasor
+from curverope.camera import BETA_EPS, RigidTransform, UcmCamera
+from curverope.phasor import _segment_terms, segment_phasor
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -64,6 +64,40 @@ def oracle_bounded_coordinate(cam_q, rotation, translation, direction, radius):
     vbar = (cam_q.fy / cam_q.height) * q[1] / beta
     scale = math.sqrt(ubar * ubar + vbar * vbar + 1.0)
     return np.array([ubar / scale, vbar / scale, norm])
+
+
+def oracle_valid(cam_q, rotation, translation, direction, radius):
+    """Scalar validity of one breakpoint: the projection denominator clears
+    the guard and, for a pinhole query camera, the point is ahead of it."""
+    p = radius * np.asarray(direction, dtype=float)
+    q = np.asarray(rotation, dtype=float) @ p + np.asarray(translation, dtype=float)
+    beta = q[2] + cam_q.xi * math.sqrt(float(q @ q))
+    return abs(beta) >= BETA_EPS and (cam_q.xi != 0.0 or q[2] > 0.0)
+
+
+def take_along_axis_coefficients(path, plan):
+    """coefficients_from_paths with the invalid-point compaction written as
+    np.take_along_axis over the (..., K, 3) points: the reference that pins
+    the bits of the kernel's flat-gather compaction. The segment terms and
+    reductions are the kernel's own, so any difference is the compaction's.
+    """
+    *batch, num_offsets, k = path.valid.shape
+    kept, used, n_seg = path.points, None, k - 1
+    if not np.all(path.valid):
+        order = np.argsort(~path.valid, axis=-1, kind="stable")
+        kept = np.take_along_axis(kept, order[..., None], axis=-2)
+        n_seg = path.valid.sum(axis=-1) - 1
+        used = (np.arange(k - 1) < n_seg[..., None])[..., None, None, :]
+    psi = np.swapaxes(kept, -1, -2)[..., None, :] * (0.25 * plan.frequencies[:, None])
+    q, m, u = _segment_terms(psi[..., :-1], psi[..., 1:])
+    if used is not None:
+        q = np.where(used, q, 0.0)
+    total = np.stack([np.vecdot(q, m), 2.0 * np.vecdot(q, u)], axis=-1)
+    if used is None:
+        return (total / n_seg).reshape(*batch, plan.num_pairs, 2), 0
+    mean = total / np.maximum(n_seg, 1)[..., None, None, None]
+    coeffs = np.where((n_seg < 1)[..., None, None, None], [1.0, 0.0], mean)
+    return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg < 1))
 
 
 def small_transform(rng, max_angle=0.1, max_shift=0.05):

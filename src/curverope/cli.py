@@ -4,7 +4,8 @@ teacher-substitution simulation.
 
 All commands are deterministic under a fixed seed; every CSV/JSON output
 embeds the hash of the effective configuration that produced it. Exit
-codes: 0 on pass, 1 on validation failure, 2 on parse error.
+codes: 0 on pass, 1 on validation failure (an input file that cannot be
+opened included), 2 on parse error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -45,7 +48,7 @@ from .rope import make_frequency_plan
 from .scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
 from .supervision import near_distance_stat, normalize_and_pool, validity_mask
 from .teacher_mix import MixSchedule, external_override, sample_mask, substitution_probability
-from .trainer import DivergenceError, run_layer_probe
+from .trainer import DivergenceError, LayerProbeResult, run_layer_probe
 
 __all__ = ["main", "entry", "DEFAULT_CONFIG"]
 
@@ -106,16 +109,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 # Types of the entries whose default is None (unset).
 _OPTIONAL_TYPES = {
     "trajectory": str,
@@ -124,35 +117,64 @@ _OPTIONAL_TYPES = {
     "coeffs.sigma_override": (int, float),
 }
 
+# Value-only range rules, key -> (test, what the value must be). _load_config
+# applies each once, for every subcommand, after --seed and --k.
+_RANGES = {
+    # K breakpoints bound K - 1 segments; one breakpoint bounds none.
+    "k": (lambda v: v >= 2, ">= 2"),
+    "pairs_per_group": (lambda v: v >= 1, ">= 1"),
+    # LOG_RANGE_BOUND is the widest half-width the head produces; a wider
+    # one overflows the projected ranges.
+    "coeffs.sigma_override": (
+        lambda v: v is None or abs(v) <= LOG_RANGE_BOUND, f"finite with |value| <= {LOG_RANGE_BOUND}"
+    ),
+    # A NaN tolerance would fail every config and a fraction outside [0, 1]
+    # would make the K=5 gate always pass or always fail.
+    "oracle.tolerance": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "oracle.win_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    # The central differences divide by the step.
+    "gradcheck.step": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    # A negative fraction would still hold out one token, and 1 would leave
+    # no training tokens.
+    "train.holdout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    # The rates divide by granules and by the number of logged steps, and a
+    # negative total or a stride below 1 would log none.
+    "mix.granules": (lambda v: v >= 1, ">= 1"),
+    "mix.total_steps": (lambda v: v >= 0, ">= 0"),
+    "mix.stride": (lambda v: v >= 1, ">= 1"),
+    # A fraction below 0 would slice from the end and one above 1 would clip.
+    "mix.valid_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+}
 
-def _check_config(user, schema: dict, prefix: str = "") -> None:
-    """Reject keys the schema lacks and values whose type differs from the default's.
 
-    The schema is DEFAULT_CONFIG. Nested objects are walked, a float default
-    also admits an int, and a None default admits None or the type listed
-    in _OPTIONAL_TYPES.
+def _merge_checked(cfg: dict, user, prefix: str = "") -> None:
+    """Copy each entry of user over its default in cfg, a copy of DEFAULT_CONFIG.
+
+    Keys cfg lacks are rejected, and so are values whose type differs from
+    the default's: nested objects are walked, a float default also admits
+    an int, and a None default admits None or the type listed in
+    _OPTIONAL_TYPES.
     """
     if not isinstance(user, dict):
         where = f"key {prefix[:-1]!r}" if prefix else "document"
         raise ValueError(f"config {where} must be a JSON object")
     for key, value in user.items():
         name = prefix + key
-        if key not in schema:
+        if key not in cfg:
             raise ValueError(f"unknown config key {name!r}")
-        default = schema[key]
+        default = cfg[key]
         if isinstance(default, dict):
-            _check_config(value, default, name + ".")
+            _merge_checked(default, value, name + ".")
             continue
         if default is None:
-            if value is None:
-                continue
-            kind = _OPTIONAL_TYPES[name]
+            kind = (type(None), _OPTIONAL_TYPES[name])
         else:
             kind = (int, float) if isinstance(default, float) else type(default)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"config key {name!r} has type {type(value).__name__}")
         if isinstance(default, list) and any(type(v) is not type(default[0]) for v in value):
             raise ValueError(f"config key {name!r} must list {type(default[0]).__name__} values")
+        cfg[key] = value
 
 
 def _load_config(args) -> dict:
@@ -165,14 +187,15 @@ def _load_config(args) -> dict:
             raise FormatError(f"config is not UTF-8: {e.reason}", e.start) from e
         except json.JSONDecodeError as e:
             raise FormatError(f"invalid config JSON: {e.msg}", e.pos) from e
-        _check_config(user, DEFAULT_CONFIG)
-        cfg = _deep_merge(cfg, user)
+        _merge_checked(cfg, user)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.k is not None:
         cfg["k"] = args.k
-    if cfg["k"] < 2:
-        raise ValueError(f"k must be >= 2, got {cfg['k']}")
+    for name, (holds, must) in _RANGES.items():
+        value = functools.reduce(dict.__getitem__, name.split("."), cfg)
+        if not holds(value):
+            raise ValueError(f"{name} must be {must}, got {value}")
     return cfg
 
 
@@ -198,6 +221,19 @@ def _write_json(path: Path, chash: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _trajectory(section: dict):
+    """(camera, poses) of a {camera, frames, motion, amplitude} section.
+
+    The casts stay: an inline trajectory_spec is not type-checked.
+    """
+    cam = camera_from_dict(section["camera"])
+    spec = TrajectorySpec(
+        frames=int(section["frames"]), motion=section["motion"],
+        amplitude=float(section["amplitude"]), camera=cam,
+    )
+    return cam, make_trajectory(spec)
+
+
 def _resolve_trajectory(cfg: dict):
     if cfg["trajectory"]:
         return load_trajectory(cfg["trajectory"])
@@ -205,14 +241,9 @@ def _resolve_trajectory(cfg: dict):
     if spec is None:
         raise ValueError("this command needs 'trajectory' (file) or 'trajectory_spec' (inline)")
     try:
-        cam = camera_from_dict(spec["camera"])
-        tspec = TrajectorySpec(
-            frames=int(spec["frames"]), motion=spec["motion"],
-            amplitude=float(spec["amplitude"]), camera=cam,
-        )
+        return _trajectory(spec)
     except (KeyError, TypeError) as e:
         raise ValueError(f"trajectory_spec needs camera, frames, motion and amplitude: {e!r}") from e
-    return cam, make_trajectory(tspec)
 
 
 def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
@@ -222,15 +253,9 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
     Without an RDM1 input every token carries the freshly initialized
     head interval (0, LOG_RANGE_BOUND); with one, valid pooled tokens take
     the teacher interval over that baseline. coeffs.sigma_override, when
-    set, replaces every sigma; it must be finite with |value| at most
-    LOG_RANGE_BOUND, the widest half-width the head produces; a wider one
-    overflows the projected ranges.
+    set, replaces every sigma.
     """
     override = cfg["coeffs"]["sigma_override"]
-    if override is not None and not abs(override) <= LOG_RANGE_BOUND:
-        raise ValueError(
-            f"coeffs.sigma_override must be finite with |value| <= {LOG_RANGE_BOUND}, got {override}"
-        )
     rows, cols = token_grid(cam.height, cam.width, cfg["patch_size"])
     mu = np.zeros((frames, rows, cols))
     sigma = np.full((frames, rows, cols), LOG_RANGE_BOUND)
@@ -258,10 +283,7 @@ def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
 
 
 def _plan(cfg: dict):
-    pairs = int(cfg["pairs_per_group"])
-    if pairs < 1:
-        raise ValueError("pairs_per_group must be >= 1")
-    return make_frequency_plan(9 * 2 * pairs, 9, float(cfg["freq_base"]))
+    return make_frequency_plan(9 * 2 * cfg["pairs_per_group"], 9, float(cfg["freq_base"]))
 
 
 def _token_setup(cfg: dict):
@@ -360,20 +382,13 @@ def cmd_trace_path(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_oracle_check(cfg: dict, out: Path, chash: str) -> bool:
     o = cfg["oracle"]
-    # A NaN tolerance would fail every config and a fraction outside [0, 1]
-    # would make the K=5 gate always pass or always fail.
-    tolerance, win_fraction = float(o["tolerance"]), float(o["win_fraction"])
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"oracle.tolerance must be finite and > 0, got {tolerance}")
-    if not 0.0 <= win_fraction <= 1.0:
-        raise ValueError(f"oracle.win_fraction must be in [0, 1], got {win_fraction}")
     result = run_oracle_check(
-        num_configs=int(o["num_configs"]),
-        samples=int(o["samples"]),
+        num_configs=o["num_configs"],
+        samples=o["samples"],
         k_values=o["k_values"],
         seed=cfg["seed"],
-        mc_tolerance=tolerance,
-        win_fraction=win_fraction,
+        mc_tolerance=float(o["tolerance"]),
+        win_fraction=float(o["win_fraction"]),
     )
     report = result["report"]
     rows = result["rows"]
@@ -388,55 +403,35 @@ def cmd_oracle_check(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_gradcheck(cfg: dict, out: Path, chash: str) -> bool:
     g = cfg["gradcheck"]
-    # The central differences divide by the step.
     step = float(g["step"])
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"gradcheck.step must be finite and > 0, got {step}")
-    samples = int(g["samples"])
-    head = run_head_gradcheck(samples=samples, d_model=int(g["d_model"]), seed=cfg["seed"], step=step)
-    loss = run_loss_gradcheck(samples=samples, seed=cfg["seed"], step=step)
+    head = run_head_gradcheck(samples=g["samples"], d_model=g["d_model"], seed=cfg["seed"], step=step)
+    loss = run_loss_gradcheck(samples=g["samples"], seed=cfg["seed"], step=step)
     _write_json(out / "gradcheck_report.json", chash, {"head": head, "radial_loss": loss})
     return bool(head["pass"] and loss["pass"])
 
 
 def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     t = cfg["train"]
-    # A negative fraction would still hold out one token, and 1 would leave
-    # no training tokens.
-    holdout = float(t["holdout"])
-    if not 0.0 <= holdout < 1.0:
-        raise ValueError(f"train.holdout must be in [0, 1), got {holdout}")
-    cam = camera_from_dict(t["camera"])
-    scene = SceneSpec(
-        kind=t["scene"]["kind"], extent=float(t["scene"]["extent"]),
-        num_points=int(t["scene"]["num_points"]), seed=int(t["scene"]["seed"]),
-    )
-    tspec = TrajectorySpec(
-        frames=int(t["frames"]), motion=t["motion"], amplitude=float(t["amplitude"]), camera=cam
-    )
-    rmap = render_clip(scene, make_trajectory(tspec), cam)
+    cam, poses = _trajectory(t)
+    rmap = render_clip(SceneSpec(**t["scene"]), poses, cam)
     mask = validity_mask(rmap)
     near = near_distance_stat(rmap, mask)
-    targets = normalize_and_pool(rmap, mask, near, int(t["patch_size"]))
+    targets = normalize_and_pool(rmap, mask, near, t["patch_size"])
 
     results = run_layer_probe(
         targets,
-        num_layers=int(t["num_layers"]), d_model=int(t["d_model"]),
-        steps=int(t["steps"]), lr=float(t["lr"]), seed=cfg["seed"],
-        holdout_fraction=holdout, noise_scale=float(t["noise"]),
-        record_every=int(t["record_every"]),
+        num_layers=t["num_layers"], d_model=t["d_model"],
+        steps=t["steps"], lr=float(t["lr"]), seed=cfg["seed"],
+        holdout_fraction=float(t["holdout"]), noise_scale=float(t["noise"]),
+        record_every=t["record_every"],
     )
 
+    # Every scalar field of a result, in declaration order; repr of an int
+    # is its str, as csv.writer writes it.
+    columns = [f.name for f in dataclasses.fields(LayerProbeResult) if f.name not in ("params", "curve")]
     _write_csv(
-        out / "probe_errors.csv", chash,
-        ["layer", "depth_weight", "init_loss", "final_loss", "loss_reduction",
-         "init_probe_error", "final_probe_error", "max_grad_norm", "clipped_step_fraction"],
-        [
-            [r.layer, repr(r.depth_weight), repr(r.init_loss), repr(r.final_loss),
-             repr(r.loss_reduction), repr(r.init_probe_error), repr(r.final_probe_error),
-             repr(r.max_grad_norm), repr(r.clipped_step_fraction)]
-            for r in results
-        ],
+        out / "probe_errors.csv", chash, columns,
+        [[repr(getattr(r, c)) for c in columns] for r in results],
     )
     _write_csv(
         out / "train_curves.csv", chash, ["layer", "step", "loss"],
@@ -459,25 +454,13 @@ def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
 
 def cmd_mix_sim(cfg: dict, out: Path, chash: str) -> bool:
     m = cfg["mix"]
-    schedule = MixSchedule(
-        mode=m["mode"], decay_start=int(m["decay_start"]), decay_end=int(m["decay_end"])
-    )
-    granules, total_steps, stride = int(m["granules"]), int(m["total_steps"]), int(m["stride"])
-    # The rates divide by granules and by the number of logged steps, and a
-    # negative total or a stride below 1 would log none.
-    limits = (("granules", granules, 1), ("total_steps", total_steps, 0), ("stride", stride, 1))
-    for name, value, least in limits:
-        if value < least:
-            raise ValueError(f"mix.{name} must be >= {least}, got {value}")
-    # A fraction below 0 would slice from the end and one above 1 would clip.
-    valid_fraction = float(m["valid_fraction"])
-    if not 0.0 <= valid_fraction <= 1.0:
-        raise ValueError(f"mix.valid_fraction must be in [0, 1], got {valid_fraction}")
+    schedule = MixSchedule(mode=m["mode"], decay_start=m["decay_start"], decay_end=m["decay_end"])
+    granules = m["granules"]
     valid = np.zeros(granules, dtype=bool)
-    valid[: int(round(valid_fraction * granules))] = True
+    valid[: int(round(m["valid_fraction"] * granules))] = True
     rows = []
     total_sub = 0
-    for step in range(0, total_steps + 1, stride):
+    for step in range(0, m["total_steps"] + 1, m["stride"]):
         p = substitution_probability(schedule, step)
         mask = sample_mask(p, granules, seed=[cfg["seed"], step])
         substituted = mask & valid
@@ -546,6 +529,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"validation error: cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     return 0 if ok else 1
 

@@ -7,7 +7,7 @@ JSON sidecar (<path>.json) carries {near_stat, units, source_valid_policy}.
 
 Head checkpoints: little-endian u32 header length, a JSON header listing
 field names and shapes in declaration order, then the concatenated flat
-little-endian f32 arrays.
+little-endian f32 arrays, every value finite.
 """
 
 from __future__ import annotations
@@ -189,7 +189,15 @@ def load_trajectory(path):
 
 
 def save_head_params(path, params: HeadParams) -> None:
-    arrays = params.field_arrays()
+    """Write the parameters as float32; a value that is not finite in
+    float32 raises ValueError before anything is written."""
+    arrays = []
+    for name, a in params.field_arrays():
+        with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
+            f32 = np.ascontiguousarray(a, dtype="<f4")
+        if not np.all(np.isfinite(f32)):
+            raise ValueError(f"head parameter {name} holds a value that is not finite in float32")
+        arrays.append((name, f32))
     header = json.dumps(
         {"dtype": "<f4", "fields": [[name, list(a.shape)] for name, a in arrays]},
         sort_keys=True,
@@ -198,7 +206,7 @@ def save_head_params(path, params: HeadParams) -> None:
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            fh.write(a.tobytes())
 
 
 def _is_field_entry(entry) -> bool:
@@ -237,6 +245,8 @@ def load_head_params(path) -> HeadParams:
         if len(data) < offset + nbytes:
             raise FormatError(f"truncated checkpoint payload for {name}", offset)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"non-finite value in checkpoint field {name}", offset)
         out[name] = arr.reshape(shape).astype(float)
         offset += nbytes
     if offset != len(data):

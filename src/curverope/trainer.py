@@ -199,19 +199,6 @@ def run_layer_probe(
             feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
             holdout_fraction=holdout_fraction, record_every=record_every,
         )
-        rows.append(
-            LayerProbeResult(
-                layer=layer,
-                depth_weight=float(depth_signal_weight(layer, num_layers)),
-                init_loss=stats["init_loss"],
-                final_loss=stats["final_loss"],
-                loss_reduction=stats["loss_reduction"],
-                init_probe_error=stats["init_probe_error"],
-                final_probe_error=stats["final_probe_error"],
-                max_grad_norm=stats["max_grad_norm"],
-                clipped_step_fraction=stats["clipped_step_fraction"],
-                params=params,
-                curve=stats["curve"],
-            )
-        )
+        weight = float(depth_signal_weight(layer, num_layers))
+        rows.append(LayerProbeResult(layer=layer, depth_weight=weight, params=params, **stats))
     return rows

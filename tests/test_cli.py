@@ -586,6 +586,19 @@ _MALFORMED = [
         pytest.param("oracle-check", _doc(oracle={"tolerance": v}), "oracle.tolerance", id=f"tolerance={v}")
         for v in (NAN, 0.0, -5e-3, INF)
     ),
+    # Every range rule holds for every subcommand, not only the one that reads the key.
+    *(
+        pytest.param(c, _doc(**doc), named, id=f"{c}-{named}")
+        for c, doc, named in (
+            ("coeffs", {"mix": {"stride": 0}}, "mix.stride"),
+            ("gradcheck", {"oracle": {"tolerance": NAN}}, "oracle.tolerance"),
+            ("mix-sim", {"train": {"holdout": 1.0}}, "train.holdout"),
+            ("mix-sim", {"oracle": {"win_fraction": 2.0}}, "oracle.win_fraction"),
+            ("mix-sim", {"gradcheck": {"step": 0.0}}, "gradcheck.step"),
+            ("mix-sim", {"coeffs": {"sigma_override": 400.0}}, "coeffs.sigma_override"),
+            ("trace-path", {"pairs_per_group": 0}, "pairs_per_group"),
+        )
+    ),
 ]
 
 
@@ -604,6 +617,43 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, make_
     assert err.startswith("validation error:") and named in err, err
     assert "Traceback" not in err
     assert not any(out.glob("*"))
+
+@pytest.mark.parametrize("case", ["trajectory", "rdm1", "config", "config-directory"])
+def test_unreadable_input_file_is_a_validation_error(tmp_path, capsys, case):
+    """A named input file that cannot be opened exits 1 with the path and
+    the reason, not with a traceback."""
+    missing = tmp_path / "missing"
+    traj, _, _ = _make_trajectory_file(tmp_path)
+    if case == "trajectory":
+        cfg, path = _write_config(tmp_path, trajectory=str(missing)), missing
+    elif case == "rdm1":
+        cfg, path = _write_config(tmp_path, trajectory=traj, rdm1=str(missing)), missing
+    elif case == "config":
+        cfg = path = missing
+    else:
+        cfg = path = tmp_path
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["coeffs", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot open {path}: "), err
+    assert "Traceback" not in err
+    assert not (out / "coeffs.bin").exists()
+
+
+def test_every_range_rule_names_a_default_leaf_that_passes_it():
+    """A stale or mistyped key in the range table would never be checked,
+    and a rule the defaults fail would reject every run."""
+    from curverope.cli import _RANGES, DEFAULT_CONFIG
+
+    for name, (holds, _) in _RANGES.items():
+        node = DEFAULT_CONFIG
+        for part in name.split("."):
+            assert isinstance(node, dict) and part in node, name
+            node = node[part]
+        assert not isinstance(node, dict), name
+        assert holds(node), name
+
 
 def test_default_config_hash_is_pinned():
     """Every output embeds config_hash(cfg), so renaming, adding or changing

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -230,4 +232,36 @@ def test_head_checkpoint_malformed_header(tmp_path, header):
     path = tmp_path / "head.ckpt"
     path.write_bytes(struct.pack("<I", len(head)) + head + b"\x00" * 4 * 200)
     with pytest.raises(FormatError, match="byte offset 4"):
+        load_head_params(path)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_head_checkpoint_save_rejects_values_not_finite_in_float32(tmp_path, value):
+    """A value beyond the float32 range would be stored as inf (with a NumPy
+    overflow warning); it is rejected, without a warning, before any byte is written."""
+    params = head_init(16, seed=10)
+    params.b2 = np.array([0.5, value])
+    path = tmp_path / "head.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="b2"):
+            save_head_params(path, params)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_head_checkpoint_load_rejects_non_finite_values(tmp_path, value):
+    """A non-finite payload value is a parse error at the offset of its field."""
+    path = tmp_path / "head.ckpt"
+    save_head_params(path, head_init(16, seed=11))
+    raw = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<I", raw, 0)
+    offset = 4 + hlen
+    for name, shape in json.loads(raw[4 : 4 + hlen].decode())["fields"]:
+        if name == "w1":
+            break
+        offset += 4 * math.prod(shape)
+    struct.pack_into("<f", raw, offset + 4, value)  # the second value of w1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=rf"field w1 \(byte offset {offset}\)"):
         load_head_params(path)

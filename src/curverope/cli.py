@@ -31,6 +31,7 @@ from .formats import (
     FormatError,
     camera_from_dict,
     load_trajectory,
+    parse_json,
     read_rdm1,
     read_sidecar,
     save_head_params,
@@ -152,8 +153,8 @@ def _merge_checked(cfg: dict, user, prefix: str = "") -> None:
 
     Keys cfg lacks are rejected, and so are values whose type differs from
     the default's: nested objects are walked, a float default also admits
-    an int, and a None default admits None or the type listed in
-    _OPTIONAL_TYPES.
+    an int (one float() can hold; the int itself is stored), and a None
+    default admits None or the type listed in _OPTIONAL_TYPES.
     """
     if not isinstance(user, dict):
         where = f"key {prefix[:-1]!r}" if prefix else "document"
@@ -172,6 +173,12 @@ def _merge_checked(cfg: dict, user, prefix: str = "") -> None:
             kind = (int, float) if isinstance(default, float) else type(default)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"config key {name!r} has type {type(value).__name__}")
+        # JSON integers have no size limit; a key that admits a float must hold one.
+        if isinstance(value, int) and isinstance(0.0, kind):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"config key {name!r} is an integer too large for a float") from None
         if isinstance(default, list) and any(type(v) is not type(default[0]) for v in value):
             raise ValueError(f"config key {name!r} must list {type(default[0]).__name__} values")
         cfg[key] = value
@@ -180,14 +187,7 @@ def _merge_checked(cfg: dict, user, prefix: str = "") -> None:
 def _load_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
-        data = Path(args.config).read_bytes()
-        try:
-            user = json.loads(data.decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise FormatError(f"config is not UTF-8: {e.reason}", e.start) from e
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid config JSON: {e.msg}", e.pos) from e
-        _merge_checked(cfg, user)
+        _merge_checked(cfg, parse_json(Path(args.config).read_bytes(), "config"))
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.k is not None:
@@ -244,6 +244,8 @@ def _resolve_trajectory(cfg: dict):
         return _trajectory(spec)
     except (KeyError, TypeError) as e:
         raise ValueError(f"trajectory_spec needs camera, frames, motion and amplitude: {e!r}") from e
+    except OverflowError as e:  # int(inf) frames, float() of an integer past the float range
+        raise ValueError(f"trajectory_spec field out of range: {e}") from e
 
 
 def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):

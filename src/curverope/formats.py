@@ -50,6 +50,22 @@ class FormatError(ValueError):
         self.offset = offset
 
 
+def parse_json(data: bytes, what: str, offset: int = 0):
+    """Parse data, UTF-8 JSON text found at byte offset of its file.
+
+    Bytes that are not UTF-8 JSON, or that nest past the parser's depth,
+    raise FormatError naming what, at the file offset of the fault.
+    """
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not UTF-8: {e.reason}", offset + e.start) from e
+    except json.JSONDecodeError as e:
+        raise FormatError(f"invalid {what} JSON: {e.msg}", offset + e.pos) from e
+    except RecursionError as e:  # arrays or objects nested past the parser's depth
+        raise FormatError(f"{what} JSON nests too deeply", offset) from e
+
+
 def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None) -> None:
     """Write a radial map in meters; invalid pixels are stored as NaN."""
     path = Path(path)
@@ -94,12 +110,7 @@ def read_sidecar(path) -> dict | None:
     sidecar = Path(path).with_suffix(Path(path).suffix + ".json")
     if not sidecar.exists():
         return None
-    try:
-        doc = json.loads(sidecar.read_bytes())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid RDM1 sidecar JSON: {e.msg}", e.pos) from e
-    except UnicodeDecodeError as e:
-        raise FormatError("RDM1 sidecar is not UTF-8 text", e.start) from e
+    doc = parse_json(sidecar.read_bytes(), "RDM1 sidecar")
     if not isinstance(doc, dict):
         raise FormatError("RDM1 sidecar must be a JSON object", 0)
     near = doc.get("near_stat")
@@ -112,12 +123,17 @@ def camera_from_dict(c: dict) -> UcmCamera:
     """Camera from its {fx, fy, cx, cy, xi, width, height} mapping.
 
     A missing field raises KeyError and a non-numeric one TypeError or
-    ValueError; callers say which document was malformed.
+    ValueError, as does a number float() or int() cannot hold (an integer
+    past the float range, an infinite size); callers say which document was
+    malformed.
     """
-    return UcmCamera(
-        fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
-        xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
-    )
+    try:
+        return UcmCamera(
+            fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
+            xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
+        )
+    except OverflowError as e:
+        raise ValueError(f"camera field out of range: {e}") from e
 
 
 def save_trajectory(path, cam: UcmCamera, poses) -> None:
@@ -151,13 +167,7 @@ def load_trajectory(path):
     Accepted rotations are re-orthonormalized so the stricter transform
     invariant holds downstream.
     """
-    data = Path(path).read_bytes()
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as e:
-        raise FormatError(f"trajectory is not UTF-8: {e.reason}", e.start) from e
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid trajectory JSON: {e.msg}", e.pos) from e
+    doc = parse_json(Path(path).read_bytes(), "trajectory")
     try:
         cam = camera_from_dict(doc["camera"])
         matrices = list(doc["poses"])
@@ -167,7 +177,7 @@ def load_trajectory(path):
     for i, m in enumerate(matrices):
         try:
             m = np.asarray(m, dtype=float)
-        except (TypeError, ValueError):  # ragged rows, strings, objects
+        except (TypeError, ValueError, OverflowError):  # ragged rows, strings, objects, huge ints
             m = None
         if m is None or m.shape != (4, 4) or not np.all(np.isfinite(m)):
             raise ValueError(f"pose {i} is not a finite 4x4 matrix")
@@ -194,7 +204,7 @@ def save_head_params(path, params: HeadParams) -> None:
     arrays = []
     for name, a in params.field_arrays():
         with np.errstate(over="ignore"):  # out-of-range values become inf, rejected below
-            f32 = np.ascontiguousarray(a, dtype="<f4")
+            f32 = np.asarray(a, dtype="<f4")  # tobytes() writes C order; a 0-d array stays 0-d
         if not np.all(np.isfinite(f32)):
             raise ValueError(f"head parameter {name} holds a value that is not finite in float32")
         arrays.append((name, f32))
@@ -227,10 +237,7 @@ def load_head_params(path) -> HeadParams:
     (header_len,) = struct.unpack_from("<I", data, 0)
     if len(data) < 4 + header_len:
         raise FormatError("truncated checkpoint header", len(data))
-    try:
-        header = json.loads(data[4 : 4 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError("invalid checkpoint header JSON", 4) from e
+    header = parse_json(data[4 : 4 + header_len], "checkpoint header", 4)
     entries = header.get("fields") if isinstance(header, dict) else None
     if not isinstance(entries, list) or not all(_is_field_entry(e) for e in entries):
         raise FormatError("checkpoint header needs a 'fields' list of [name, shape] entries", 4)

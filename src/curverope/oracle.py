@@ -5,7 +5,11 @@ Samples log radial distance uniformly, pushes every sample through exact
 averages the phasor directly. This is the definitional estimate that the
 analytic piecewise-segment integration is checked against; the projection
 math is written out here rather than shared, so the two routes stay
-independent. The analytic side is the production kernel itself:
+independent. The estimator's geometry and phases are float64; its sines
+are float32 SIMD sines of phase offsets from the interval centre, reduced
+to [-pi, pi] first, which keeps every value within a few 1e-7 of the
+float64 one (tests/util.py holds the float64 cos/sin estimator as the
+reference). The analytic side is the production kernel itself:
 token_paths then coefficients_from_paths, as the coeffs subcommand runs it.
 """
 
@@ -28,8 +32,8 @@ __all__ = [
     "run_oracle_check",
 ]
 
-# Monte-Carlo samples drawn and reduced at a time (256 kB per float64 array).
-_MC_CHUNK = 2**15
+# Monte-Carlo samples drawn and reduced at a time (64 kB per float64 array).
+_MC_CHUNK = 2**13
 # Breakpoints of the fine path random_setup screens and of the reference
 # analytic value every other K is compared against.
 _REFERENCE_K = 129
@@ -101,9 +105,16 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
 def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo phasor mean per coordinate, shape (3, 2).
 
-    Samples are drawn and reduced in chunks of ``_MC_CHUNK`` so the working
-    set stays in cache; successive draws continue one generator stream, so
-    the samples are those of a single draw of ``samples`` values.
+    Samples are drawn and reduced in chunks of ``_MC_CHUNK`` into buffers
+    allocated once, so the working set stays in cache; successive draws
+    continue one generator stream, so the samples are those of a single
+    draw of ``samples`` values. The geometry is float64. Each coordinate's
+    phases are centred on theta_c, the phase at the interval centre
+    exp(mu): the offset d = theta - theta_c is reduced to [-pi, pi] in
+    float64 and only then cast to float32 for the (SIMD) sines, and the
+    sums of sin d and 2 sin^2(d / 2) = 1 - cos d, taken in float64, are
+    rotated by theta_c once per call. A degenerate interval gives d = 0
+    exactly, so its estimate is the float64 phasor at the centre.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -114,19 +125,74 @@ def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generato
     tx, ty, tz = setup.transform.translation
     cam = setup.cam_q
     sx, sy = cam.fx / cam.width, cam.fy / cam.height
-    sums = np.zeros((2, 3))
+    size = min(_MC_CHUNK, samples)
+    work = np.empty((3, size))
+    theta = np.empty((3, size))
+    sin32 = np.empty((3, size), dtype=np.float32)
+    half32 = np.empty((3, size), dtype=np.float32)
+
+    def phases(r: np.ndarray) -> np.ndarray:
+        """omega * (u_bounded, v_bounded, range) at radii r, shape (3, len(r))."""
+        n = len(r)
+        x, y, z = work[:, :n]
+        th = theta[:, :n]
+        ub, vb, norm = th
+        np.multiply(r, dx, out=x)
+        x += tx
+        np.multiply(r, dy, out=y)
+        y += ty
+        np.multiply(r, dz, out=z)
+        z += tz
+        np.multiply(x, x, out=norm)
+        np.multiply(y, y, out=ub)
+        norm += ub
+        np.multiply(z, z, out=ub)
+        norm += ub
+        np.sqrt(norm, out=norm)
+        beta = z  # z, then x and y below, are dead once read: reuse them
+        np.multiply(norm, cam.xi, out=vb)
+        beta += vb
+        np.multiply(x, sx, out=ub)
+        ub /= beta
+        np.multiply(y, sy, out=vb)
+        vb /= beta
+        denom = x
+        np.multiply(ub, ub, out=denom)
+        np.multiply(vb, vb, out=y)
+        denom += y
+        denom += 1.0
+        np.sqrt(denom, out=denom)
+        ub /= denom
+        vb /= denom
+        th *= setup.omega
+        return th
+
+    # The samples' own arithmetic, so a sigma = 0 interval has offsets of exactly 0.
+    centre = phases(np.exp(np.array([iv.mu])))[:, 0].copy()
+    sin_sum = np.zeros(3)
+    half_sq_sum = np.zeros(3)
     for start in range(0, samples, _MC_CHUNK):
-        r = np.exp(rng.uniform(iv.mu - a, iv.mu + a, size=min(_MC_CHUNK, samples - start)))
-        x, y, z = r * dx + tx, r * dy + ty, r * dz + tz
-        rng_norm = np.sqrt(x * x + y * y + z * z)
-        beta = z + cam.xi * rng_norm
-        ub = sx * x / beta
-        vb = sy * y / beta
-        denom = np.sqrt(ub * ub + vb * vb + 1.0)
-        theta = setup.omega * np.stack([ub / denom, vb / denom, rng_norm])
-        sums[0] += np.cos(theta).sum(axis=1)
-        sums[1] += np.sin(theta).sum(axis=1)
-    return (sums / samples).T
+        n = min(_MC_CHUNK, samples - start)
+        r = rng.uniform(iv.mu - a, iv.mu + a, size=n)
+        np.exp(r, out=r)
+        delta = phases(r)
+        delta -= centre[:, None]
+        turns = np.multiply(delta, 1.0 / (2.0 * np.pi), out=work[:, :n])
+        np.rint(turns, out=turns)
+        turns *= 2.0 * np.pi
+        delta -= turns
+        sin_d, half = sin32[:, :n], half32[:, :n]
+        np.copyto(sin_d, delta, casting="same_kind")
+        np.multiply(sin_d, 0.5, out=half)
+        np.sin(sin_d, out=sin_d)
+        np.sin(half, out=half)
+        half *= half
+        sin_sum += sin_d.sum(axis=1, dtype=np.float64)
+        half_sq_sum += half.sum(axis=1, dtype=np.float64)
+    cos_part = samples - 2.0 * half_sq_sum
+    c, s = np.cos(centre), np.sin(centre)
+    sums = np.stack([c * cos_part - s * sin_sum, s * cos_part + c * sin_sum], axis=1)
+    return sums / samples
 
 
 def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:

@@ -20,8 +20,8 @@ np.cos and np.sin call libm at 16-35 ns per value, so two tangents per
 segment replace the three libm calls of the sinc form. On a CPU where
 NumPy has no SIMD tan it falls back to libm tan: two libm calls per
 segment instead of three, so such a host gets no slower. The Monte-Carlo
-oracle (oracle.mc_expected_phasor) keeps libm cos and sin on purpose: it
-is the independent check of this route.
+oracle (oracle.mc_expected_phasor) takes sines of sampled phases, never
+tangent half-angles, on purpose: it is the independent check of this route.
 """
 
 from __future__ import annotations

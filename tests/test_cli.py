@@ -352,6 +352,10 @@ def test_exit_code_parse_error_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["mix-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "byte offset 0" in capsys.readouterr().err
+    # arrays nested past the JSON parser's depth
+    bad.write_bytes(b"[" * 5000)
+    assert main(["mix-sim", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["coeffs", "trace-path"])
@@ -545,6 +549,22 @@ _MALFORMED = [
         for field, v in (("cx", NAN), ("cy", INF))
         for where, make in (("file", _camera_in_file), ("spec", _camera_in_spec)) for c in _TOKEN_COMMANDS
     ),
+    # Numbers float() or int() cannot hold: an integer past the float range, an infinite size.
+    *(
+        pytest.param(c, make(field, v), "camera field out of range", id=f"{c}-{field}={name}-{where}")
+        for field, v, name in (("fx", 10**400, "10**400"), ("width", INF, "inf"))
+        for where, make in (("file", _camera_in_file), ("spec", _camera_in_spec)) for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param(
+            c, _doc(trajectory_spec={"camera": {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4,
+                                                "width": 64, "height": 64},
+                                     "frames": 2, "motion": "dolly", "amplitude": 0.3, **field}),
+            "trajectory_spec field out of range", id=f"{c}-{name}",
+        )
+        for field, name in (({"frames": INF}, "frames=inf"), ({"amplitude": 10**400}, "amplitude=10**400"))
+        for c in _TOKEN_COMMANDS
+    ),
     *(
         pytest.param(c, _camera_in_spec("fx", 1e-200), "non-finite token rays", id=f"{c}-fx=1e-200")
         for c in _TOKEN_COMMANDS
@@ -597,6 +617,15 @@ _MALFORMED = [
             ("mix-sim", {"gradcheck": {"step": 0.0}}, "gradcheck.step"),
             ("mix-sim", {"coeffs": {"sigma_override": 400.0}}, "coeffs.sigma_override"),
             ("trace-path", {"pairs_per_group": 0}, "pairs_per_group"),
+        )
+    ),
+    # JSON integers have no size limit; a float key must hold its value as a float.
+    *(
+        pytest.param(c, _doc(**doc), f"config key {named!r}", id=f"{c}-{named}=10**400")
+        for c, doc, named in (
+            ("gradcheck", {"gradcheck": {"step": 10**400}}, "gradcheck.step"),
+            ("train-head", {"train": {"lr": 10**400}}, "train.lr"),
+            ("mix-sim", {"coeffs": {"sigma_override": -(10**400)}}, "coeffs.sigma_override"),
         )
     ),
 ]

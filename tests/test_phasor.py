@@ -23,6 +23,7 @@ from util import (
     oracle_bounded_coordinate,
     oracle_valid,
     random_camera,
+    reference_mc_expected_phasor,
     small_transform,
     take_along_axis_coefficients,
 )
@@ -277,30 +278,42 @@ def test_expected_phasor_matches_monte_carlo():
         assert np.max(np.abs(ref - mc)) < 5e-3
 
 
-def test_mc_expected_phasor_chunks_match_one_draw():
-    """Chunked sampling equals one unchunked draw, and leaves the generator
-    where a single draw of the same size would."""
-    from curverope.oracle import _MC_CHUNK, mc_expected_phasor, random_setup
+def test_mc_expected_phasor_chunks_match_one_draw(monkeypatch):
+    """Chunked sampling leaves the generator where a single draw of the same
+    size would, the estimate does not depend on the chunk size beyond
+    summation rounding, and it matches the float64 reference estimator on
+    the same draws."""
+    from curverope import oracle
 
-    setup = random_setup(np.random.default_rng([11, 0]))
-    for samples in (1, _MC_CHUNK - 1, _MC_CHUNK + 1):
+    setup = oracle.random_setup(np.random.default_rng([11, 0]))
+    chunk = oracle._MC_CHUNK
+    estimates = {}
+    for samples in (1, chunk - 1, chunk + 1):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        got = mc_expected_phasor(setup, samples, rng)
-        a = abs(setup.interval.sigma)
-        z = ref_rng.uniform(setup.interval.mu - a, setup.interval.mu + a, size=samples)
-        pts = np.exp(z)[:, None] * setup.ray.direction @ setup.transform.rotation.T
-        pts = pts + setup.transform.translation
-        norm = np.linalg.norm(pts, axis=1)
-        cam = setup.cam_q
-        beta = pts[:, 2] + cam.xi * norm
-        ub = (cam.fx / cam.width) * pts[:, 0] / beta
-        vb = (cam.fy / cam.height) * pts[:, 1] / beta
-        den = np.sqrt(ub * ub + vb * vb + 1.0)
-        theta = setup.omega * np.stack([ub / den, vb / den, norm], axis=0)
-        want = np.stack([np.cos(theta).mean(axis=1), np.sin(theta).mean(axis=1)], axis=1)
+        got = oracle.mc_expected_phasor(setup, samples, rng)
+        want = reference_mc_expected_phasor(setup, samples, ref_rng)
         assert got.shape == (3, 2)
-        assert np.max(np.abs(got - want)) <= 1e-15, samples
+        assert np.max(np.abs(got - want)) <= 1e-6, samples
         assert rng.uniform() == ref_rng.uniform(), samples
+        estimates[samples] = got
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 2**10)
+    for samples, got in estimates.items():
+        small = oracle.mc_expected_phasor(setup, samples, np.random.default_rng(5))
+        assert np.max(np.abs(small - got)) <= 1e-15, samples
+
+
+def test_mc_expected_phasor_matches_the_float64_reference():
+    """The centred float32-sine estimator against the float64 libm estimator
+    on the same draws, over 24 seeded setups. A float32 sine of a phase in
+    [-pi, pi] is off by a few 1e-7 at most, so 1e-6 bounds every sample and
+    hence every mean."""
+    from curverope.oracle import mc_expected_phasor, random_setup
+
+    for i in range(24):
+        setup = random_setup(np.random.default_rng([13, i]))
+        got = mc_expected_phasor(setup, 10**5, np.random.default_rng([14, i]))
+        want = reference_mc_expected_phasor(setup, 10**5, np.random.default_rng([14, i]))
+        assert np.max(np.abs(got - want)) <= 1e-6, i
 
 
 def test_expected_phasor_matches_quadrature():

@@ -100,6 +100,40 @@ def take_along_axis_coefficients(path, plan):
     return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg < 1))
 
 
+# Samples per chunk of reference_mc_expected_phasor (256 kB per float64 array).
+_REFERENCE_MC_CHUNK = 2**15
+
+
+def reference_mc_expected_phasor(setup, samples, rng):
+    """Monte-Carlo phasor mean per coordinate, shape (3, 2), in float64 with
+    libm cos and sin of the raw phases: the reference for the library's
+    centred float32-sine estimator (oracle.mc_expected_phasor), which draws
+    the same samples from the same generator stream.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    iv = setup.interval
+    a = abs(iv.sigma)
+    # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
+    dx, dy, dz = setup.transform.rotation @ setup.ray.direction
+    tx, ty, tz = setup.transform.translation
+    cam = setup.cam_q
+    sx, sy = cam.fx / cam.width, cam.fy / cam.height
+    sums = np.zeros((2, 3))
+    for start in range(0, samples, _REFERENCE_MC_CHUNK):
+        r = np.exp(rng.uniform(iv.mu - a, iv.mu + a, size=min(_REFERENCE_MC_CHUNK, samples - start)))
+        x, y, z = r * dx + tx, r * dy + ty, r * dz + tz
+        rng_norm = np.sqrt(x * x + y * y + z * z)
+        beta = z + cam.xi * rng_norm
+        ub = sx * x / beta
+        vb = sy * y / beta
+        denom = np.sqrt(ub * ub + vb * vb + 1.0)
+        theta = setup.omega * np.stack([ub / denom, vb / denom, rng_norm])
+        sums[0] += np.cos(theta).sum(axis=1)
+        sums[1] += np.sin(theta).sum(axis=1)
+    return (sums / samples).T
+
+
 def small_transform(rng, max_angle=0.1, max_shift=0.05):
     return RigidTransform(
         random_rotation(rng, max_angle), rng.uniform(-max_shift, max_shift, size=3)

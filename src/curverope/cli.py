@@ -430,7 +430,9 @@ def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
 
     # Every scalar field of a result, in declaration order; repr of an int
     # is its str, as csv.writer writes it.
-    columns = [f.name for f in dataclasses.fields(LayerProbeResult) if f.name not in ("params", "curve")]
+    columns = [
+        f.name for f in dataclasses.fields(LayerProbeResult) if f.name not in ("params", "curve", "stalls")
+    ]
     _write_csv(
         out / "probe_errors.csv", chash, columns,
         [[repr(getattr(r, c)) for c in columns] for r in results],
@@ -449,6 +451,7 @@ def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
             "best_layer": best.layer,
             "best_probe_error": best.final_probe_error,
             "min_loss_reduction": min(r.loss_reduction for r in results),
+            "final_step_stalls": [{"layer": r.layer, **r.stalls} for r in results],
         },
     )
     return True

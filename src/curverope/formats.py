@@ -67,8 +67,13 @@ def parse_json(data: bytes, what: str, offset: int = 0):
 
 
 def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None) -> None:
-    """Write a radial map in meters; invalid pixels are stored as NaN."""
+    """Write a radial map in meters; invalid pixels are stored as NaN.
+
+    The ``<path>.json`` sidecar holds ``near_stat``; without one, a sidecar
+    left by an earlier map at this path is removed.
+    """
     path = Path(path)
+    sidecar_path = path.with_suffix(path.suffix + ".json")
     f, h, w = radial_map.values.shape
     payload = np.where(radial_map.source_valid, radial_map.values, np.nan)
     payload = np.ascontiguousarray(payload, dtype="<f4")
@@ -76,15 +81,15 @@ def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None) -> N
         fh.write(RDM1_MAGIC)
         fh.write(struct.pack(_HEADER_FMT, w, h, f))
         fh.write(payload.tobytes())
-    if near_stat is not None:
-        sidecar = {
-            "near_stat": near_stat,
-            "units": "meters",
-            "source_valid_policy": "nonfinite",
-        }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, sort_keys=True) + "\n"
-        )
+    if near_stat is None:
+        sidecar_path.unlink(missing_ok=True)
+        return
+    sidecar = {
+        "near_stat": near_stat,
+        "units": "meters",
+        "source_valid_policy": "nonfinite",
+    }
+    sidecar_path.write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def read_rdm1(path) -> RadialMap:

@@ -70,7 +70,8 @@ def head_init(d_model: int, seed: int) -> HeadParams:
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     # exp(-|u|) never overflows; each branch is the stable form for its sign.
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
 
 
 def head_layer_norm(x: np.ndarray):
@@ -143,28 +144,36 @@ def _upstream(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
         c["sigma_active"], 0.0, -np.sign(c["sigma_raw"]) * np.sign(c["mu"])
     )
     g_mu = gm + gs * cap_to_mu
-    g_mu_raw = np.where(c["mu_active"], g_mu, 0.0)
-    g_raw = np.stack([g_mu_raw, g_sigma_raw], axis=-1)
+    g_raw = np.empty(g_mu.shape + (2,))
+    g_raw[..., 0] = np.where(c["mu_active"], g_mu, 0.0)
+    g_raw[..., 1] = g_sigma_raw
     dsilu = c["sig"] * (1.0 + c["u"] * (1.0 - c["sig"]))
-    return g_raw, (g_raw @ params.w2.T) * dsilu
+    return g_raw, (g_raw @ params.w2.mT) * dsilu
 
 
-def head_backward(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray) -> HeadParams:
-    """Exact parameter gradients, summed over the tokens of a (N, d_model) cache.
+def head_backward(
+    params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray, out: HeadParams | None = None
+) -> HeadParams:
+    """Exact parameter gradients, summed over the token axis -2 of a cache.
 
     ``c`` comes from ``head_forward`` (or ``head_forward_normalized``) with
     these ``params``, and ``gm``/``gs`` hold one upstream gradient per token,
-    so a training step runs the forward pass once.
+    so a training step runs the forward pass once. A (N, d_model) cache gives
+    gradients of the field shapes; a stack of L heads, (L, N, d_model) with
+    parameters (L, ...), gives (L, *field shape). Given ``out``, a
+    ``HeadParams`` of arrays of those shapes, the gradients are written into
+    its arrays, which the returned fields then are.
     """
     g_raw, g_u = _upstream(params, c, gm, gs)
-    g_y = g_u @ params.w1.T
+    g_y = g_u @ params.w1.mT
+    o = vars(out) if out is not None else {}
     return HeadParams(
-        norm_scale=(g_y * c["xhat"]).sum(axis=0),
-        norm_bias=g_y.sum(axis=0),
-        w1=c["y"].T @ g_u,
-        b1=g_u.sum(axis=0),
-        w2=c["h"].T @ g_raw,
-        b2=g_raw.sum(axis=0),
+        norm_scale=np.sum(g_y * c["xhat"], axis=-2, out=o.get("norm_scale")),
+        norm_bias=np.sum(g_y, axis=-2, out=o.get("norm_bias")),
+        w1=np.matmul(c["y"].mT, g_u, out=o.get("w1")),
+        b1=np.sum(g_u, axis=-2, out=o.get("b1")),
+        w2=np.matmul(c["h"].mT, g_raw, out=o.get("w2")),
+        b2=np.sum(g_raw, axis=-2, out=o.get("b2")),
     )
 
 
@@ -173,7 +182,7 @@ def head_feature_gradient(
 ) -> np.ndarray:
     """Per-token input-feature gradient (N, d_model) from a ``head_forward`` cache."""
     _, g_u = _upstream(params, c, gm, gs)
-    g_xhat = (g_u @ params.w1.T) * params.norm_scale
+    g_xhat = (g_u @ params.w1.mT) * params.norm_scale
     m1 = g_xhat.mean(axis=-1, keepdims=True)
     m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
     return (g_xhat - m1 - c["xhat"] * m2) / c["std"]

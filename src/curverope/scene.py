@@ -149,13 +149,15 @@ def _intersect(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray):
             # bit-identical; a BLAS matmul rounds differently.
             proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
             disc = proj * proj - cc
-            ok = disc >= 0
-            root = np.sqrt(np.where(ok, disc, 0.0))
-            t_near = proj - root
-            t_far = proj + root
-            t = np.where(t_near > _HIT_EPS, t_near, t_far)
-            t = np.where(ok & (t > _HIT_EPS), t, np.inf)
-            best[rows] = np.minimum(best[rows], t.min(axis=1))
+            # Few ray-sphere pairs meet, so the roots are taken at the hits
+            # only; a minimum is exact in any order.
+            ray, sphere = np.nonzero(disc >= 0)
+            p = proj[ray, sphere]
+            root = np.sqrt(disc[ray, sphere])
+            t_near = p - root
+            t = np.where(t_near > _HIT_EPS, t_near, p + root)
+            ahead = t > _HIT_EPS
+            np.minimum.at(best, start + ray[ahead], t[ahead])
     return best
 
 

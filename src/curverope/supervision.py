@@ -9,7 +9,7 @@ statistic and mean-pooled onto the token grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,15 @@ class RadialMap:
 
 @dataclass(frozen=True)
 class TokenTargets:
-    """Normalized radial targets pooled to the token grid."""
+    """Normalized radial targets pooled to the token grid.
+
+    ``num_valid`` counts the masked-in targets.
+    """
 
     targets: np.ndarray
     mask: np.ndarray
     near_stat: float
+    num_valid: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.targets, dtype=float)
@@ -85,11 +89,14 @@ class TokenTargets:
             raise ValueError("masked-in targets must be finite and positive")
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "num_valid", int(np.count_nonzero(m)))
 
 
 @dataclass
 class RadialLossResult:
-    loss: float
+    """``loss`` is a float, or one loss per slot of a leading stack axis."""
+
+    loss: float | np.ndarray
     grad_mu: np.ndarray
     grad_sigma: np.ndarray
     num_valid: int
@@ -161,18 +168,24 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> Rad
     """Mean over valid tokens of |exp(mu) - target| / s + alpha * log s
     (alpha = 1), with exact gradients for mu and sigma per token.
 
-    The absolute value takes subgradient 0 at ties; the floor and ceiling
-    of s are flat regions. An empty valid set yields loss 0, zero
-    gradients and the empty flag.
+    ``mu`` and ``sigma`` have the target grid's shape, or that shape behind
+    one leading stack axis, which gives one loss per slot. The absolute
+    value takes subgradient 0 at ties; the floor and ceiling of s are flat
+    regions. An empty valid set yields loss 0, zero gradients and the empty
+    flag.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    if mu.shape != targets.targets.shape or sigma.shape != mu.shape:
+    lead = mu.shape[: mu.ndim - targets.targets.ndim]
+    if len(lead) > 1 or mu.shape[len(lead):] != targets.targets.shape or sigma.shape != mu.shape:
         raise ValueError("interval grids must match the target grid")
     mask = targets.mask
-    n = int(mask.sum())
+    n = targets.num_valid
     if n == 0:
-        return RadialLossResult(0.0, np.zeros_like(mu), np.zeros_like(mu), 0, True)
+        loss = np.zeros(lead) if lead else 0.0
+        return RadialLossResult(loss, np.zeros_like(mu), np.zeros_like(mu), 0, True)
+    # With every target valid, the masked passes select every token in order.
+    every = n == mask.size
 
     r = np.exp(mu)
     diff = r - targets.targets
@@ -182,15 +195,23 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> Rad
     active = ~(floored | ceiled)
 
     per_token = adiff / s + _LOSS_ALPHA * np.log(s)
-    loss = float(per_token[mask].sum() / n)
+    # Each slot's valid terms stay contiguous, so each sums as one row.
+    valid = per_token.reshape(lead + (-1,))
+    if not every:
+        valid = np.compress(mask.reshape(-1), valid, axis=-1)
+    loss = valid.sum(axis=-1) / n
+    if not lead:
+        loss = float(loss)
 
     # Active region: s = exp(mu) sinh|sigma| / sqrt(3), so ds/dmu = s and
     # ds/dsigma = exp(mu) cosh|sigma| / sqrt(3) * sign(sigma).
     dl_ds = _LOSS_ALPHA / s - adiff / (s * s)
     g_mu = sgn * r / s + np.where(active, dl_ds * s, 0.0)
-    ds_dsigma = np.exp(mu) * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
+    ds_dsigma = r * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
     g_sigma = np.where(active, dl_ds * ds_dsigma, 0.0)
 
+    if every:
+        return RadialLossResult(loss, g_mu / n, g_sigma / n, n, False)
     g_mu = np.where(mask, g_mu / n, 0.0)
     g_sigma = np.where(mask, g_sigma / n, 0.0)
     return RadialLossResult(loss, g_mu, g_sigma, n, False)

@@ -10,6 +10,17 @@ once s is calibrated. Targets are recentered by their median log value,
 making the freshly initialized head the best constant predictor; probe
 error is the held-out mean absolute error of exp(mu), a pure data-fit
 measure.
+
+The slots of one probe share the seed, so they share the holdout split,
+the target centre and the initial head; only their features differ. They
+are trained in lockstep as one stack: each step runs one forward pass,
+one loss and one backward over all L slots. The parameters of the stack
+live in one (L, P) buffer whose rows are the slots' parameters in
+checkpoint field order, and the ``HeadParams`` fields are views into it;
+the backward writes into a second (L, P) buffer, so the clip norm and the
+update are a few whole-buffer passes. Every value takes the operations it
+would take in a loop over the slots, so each slot's parameters, losses
+and counters are bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -18,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
+from .head import HeadParams, head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from .scene import depth_signal_weight, make_layer_features
-from .supervision import TokenTargets, radial_loss
+from .supervision import TokenTargets, radial_loss, uncertainty_scale
 
 __all__ = [
     "DivergenceError",
@@ -36,19 +47,22 @@ _CLIP_NORM = 1.0
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss in layer slot ``layer``.
 
-    ``last_finite_loss`` is the loss of the step before, and
-    ``last_grad_norm`` the global gradient norm (before clipping) that step
-    applied; both are None when the first step diverged.
+    ``last_finite_loss`` is that slot's loss of the step before, and
+    ``last_grad_norm`` the slot's global gradient norm (before clipping)
+    that step applied; both are None when the first step diverged. Of the
+    slots trained together, the error names the lowest-index slot whose
+    loss was non-finite at the first such step.
     """
 
-    def __init__(self, step: int, loss: float, last_finite_loss, last_grad_norm):
+    def __init__(self, step: int, loss: float, last_finite_loss, last_grad_norm, layer: int = 0):
         super().__init__(
-            f"training loss became non-finite ({loss}) at step {step}; "
+            f"training loss of layer {layer} became non-finite ({loss}) at step {step}; "
             f"last finite loss {last_finite_loss}, last gradient norm {last_grad_norm}"
         )
         self.step = step
+        self.layer = layer
         self.last_finite_loss = last_finite_loss
         self.last_grad_norm = last_grad_norm
 
@@ -66,11 +80,27 @@ class LayerProbeResult:
     clipped_step_fraction: float
     params: object
     curve: list
+    stalls: dict
 
 
 def _flat_targets(targets: TokenTargets):
     n = targets.targets.size
     return targets.targets.reshape(n), targets.mask.reshape(n)
+
+
+def _views(flat: np.ndarray, shapes: list, bounds, token_axis: bool) -> HeadParams:
+    """``HeadParams`` of views into the rows of ``flat`` (L, P), in field order.
+
+    Field i is ``flat[:, bounds[i]:bounds[i + 1]]`` shaped (L, *shapes[i]);
+    with ``token_axis`` a 1-D field is (L, 1, n), so it broadcasts over the
+    tokens of a forward pass.
+    """
+    arrays = []
+    for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes):
+        if token_axis and len(shape) == 1:
+            shape = (1,) + shape
+        arrays.append(flat[:, lo:hi].reshape(flat.shape[0], *shape))
+    return HeadParams(*arrays)
 
 
 def train_head_on_tokens(
@@ -82,24 +112,32 @@ def train_head_on_tokens(
     holdout_fraction: float = 0.2,
     record_every: int = 0,
 ):
-    """Train one head on (N, d) features against positive normalized targets.
+    """Train one head per slot of (L, N, d) features against N positive
+    normalized targets, all slots in lockstep.
 
-    Returns (params, stats) with init/final training loss, init/final
-    held-out probe error, the largest global gradient norm before clipping,
-    the fraction of steps whose gradient was clipped and, when
-    record_every > 0, the training curve as (step, loss) pairs.
+    Returns one (params, stats) pair per slot; (N, d) features are the
+    L = 1 view and return that slot's pair alone. The stats hold the
+    init/final training loss, init/final held-out probe error, the largest
+    global gradient norm before clipping, the fraction of steps whose
+    gradient was clipped, the fractions of training tokens stalled at the
+    final step (``stalls``: at the s floor, the s ceiling, the sigma cap
+    and the mu clamp) and, when record_every > 0, the training curve as
+    (step, loss) pairs.
     """
     feats = np.asarray(features, dtype=float)
     vals = np.asarray(target_values, dtype=float)
-    if feats.ndim != 2 or vals.shape != feats.shape[:1]:
-        raise ValueError("need (N, d) features and N targets")
+    stacked = feats.ndim == 3
+    if feats.ndim not in (2, 3) or vals.shape != feats.shape[-2:-1]:
+        raise ValueError("need (N, d) or (L, N, d) features and N targets")
     if not np.all(np.isfinite(feats)):
         raise ValueError("features must be finite")
     if not np.all(vals > 0):
         raise ValueError("targets must be positive normalized radial distances")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    n = feats.shape[0]
+    if not stacked:
+        feats = feats[None]
+    slots, n, d_model = feats.shape
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_hold = max(1, int(round(holdout_fraction * n))) if n > 1 else 0
@@ -112,66 +150,98 @@ def train_head_on_tokens(
     vals = vals / center
 
     t = vals[train_idx]
-    train_targets = TokenTargets(
-        targets=t.reshape(1, 1, -1), mask=np.ones((1, 1, t.size), dtype=bool), near_stat=1.0
-    )
-    train_feats = feats[train_idx]
+    train_targets = TokenTargets(targets=t, mask=np.ones(t.size, dtype=bool), near_stat=1.0)
 
     def probe_error(params):
         if not n_hold:
-            return float("nan")
-        mu = head_forward(params, feats[hold_idx])["mu"]
-        return float(np.mean(np.abs(np.exp(mu) - vals[hold_idx])))
+            return np.full(slots, np.nan)
+        mu = head_forward(params, feats[:, hold_idx])["mu"]
+        return np.mean(np.abs(np.exp(mu) - vals[hold_idx]), axis=-1)
 
-    params = head_init(feats.shape[1], seed)
+    # Every slot starts from the same head; the rows of `flat` are the
+    # slots' parameters and the rows of `grad_flat` their gradients.
+    init = [a for _, a in head_init(d_model, seed).field_arrays()]
+    shapes = [a.shape for a in init]
+    bounds = np.cumsum([0] + [a.size for a in init])
+    flat = np.tile(np.concatenate([a.reshape(-1) for a in init]), (slots, 1))
+    grad_flat = np.empty_like(flat)
+    params = _views(flat, shapes, bounds, token_axis=True)
+    grads = _views(grad_flat, shapes, bounds, token_axis=False)
+
     warmup = int(round(_WARMUP_FRACTION * steps))
     init_probe = probe_error(params)
     init_loss = None
     loss = None
     total = None
-    max_total = 0.0
-    clipped = 0
-    curve = []
+    max_total = np.zeros(slots)
+    clipped = np.zeros(slots, dtype=int)
+    curves = [[] for _ in range(slots)]
     # The features were checked once above and are normalised once here;
     # each step runs one forward pass and reuses its cache for the backward.
-    _, train_xhat = head_layer_norm(train_feats)
+    _, train_xhat = head_layer_norm(feats[:, train_idx])
     for step in range(steps):
         cache = head_forward_normalized(params, train_xhat)
-        res = radial_loss(
-            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1), train_targets
-        )
-        if not np.isfinite(res.loss):
-            raise DivergenceError(step, res.loss, loss, total)
+        res = radial_loss(cache["mu"], cache["sigma"], train_targets)
+        finite = np.isfinite(res.loss)
+        if not finite.all():
+            layer = int(np.argmin(finite))
+            raise DivergenceError(
+                step, float(res.loss[layer]),
+                None if loss is None else float(loss[layer]),
+                None if total is None else float(total[layer]),
+                layer=layer,
+            )
         loss = res.loss
         if init_loss is None:
             init_loss = loss
         if record_every and (step % record_every == 0 or step == steps - 1):
-            curve.append((step, float(loss)))
-        grad_mu = res.grad_mu.reshape(-1)
+            for curve, value in zip(curves, loss.tolist()):
+                curve.append((step, value))
+        grad_mu = res.grad_mu
         if step < warmup:
             grad_mu = np.zeros_like(grad_mu)
-        g = head_backward(params, cache, grad_mu, res.grad_sigma.reshape(-1))
-        total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
-        max_total = max(max_total, total)
-        if total <= _CLIP_NORM:
-            scale = lr
-        else:
-            scale = lr * _CLIP_NORM / total
-            clipped += 1
-        for name, grad in g.field_arrays():
-            getattr(params, name).__isub__(scale * grad)
+        head_backward(params, cache, grad_mu, res.grad_sigma, out=grads)
+        # Each field's sum of squares, added in field order as a Python sum
+        # over the fields adds them, so each slot's norm keeps its bits.
+        sq = grad_flat * grad_flat
+        total = sq[:, bounds[0]:bounds[1]].sum(axis=-1)
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            total = total + sq[:, lo:hi].sum(axis=-1)
+        total = np.sqrt(total)
+        # fmax, like max(), keeps the running maximum past a NaN norm; a NaN
+        # norm fails the clip test and counts as clipped, as it did per slot.
+        max_total = np.fmax(max_total, total)
+        over = ~(total <= _CLIP_NORM)
+        clipped += over
+        # lr within the clip norm, else (lr * _CLIP_NORM) / total.
+        scale = np.divide(lr * _CLIP_NORM, total, out=np.full(slots, float(lr)), where=over)
+        flat -= scale[:, None] * grad_flat
     final_probe = probe_error(params)
-    stats = {
-        "init_loss": float(init_loss),
-        "final_loss": float(loss),
-        "loss_reduction": float((init_loss - loss) / abs(init_loss)) if init_loss else 0.0,
-        "init_probe_error": init_probe,
-        "final_probe_error": final_probe,
-        "max_grad_norm": max_total,
-        "clipped_step_fraction": clipped / steps,
-        "curve": curve,
+    _, floored, ceiled = uncertainty_scale(cache["mu"], cache["sigma"])
+    stall_counts = {
+        "s_floor": np.count_nonzero(floored, axis=-1),
+        "s_ceiling": np.count_nonzero(ceiled, axis=-1),
+        "sigma_cap": np.count_nonzero(~cache["sigma_active"], axis=-1),
+        "mu_clamp": np.count_nonzero(~cache["mu_active"], axis=-1),
     }
-    return params, stats
+    final = _views(flat, shapes, bounds, token_axis=False)
+    results = []
+    for i in range(slots):
+        first, last = float(init_loss[i]), float(loss[i])
+        head = HeadParams(*(a[i].copy() for _, a in final.field_arrays()))
+        stats = {
+            "init_loss": first,
+            "final_loss": last,
+            "loss_reduction": float((first - last) / abs(first)) if first else 0.0,
+            "init_probe_error": float(init_probe[i]),
+            "final_probe_error": float(final_probe[i]),
+            "max_grad_norm": float(max_total[i]),
+            "clipped_step_fraction": int(clipped[i]) / steps,
+            "curve": curves[i],
+            "stalls": {k: int(c[i]) / train_idx.size for k, c in stall_counts.items()},
+        }
+        results.append((head, stats))
+    return results if stacked else results[0]
 
 
 def run_layer_probe(
@@ -185,20 +255,25 @@ def run_layer_probe(
     noise_scale: float = 0.1,
     record_every: int = 0,
 ):
-    """Train one probe head per layer slot; returns LayerProbeResult rows."""
+    """Train one probe head per layer slot, all slots in lockstep; returns
+    LayerProbeResult rows."""
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     flat_vals, flat_mask = _flat_targets(targets)
     if not flat_mask.any():
         raise ValueError("no valid tokens to probe")
-    rows = []
-    for layer in range(num_layers):
-        feats = make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=noise_scale)
-        feats = feats.reshape(-1, d_model)[flat_mask]
-        params, stats = train_head_on_tokens(
-            feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
-            holdout_fraction=holdout_fraction, record_every=record_every,
+    feats = np.stack([
+        make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=noise_scale)
+        .reshape(-1, d_model)[flat_mask]
+        for layer in range(num_layers)
+    ])
+    trained = train_head_on_tokens(
+        feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
+        holdout_fraction=holdout_fraction, record_every=record_every,
+    )
+    return [
+        LayerProbeResult(
+            layer=layer, depth_weight=float(depth_signal_weight(layer, num_layers)), params=params, **stats
         )
-        weight = float(depth_signal_weight(layer, num_layers))
-        rows.append(LayerProbeResult(layer=layer, depth_weight=weight, params=params, **stats))
-    return rows
+        for layer, (params, stats) in enumerate(trained)
+    ]

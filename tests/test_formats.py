@@ -67,6 +67,23 @@ def test_rdm1_sidecar(tmp_path):
     assert read_sidecar(tmp_path / "other.rdm1") is None
 
 
+def test_rdm1_rewrite_without_near_stat_drops_the_old_sidecar(tmp_path):
+    """Two maps written to one path: each reads back with its own sidecar,
+    and a map written without near_stat reads back without one."""
+    rng = np.random.default_rng(2)
+    path = tmp_path / "m.rdm1"
+    first, second, third = _map(rng), _map(rng, frames=1), _map(rng)
+    write_rdm1(path, first, near_stat=2.5)
+    write_rdm1(path, second)
+    assert read_sidecar(path) is None
+    back = read_rdm1(path)
+    assert np.array_equal(back.source_valid, second.source_valid)
+    assert np.array_equal(back.values[back.source_valid], second.values[second.source_valid])
+    write_rdm1(path, third, near_stat=0.75)
+    assert read_sidecar(path)["near_stat"] == 0.75
+    assert np.array_equal(read_rdm1(path).source_valid, third.source_valid)
+
+
 def test_rdm1_bad_magic(tmp_path):
     path = tmp_path / "m.rdm1"
     path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -6,6 +6,7 @@ import pytest
 from curverope import scene as scene_module
 from curverope.camera import UcmCamera, project_points, unproject_points
 from curverope.scene import (
+    SCENE_KINDS,
     SceneSpec,
     TrajectorySpec,
     depth_signal_weight,
@@ -15,6 +16,8 @@ from curverope.scene import (
     render_radial_map,
 )
 from curverope.supervision import TokenTargets
+
+from util import dense_intersect
 
 
 CAM = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.0, 64, 64)
@@ -219,6 +222,37 @@ def test_render_matches_dense_reference_bit_for_bit(kind):
             assert valid.any()
             assert np.array_equal(valid, want_valid)
             assert values.tobytes() == want_values.tobytes()
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_sparse_sphere_hits_match_the_dense_intersect(kind, seed):
+    """Roots taken only where a ray meets a sphere give the hit distances of
+    the dense per-pair evaluation bit for bit, misses (inf) included."""
+    spec = SceneSpec(kind=kind, extent=2.0, num_points=300, seed=seed)
+    centers, _ = scene_module._scene_spheres(spec)
+    hits = 0
+    # The default train-head camera, and one whose 50 x 38 rays leave a
+    # partial last block.
+    for cam in (UcmCamera(56.0, 56.0, 32.0, 32.0, 0.3, 64, 64), UcmCamera(40.0, 41.0, 25.0, 19.0, 0.6, 50, 38)):
+        jj, ii = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+        pixels = np.stack([jj + 0.5, ii + 0.5], axis=-1).reshape(-1, 2)
+        poses = [
+            pose
+            for motion, amplitude in (("dolly", 0.4), ("orbit", 0.4), ("pan", np.pi))
+            for pose in make_trajectory(TrajectorySpec(frames=3, motion=motion, amplitude=amplitude, camera=cam))[1:]
+        ]
+        # Turned away from the spheres (pan by pi), a ray's line can meet a
+        # sphere behind the camera; from inside a sphere only the far root
+        # lies ahead.
+        for pose in poses:
+            for origin in (pose.translation, centers[0] if len(centers) else pose.translation):
+                dirs = unproject_points(cam, pixels) @ pose.rotation.T
+                got = scene_module._intersect(spec, origin, dirs)
+                want = dense_intersect(spec, origin, dirs)
+                hits += np.count_nonzero(np.isfinite(want))
+                assert got.tobytes() == want.tobytes()
+    assert hits > 0
 
 
 def test_render_memory_is_bounded_by_the_ray_block():

@@ -212,6 +212,48 @@ def test_loss_grid_mismatch():
         radial_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), targets)
 
 
+def test_stacked_loss_gives_each_slot_its_own_bits():
+    """A leading stack axis gives one loss per slot; each slot's loss and
+    gradients equal an unstacked call bit for bit, with a partial mask too."""
+    rng = np.random.default_rng(5)
+    t = np.exp(rng.uniform(-1, 1, (2, 3, 50)))
+    mu = rng.uniform(-1.5, 1.5, (4, 2, 3, 50))
+    sigma = rng.uniform(-2.0, 2.0, (4, 2, 3, 50))
+    sigma[:, 0, 0, :5] = 0.0  # s at its floor
+    for mask in (np.ones(t.shape, bool), rng.random(t.shape) > 0.4):
+        targets = TokenTargets(targets=np.where(mask, t, 0.0), mask=mask, near_stat=1.0)
+        stacked = radial_loss(mu, sigma, targets)
+        assert stacked.loss.shape == (4,) and stacked.num_valid == np.count_nonzero(mask)
+        for i in range(4):
+            alone = radial_loss(mu[i], sigma[i], targets)
+            assert isinstance(alone.loss, float) and stacked.loss[i] == alone.loss
+            assert stacked.grad_mu[i].tobytes() == alone.grad_mu.tobytes()
+            assert stacked.grad_sigma[i].tobytes() == alone.grad_sigma.tobytes()
+    with pytest.raises(ValueError):
+        radial_loss(mu[None], sigma[None], targets)
+
+
+def test_all_valid_targets_give_the_masked_path_bits():
+    """With every target valid the loss skips its masked passes; the loss and
+    gradients equal those of the same tokens placed among masked-out ones."""
+    rng = np.random.default_rng(6)
+    n, padded = 300, 500
+    t = np.exp(rng.uniform(-1, 1, n))
+    mu, sigma = rng.uniform(-1.5, 1.5, (2, n))
+    full = radial_loss(mu, sigma, TokenTargets(targets=t, mask=np.ones(n, bool), near_stat=1.0))
+    at = np.sort(rng.choice(padded, n, replace=False))
+    mask = np.zeros(padded, bool)
+    mask[at] = True
+    grids = [np.zeros(padded), *rng.uniform(-1.5, 1.5, (2, padded))]
+    for grid, values in zip(grids, (t, mu, sigma)):
+        grid[at] = values
+    part = radial_loss(grids[1], grids[2], TokenTargets(targets=grids[0], mask=mask, near_stat=1.0))
+    assert part.loss == full.loss and part.num_valid == full.num_valid == n
+    assert part.grad_mu[at].tobytes() == full.grad_mu.tobytes()
+    assert part.grad_sigma[at].tobytes() == full.grad_sigma.tobytes()
+    assert not part.grad_mu[~mask].any() and not part.grad_sigma[~mask].any()
+
+
 def test_timestep_gate():
     assert timestep_gate(0.5)
     assert timestep_gate(0.97)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from curverope import trainer
-from curverope.head import HeadParams, head_backward, head_forward
+from curverope.head import HeadParams, head_backward, head_forward, head_init
 from curverope.scene import make_layer_features
-from curverope.supervision import TokenTargets
+from curverope.supervision import TokenTargets, uncertainty_scale
 from curverope.trainer import DivergenceError, run_layer_probe, train_head_on_tokens
+
+from util import reference_train_head_on_tokens
 
 
 def _iid_targets(seed=7, frames=2, side=8):
@@ -15,6 +17,22 @@ def _iid_targets(seed=7, frames=2, side=8):
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.uniform(-0.8, 0.8, (frames, side, side)))
     return TokenTargets(targets=vals, mask=np.ones_like(vals, bool), near_stat=1.0)
+
+
+def _layer_stack(targets, num_layers, d_model, **kwargs):
+    """(L, N, d) features of every slot of an L-layer stack."""
+    return np.stack([
+        make_layer_features(targets, layer, num_layers, d_model, seed=1, **kwargs).reshape(-1, d_model)
+        for layer in range(num_layers)
+    ])
+
+
+def _norm(fields):
+    """Global gradient norm of each slot, as the single-head trainer summed it."""
+    arrays = [a for _, a in fields]
+    return np.array([
+        np.sqrt(sum(float((a[i] * a[i]).sum()) for a in arrays)) for i in range(len(arrays[0]))
+    ])
 
 
 def test_signal_case_recovers_targets():
@@ -96,11 +114,12 @@ def test_rejects_nonpositive_targets():
 
 
 def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
-    """Each step's backward reuses its forward cache over the features
-    normalised once; the parameter gradients it applies equal head_backward
-    on a fresh head_forward of the raw training features bit for bit."""
+    """Each stacked step's backward reuses its forward cache over the
+    features normalised once; the parameter gradients it applies equal
+    head_backward on a fresh head_forward of the raw training features bit
+    for bit, for the stack and for each slot alone."""
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1)
+    feats = _layer_stack(targets, 6, 32, noise_scale=0.1)[1:4]
     calls, normalised = [], []
     fused, layer_norm = trainer.head_backward, trainer.head_layer_norm
 
@@ -108,20 +127,26 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
         normalised.append(x.copy())
         return layer_norm(x)
 
-    def spy(params, cache, gm, gs):
-        g = fused(params, cache, gm, gs)
+    def spy(params, cache, gm, gs, out):
+        g = fused(params, cache, gm, gs, out=out)
         frozen = HeadParams(*(a.copy() for _, a in params.field_arrays()))
-        calls.append((frozen, gm.copy(), gs.copy(), g))
+        calls.append((frozen, gm.copy(), gs.copy(), HeadParams(*(a.copy() for _, a in g.field_arrays()))))
         return g
 
     monkeypatch.setattr(trainer, "head_layer_norm", norm_spy)
     monkeypatch.setattr(trainer, "head_backward", spy)
-    train_head_on_tokens(feats.reshape(-1, 32), targets.targets.reshape(-1), 60, 0.01, seed=3)
+    train_head_on_tokens(feats, targets.targets.reshape(-1), 60, 0.01, seed=3)
     assert len(calls) == 60 and len(normalised) == 1
+    shapes = [a.shape for _, a in head_init(32, 3).field_arrays()]
     for params, gm, gs, g in calls[::10] + calls[-1:]:
         want = head_backward(params, head_forward(params, normalised[0]), gm, gs)
         for name, grad in want.field_arrays():
             assert np.array_equal(getattr(g, name), grad), name
+        for i in range(len(feats)):
+            slot = HeadParams(*(a[i].reshape(shape) for (_, a), shape in zip(params.field_arrays(), shapes)))
+            alone = head_backward(slot, head_forward(slot, normalised[0][i]), gm[i], gs[i])
+            for name, grad in alone.field_arrays():
+                assert getattr(g, name)[i].tobytes() == grad.tobytes(), (i, name)
 
 
 def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
@@ -148,52 +173,137 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
 
 
 def test_gradient_norm_counters(monkeypatch):
-    """max_grad_norm is the largest pre-clip global norm; clipped_step_fraction
-    counts the steps whose norm exceeded the clip norm."""
+    """max_grad_norm is each slot's largest pre-clip global norm;
+    clipped_step_fraction counts the steps whose norm exceeded the clip norm."""
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
+    feats = _layer_stack(targets, 6, 32)[1:4]
     flat = targets.targets.reshape(-1)
     exact_backward = trainer.head_backward
     norms = []
 
-    def backward_spy(*args):
-        g = exact_backward(*args)
-        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
+    def backward_spy(*args, **kwargs):
+        g = exact_backward(*args, **kwargs)
+        norms.append(_norm(g.field_arrays()))
         return g
 
     monkeypatch.setattr(trainer, "head_backward", backward_spy)
     for clip_norm, fraction in ((1e-9, 1.0), (1e9, 0.0)):
         norms.clear()
         monkeypatch.setattr(trainer, "_CLIP_NORM", clip_norm)
-        _, stats = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0)
+        trained = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0)
         assert len(norms) == 40
-        assert stats["clipped_step_fraction"] == fraction
-        assert stats["max_grad_norm"] == max(norms) > 0
+        for i, (_, stats) in enumerate(trained):
+            assert stats["clipped_step_fraction"] == fraction
+            assert stats["max_grad_norm"] == max(n[i] for n in norms) > 0
+
+
+def _diverge_at_step_3(monkeypatch, slots):
+    """Spies on the loss and the backward; step 3's loss is made NaN in
+    ``slots``. Returns the losses and gradient norms seen, one row per step."""
+    losses, norms = [], []
+    exact_loss, exact_backward = trainer.radial_loss, trainer.head_backward
+
+    def loss_spy(*args):
+        res = exact_loss(*args)
+        losses.append(res.loss.copy())
+        if len(losses) == 4:
+            loss = res.loss.copy()
+            loss[slots] = np.nan
+            return replace(res, loss=loss)
+        return res
+
+    def backward_spy(*args, **kwargs):
+        g = exact_backward(*args, **kwargs)
+        norms.append(_norm(g.field_arrays()))
+        return g
+
+    monkeypatch.setattr(trainer, "radial_loss", loss_spy)
+    monkeypatch.setattr(trainer, "head_backward", backward_spy)
+    return losses, norms
 
 
 def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
     """The clamped head keeps real losses finite, so step 3's loss is made NaN."""
     targets = _iid_targets()
     feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
-    losses, norms = [], []
-    exact_loss, exact_backward = trainer.radial_loss, trainer.head_backward
-
-    def loss_spy(*args):
-        res = exact_loss(*args)
-        losses.append(res.loss)
-        return replace(res, loss=float("nan")) if len(losses) == 4 else res
-
-    def backward_spy(*args):
-        g = exact_backward(*args)
-        norms.append(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
-        return g
-
-    monkeypatch.setattr(trainer, "radial_loss", loss_spy)
-    monkeypatch.setattr(trainer, "head_backward", backward_spy)
+    losses, norms = _diverge_at_step_3(monkeypatch, [0])
     with pytest.raises(DivergenceError) as info:
         train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
     err = info.value
-    assert err.step == 3 and len(norms) == 3
-    assert err.last_finite_loss == losses[2]
-    assert err.last_grad_norm == norms[2] > 0
+    assert err.step == 3 and err.layer == 0 and len(norms) == 3
+    assert err.last_finite_loss == losses[2][0]
+    assert err.last_grad_norm == norms[2][0] > 0
     assert repr(err.last_finite_loss) in str(err) and repr(err.last_grad_norm) in str(err)
+
+
+def test_divergence_names_the_lowest_diverging_slot(monkeypatch):
+    """Slots 1 and 3 of four diverge at step 3 while slots 0 and 2 stay
+    finite: the error names slot 1 with slot 1's last loss and norm."""
+    targets = _iid_targets()
+    feats = _layer_stack(targets, 6, 32)[1:5]
+    losses, norms = _diverge_at_step_3(monkeypatch, [1, 3])
+    with pytest.raises(DivergenceError) as info:
+        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
+    err = info.value
+    assert err.step == 3 and err.layer == 1 and len(norms) == 3
+    assert np.isfinite(losses[3][0]) and np.isfinite(losses[3][2])
+    assert err.last_finite_loss == losses[2][1]
+    assert err.last_grad_norm == norms[2][1] > 0
+    assert err.last_grad_norm != norms[2][0]
+    assert "layer 1" in str(err)
+    assert repr(err.last_finite_loss) in str(err) and repr(err.last_grad_norm) in str(err)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3, 5])
+def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layers):
+    """Training an L-slot stack in lockstep gives every slot the parameter
+    bytes, stats and curve of the single-head trainer run on that slot's
+    features alone. 150 steps at lr 0.01 span the 30-step warmup, clipped
+    and unclipped steps and a curve recorded every 40 steps plus the last."""
+    targets = _iid_targets()
+    feats = _layer_stack(targets, num_layers, 32, noise_scale=0.1)
+    flat = targets.targets.reshape(-1)
+    trained = train_head_on_tokens(feats, flat, 150, 0.01, seed=4, record_every=40)
+    assert len(trained) == num_layers
+    fractions = set()
+    for i, (params, stats) in enumerate(trained):
+        want_params, want_stats = reference_train_head_on_tokens(feats[i], flat, 150, 0.01, seed=4, record_every=40)
+        stalls = stats["stalls"]
+        assert {k: v for k, v in stats.items() if k != "stalls"} == want_stats
+        assert [s for s, _ in stats["curve"]] == [0, 40, 80, 120, 149]
+        assert set(stalls) == {"s_floor", "s_ceiling", "sigma_cap", "mu_clamp"}
+        fractions.add(stats["clipped_step_fraction"])
+        for (name, a), (_, b) in zip(params.field_arrays(), want_params.field_arrays()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (i, name)
+    assert all(0.0 < f < 1.0 for f in fractions)
+    if num_layers == 1:
+        params, stats = train_head_on_tokens(feats[0], flat, 150, 0.01, seed=4, record_every=40)
+        assert stats == trained[0][1]
+        for (_, a), (_, b) in zip(params.field_arrays(), trained[0][0].field_arrays()):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_stall_fractions_describe_the_final_step(monkeypatch):
+    """stalls holds, per slot, the fraction of training tokens at the s floor,
+    the s ceiling, the sigma cap and the mu clamp in the last step's forward."""
+    targets = _iid_targets()
+    feats = _layer_stack(targets, 4, 32, noise_scale=0.1)
+    caches = []
+    forward = trainer.head_forward_normalized
+
+    def forward_spy(params, xhat):
+        caches.append(forward(params, xhat))
+        return caches[-1]
+
+    monkeypatch.setattr(trainer, "head_forward_normalized", forward_spy)
+    # A step size of 1 drives some tokens onto the clamps and the s floor.
+    trained = train_head_on_tokens(feats, targets.targets.reshape(-1), 30, 1.0, seed=2)
+    last = caches[-1]
+    _, floored, ceiled = uncertainty_scale(last["mu"], last["sigma"])
+    masks = {"s_floor": floored, "s_ceiling": ceiled,
+             "sigma_cap": ~last["sigma_active"], "mu_clamp": ~last["mu_active"]}
+    n_train = last["mu"].shape[-1]
+    for i, (_, stats) in enumerate(trained):
+        assert stats["stalls"] == {k: np.count_nonzero(m[i]) / n_train for k, m in masks.items()}
+    for key in ("s_floor", "sigma_cap", "mu_clamp"):
+        assert any(stats["stalls"][key] > 0 for _, stats in trained), key

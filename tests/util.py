@@ -3,6 +3,9 @@
 The oracle_* functions and exact_expected_phasor re-derive geometry step
 by step with scalar math, independently of the library's vectorized
 implementations, so tests can compare two routes that share no code.
+take_along_axis_coefficients, reference_mc_expected_phasor,
+dense_intersect and reference_train_head_on_tokens keep earlier forms of
+library code as the references that pin its results.
 """
 
 import math
@@ -10,7 +13,11 @@ import math
 import numpy as np
 
 from curverope.camera import BETA_EPS, RigidTransform, UcmCamera
+from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from curverope.phasor import _segment_terms, segment_phasor
+from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_planes, _scene_spheres
+from curverope.supervision import TokenTargets, radial_loss
+from curverope.trainer import _CLIP_NORM, _WARMUP_FRACTION, DivergenceError
 
 
 def random_rotation(rng, max_angle=np.pi):
@@ -199,3 +206,152 @@ def exact_expected_phasor(setup, dps=30):
             ) / (2 * a)
             out[c] = float(value.real), float(value.imag)
     return out
+
+
+def dense_intersect(spec, origin, dirs):
+    """scene._intersect with the roots, near/far choice and minimum taken
+    over every (ray, sphere) pair of a block: the reference for the
+    library's sparse evaluation at the pairs whose discriminant is >= 0."""
+    n = dirs.shape[0]
+    best = np.full(n, np.inf)
+    for z0, x_min, x_max, y_min, y_max in _scene_planes(spec):
+        dz = dirs[:, 2]
+        ok = np.abs(dz) > 1e-12
+        t = np.where(ok, (z0 - origin[2]) / np.where(ok, dz, 1.0), np.inf)
+        hit_x = origin[0] + t * dirs[:, 0]
+        hit_y = origin[1] + t * dirs[:, 1]
+        inside = (
+            ok
+            & (t > _HIT_EPS)
+            & (hit_x >= x_min)
+            & (hit_x <= x_max)
+            & (hit_y >= y_min)
+            & (hit_y <= y_max)
+        )
+        best = np.where(inside & (t < best), t, best)
+    centers, radius = _scene_spheres(spec)
+    m = centers.shape[0]
+    if m:
+        oc = centers - origin  # (m, 3): every ray shares the origin
+        cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
+        for start in range(0, n, _RAYS_PER_BLOCK):
+            rows = slice(start, start + _RAYS_PER_BLOCK)
+            d = dirs[rows]
+            # einsum over a broadcast view sums each product in the same
+            # order as over a dense (rays, spheres, 3) array, so hits stay
+            # bit-identical; a BLAS matmul rounds differently.
+            proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
+            disc = proj * proj - cc
+            ok = disc >= 0
+            root = np.sqrt(np.where(ok, disc, 0.0))
+            t_near = proj - root
+            t_far = proj + root
+            t = np.where(t_near > _HIT_EPS, t_near, t_far)
+            t = np.where(ok & (t > _HIT_EPS), t, np.inf)
+            best[rows] = np.minimum(best[rows], t.min(axis=1))
+    return best
+
+
+# reference_train_head_on_tokens is the single-head trainer as it was before
+# the layer slots were trained in lockstep, kept verbatim: one head on (N, d)
+# features, parameters in separate arrays, the clip norm as a Python sum of
+# per-field sums. It is the reference that pins the lockstep trainer's bits.
+def reference_train_head_on_tokens(
+    features: np.ndarray,
+    target_values: np.ndarray,
+    steps: int,
+    lr: float,
+    seed: int,
+    holdout_fraction: float = 0.2,
+    record_every: int = 0,
+):
+    """Train one head on (N, d) features against positive normalized targets.
+
+    Returns (params, stats) with init/final training loss, init/final
+    held-out probe error, the largest global gradient norm before clipping,
+    the fraction of steps whose gradient was clipped and, when
+    record_every > 0, the training curve as (step, loss) pairs.
+    """
+    feats = np.asarray(features, dtype=float)
+    vals = np.asarray(target_values, dtype=float)
+    if feats.ndim != 2 or vals.shape != feats.shape[:1]:
+        raise ValueError("need (N, d) features and N targets")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features must be finite")
+    if not np.all(vals > 0):
+        raise ValueError("targets must be positive normalized radial distances")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    n = feats.shape[0]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    n_hold = max(1, int(round(holdout_fraction * n))) if n > 1 else 0
+    hold_idx = order[:n_hold]
+    train_idx = order[n_hold:]
+    if train_idx.size == 0:
+        raise ValueError("no training tokens left after the holdout split")
+
+    center = np.exp(np.median(np.log(vals[train_idx])))
+    vals = vals / center
+
+    t = vals[train_idx]
+    train_targets = TokenTargets(
+        targets=t.reshape(1, 1, -1), mask=np.ones((1, 1, t.size), dtype=bool), near_stat=1.0
+    )
+    train_feats = feats[train_idx]
+
+    def probe_error(params):
+        if not n_hold:
+            return float("nan")
+        mu = head_forward(params, feats[hold_idx])["mu"]
+        return float(np.mean(np.abs(np.exp(mu) - vals[hold_idx])))
+
+    params = head_init(feats.shape[1], seed)
+    warmup = int(round(_WARMUP_FRACTION * steps))
+    init_probe = probe_error(params)
+    init_loss = None
+    loss = None
+    total = None
+    max_total = 0.0
+    clipped = 0
+    curve = []
+    # The features were checked once above and are normalised once here;
+    # each step runs one forward pass and reuses its cache for the backward.
+    _, train_xhat = head_layer_norm(train_feats)
+    for step in range(steps):
+        cache = head_forward_normalized(params, train_xhat)
+        res = radial_loss(
+            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1), train_targets
+        )
+        if not np.isfinite(res.loss):
+            raise DivergenceError(step, res.loss, loss, total)
+        loss = res.loss
+        if init_loss is None:
+            init_loss = loss
+        if record_every and (step % record_every == 0 or step == steps - 1):
+            curve.append((step, float(loss)))
+        grad_mu = res.grad_mu.reshape(-1)
+        if step < warmup:
+            grad_mu = np.zeros_like(grad_mu)
+        g = head_backward(params, cache, grad_mu, res.grad_sigma.reshape(-1))
+        total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
+        max_total = max(max_total, total)
+        if total <= _CLIP_NORM:
+            scale = lr
+        else:
+            scale = lr * _CLIP_NORM / total
+            clipped += 1
+        for name, grad in g.field_arrays():
+            getattr(params, name).__isub__(scale * grad)
+    final_probe = probe_error(params)
+    stats = {
+        "init_loss": float(init_loss),
+        "final_loss": float(loss),
+        "loss_reduction": float((init_loss - loss) / abs(init_loss)) if init_loss else 0.0,
+        "init_probe_error": init_probe,
+        "final_probe_error": final_probe,
+        "max_grad_norm": max_total,
+        "clipped_step_fraction": clipped / steps,
+        "curve": curve,
+    }
+    return params, stats

@@ -16,7 +16,6 @@ from .phasor import (
     RadialInterval,
     breakpoints,
     projected_path,
-    segment_phasor,
     token_paths,
     token_rays,
 )

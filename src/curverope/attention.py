@@ -61,18 +61,6 @@ class TokenBatch:
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", f)
 
-    @property
-    def frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def patches(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def d_model(self) -> int:
-        return self.features.shape[2]
-
 
 def attention_init(d_model: int, head_dim: int, seed: int) -> AttentionParams:
     """Seeded projections with a zero output projection."""

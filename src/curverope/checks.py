@@ -44,8 +44,10 @@ def _perturbed_blocks(flat: np.ndarray, step: float):
         yield block
 
 
-def _central(f: np.ndarray, step: float) -> np.ndarray:
-    """Central differences from values at the +step probes followed by the -step probes."""
+def _finite_differences(evaluate, point: np.ndarray, step: float) -> np.ndarray:
+    """Central differences at the flattened ``point``; ``evaluate`` maps a
+    block of perturbed copies, one per row, to one value per row."""
+    f = np.concatenate([evaluate(block) for block in _perturbed_blocks(point.reshape(-1), step)])
     up, down = f.reshape(2, -1)
     return (up - down) / (2 * step)
 
@@ -55,10 +57,31 @@ def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd)) / scale)
 
 
-def _check_samples(samples: int) -> None:
+def _run_samples(samples: int, seed: int, draw, skipped_key: str) -> dict:
+    """The sampling loop of both checks: ``draw(rng)`` returns None for a
+    random point near a non-smooth boundary (counted under ``skipped_key``),
+    else the (analytic, finite-difference) gradient pairs at that point."""
     # With no samples a check would pass without checking anything.
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    max_rel = 0.0
+    skipped = accepted = attempts = 0
+    while accepted < samples and attempts < 50 * samples:
+        attempts += 1
+        pairs = draw(rng)
+        if pairs is None:
+            skipped += 1
+            continue
+        accepted += 1
+        for analytic, fd in pairs:
+            max_rel = max(max_rel, _relative_error(analytic, fd))
+    return {
+        "samples": accepted,
+        skipped_key: skipped,
+        "max_relative_error": max_rel,
+        "pass": accepted == samples and max_rel < 1e-4,
+    }
 
 
 def run_head_gradcheck(
@@ -72,14 +95,8 @@ def run_head_gradcheck(
     Returns max relative error over accepted samples plus the count of
     excluded clamp-boundary configurations.
     """
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    max_rel = 0.0
-    excluded = 0
-    accepted = 0
-    attempts = 0
-    while accepted < samples and attempts < 50 * samples:
-        attempts += 1
+
+    def draw(rng):
         params = head_init(d_model, int(rng.integers(0, 2**31)))
         params.w2 = rng.normal(0.0, 0.1, size=params.w2.shape)
         params.b2 = np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)])
@@ -89,15 +106,8 @@ def run_head_gradcheck(
         cache = head_forward(params, x)
         mu, sigma = float(cache["mu"][0]), float(cache["sigma"][0])
         cap = LOG_RANGE_BOUND - abs(mu)
-        near_boundary = (
-            LOG_RANGE_BOUND - abs(mu) < _BOUNDARY_MARGIN
-            or abs(abs(sigma) - cap) < _BOUNDARY_MARGIN
-            or abs(sigma) < _BOUNDARY_MARGIN
-        )
-        if near_boundary:
-            excluded += 1
-            continue
-        accepted += 1
+        if min(cap, abs(abs(sigma) - cap), abs(sigma)) < _BOUNDARY_MARGIN:
+            return None
 
         gm, gs = rng.normal(size=(2, 1))  # one upstream gradient for the one token
         grads = head_backward(params, cache, gm, gs)
@@ -107,26 +117,23 @@ def run_head_gradcheck(
             c = head_forward(p, x)
             return (gm * c["mu"] + gs * c["sigma"]).reshape(-1)
 
+        pairs = []
         for name, analytic in grads.field_arrays():
             base = getattr(params, name)
             # Each block of perturbed copies is stacked on a leading axis;
             # 1-D fields get a singleton token axis to broadcast over.
             shape = (1,) + base.shape if base.ndim == 1 else base.shape
-            f = np.concatenate([
-                objective(replace(params, **{name: block.reshape(-1, *shape)}), x)
-                for block in _perturbed_blocks(base.reshape(-1), step)
-            ])
-            max_rel = max(max_rel, _relative_error(analytic.reshape(-1), _central(f, step)))
+            fd = _finite_differences(
+                lambda block: objective(replace(params, **{name: block.reshape(-1, *shape)}), x),
+                base,
+                step,
+            )
+            pairs.append((analytic.reshape(-1), fd))
+        fd = _finite_differences(lambda block: objective(params, block), feature, step)
+        pairs.append((head_feature_gradient(params, cache, gm, gs)[0], fd))
+        return pairs
 
-        analytic = head_feature_gradient(params, cache, gm, gs)[0]
-        f = np.concatenate([objective(params, block) for block in _perturbed_blocks(feature, step)])
-        max_rel = max(max_rel, _relative_error(analytic, _central(f, step)))
-    return {
-        "samples": accepted,
-        "excluded": excluded,
-        "max_relative_error": max_rel,
-        "pass": accepted == samples and max_rel < 1e-4,
-    }
+    return _run_samples(samples, seed, draw, "excluded")
 
 
 def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
@@ -135,14 +142,8 @@ def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
     Tokens near the |exp(mu) - target| kink or the scale floor/ceiling are
     flagged and skipped, not failed.
     """
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    max_rel = 0.0
-    flagged = 0
-    accepted = 0
-    attempts = 0
-    while accepted < samples and attempts < 50 * samples:
-        attempts += 1
+
+    def draw(rng):
         mu = rng.uniform(-1.5, 1.5)
         sigma = rng.uniform(0.05, 2.0)
         target = float(np.exp(rng.uniform(-1.5, 1.5)))
@@ -156,25 +157,20 @@ def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
             and abs(s - S_CEILING) > 1e-3
         )
         if not smooth:
-            flagged += 1
-            continue
-        accepted += 1
+            return None
 
         targets = TokenTargets(
             targets=np.full((1, 1, 1), target), mask=np.ones((1, 1, 1), bool), near_stat=1.0
         )
-
-        def loss_at(m, g):
-            return radial_loss(np.full((1, 1, 1), m), np.full((1, 1, 1), g), targets).loss
-
         res = radial_loss(np.full((1, 1, 1), mu), np.full((1, 1, 1), sigma), targets)
-        fd_mu = (loss_at(mu + step, sigma) - loss_at(mu - step, sigma)) / (2 * step)
-        fd_sigma = (loss_at(mu, sigma + step) - loss_at(mu, sigma - step)) / (2 * step)
         analytic = np.array([res.grad_mu[0, 0, 0], res.grad_sigma[0, 0, 0]])
-        max_rel = max(max_rel, _relative_error(analytic, np.array([fd_mu, fd_sigma])))
-    return {
-        "samples": accepted,
-        "flagged": flagged,
-        "max_relative_error": max_rel,
-        "pass": accepted == samples and max_rel < 1e-4,
-    }
+
+        def losses(block):
+            """One loss per (mu, sigma) row, the rows as slots of one stacked
+            call, each a contiguous array as the single-token call's are."""
+            m, g = block.T.copy().reshape(2, -1, 1, 1, 1)
+            return radial_loss(m, g, targets).loss
+
+        return [(analytic, _finite_differences(losses, np.array([mu, sigma]), step))]
+
+    return _run_samples(samples, seed, draw, "flagged")

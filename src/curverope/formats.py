@@ -69,9 +69,12 @@ def parse_json(data: bytes, what: str, offset: int = 0):
 def write_rdm1(path, radial_map: RadialMap, near_stat: float | None = None) -> None:
     """Write a radial map in meters; invalid pixels are stored as NaN.
 
-    The ``<path>.json`` sidecar holds ``near_stat``; without one, a sidecar
-    left by an earlier map at this path is removed.
+    The ``<path>.json`` sidecar holds ``near_stat``, which must be finite
+    (checked before anything is written); without one, a sidecar left by an
+    earlier map at this path is removed.
     """
+    if near_stat is not None and not _finite_float(near_stat):
+        raise ValueError("near_stat must be a finite number within the float range")
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     f, h, w = radial_map.values.shape
@@ -121,7 +124,17 @@ def read_sidecar(path) -> dict | None:
     near = doc.get("near_stat")
     if near is not None and (isinstance(near, bool) or not isinstance(near, (int, float))):
         raise FormatError("RDM1 sidecar near_stat must be a number", 0)
+    if near is not None and not _finite_float(near):
+        raise ValueError("RDM1 sidecar near_stat must be a finite number within the float range")
     return doc
+
+
+def _finite_float(value) -> bool:
+    """Whether float(value) is finite; an integer past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def camera_from_dict(c: dict) -> UcmCamera:

@@ -44,7 +44,6 @@ __all__ = [
     "breakpoints",
     "token_paths",
     "projected_path",
-    "segment_phasor",
     "coefficients_from_paths",
 ]
 
@@ -73,7 +72,7 @@ def clamp_interval(mu, sigma):
 
     mu and sigma are scalars or arrays that broadcast together.
     """
-    mu = np.clip(mu, -LOG_RANGE_BOUND, LOG_RANGE_BOUND)
+    mu = np.minimum(np.maximum(mu, -LOG_RANGE_BOUND), LOG_RANGE_BOUND)
     return mu, np.copysign(np.minimum(np.abs(sigma), LOG_RANGE_BOUND - np.abs(mu)), sigma)
 
 
@@ -213,26 +212,6 @@ def _segment_terms(psi_a: np.ndarray, psi_b: np.ndarray):
     np.subtract(1.0, m, out=m)
     q /= den
     return q, m, u
-
-
-def segment_phasor(theta_a, theta_b) -> np.ndarray:
-    """Mean of (cos, sin) over a linear phase segment, shape (..., 2).
-
-    The mean of exp(i theta) over [a, b] is sinc(h) exp(i mid) with
-    h = (b - a) / 2 and mid = (a + b) / 2. This is the one-segment view of
-    the kernel coefficients_from_paths runs, in tangent half-angle form:
-    (q (1 - u^2), 2 q u) with u = tan(mid / 2) and q = sinc(h) / (1 + u^2),
-    sinc(h) taken from w = tan(h / 2), so it calls np.tan twice and no sin
-    or cos. It has no cancelling difference quotient and no small-step
-    branch, and its magnitude stays at most 1 up to rounding for any step.
-    """
-    ta = np.asarray(theta_a, dtype=float)
-    tb = np.asarray(theta_b, dtype=float)
-    if not (np.all(np.isfinite(ta)) and np.all(np.isfinite(tb))):
-        raise ValueError("phases must be finite")
-    shape = np.broadcast_shapes(ta.shape, tb.shape)
-    q, m, u = _segment_terms(np.atleast_1d(0.25 * ta), np.atleast_1d(0.25 * tb))
-    return np.stack([q * m, 2.0 * (q * u)], axis=-1).reshape(*shape, 2)
 
 
 def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):

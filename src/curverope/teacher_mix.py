@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .phasor import clamp_interval
+from .phasor import clamp_interval, token_grid
 from .supervision import RadialMap, normalize_and_pool, validity_mask
 
 __all__ = [
@@ -136,9 +136,11 @@ def external_override(
         raise ValueError("prediction grids must share shape (frames, rows, cols)")
     f, ht, wt = pred_mu.shape
     ef, eh, ew = external.values.shape
-    if ef != f or eh % ht != 0 or ew % wt != 0 or eh // ht != ew // wt:
+    # The rows set the patch size; a map with fewer rows than the grid gets
+    # patch 1, which then fails the grid test.
+    patch = max(1, eh // ht)
+    if ef != f or token_grid(eh, ew, patch) != (ht, wt):
         raise ValueError("external map shape is incompatible with the token grid")
-    patch = eh // ht
     mask = validity_mask(external)
     tokens = normalize_and_pool(external, mask, near_stat, patch)
     mu, sigma = effective_interval(

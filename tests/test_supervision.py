@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curverope import checks
 from curverope.phasor import clamp_interval
 from curverope.supervision import (
     RadialMap,
@@ -265,3 +266,18 @@ def test_timestep_gate():
     with pytest.raises(ValueError):
         timestep_gate(-0.1)
 
+
+def test_loss_gradcheck_catches_a_wrong_gradient(monkeypatch):
+    """The stacked finite-difference probes fail a 1% error in the sigma gradient."""
+    assert checks.run_loss_gradcheck(samples=3, seed=2)["pass"]
+    exact = checks.radial_loss
+
+    def off_by_one_percent(*args):
+        res = exact(*args)
+        res.grad_sigma = res.grad_sigma * 1.01
+        return res
+
+    monkeypatch.setattr(checks, "radial_loss", off_by_one_percent)
+    report = checks.run_loss_gradcheck(samples=3, seed=2)
+    assert report["samples"] == 3
+    assert not report["pass"], report

@@ -147,3 +147,22 @@ def test_external_override_shape_mismatch():
     ext = RadialMap(values=np.full((2, 4, 4), 5.0), source_valid=np.ones((2, 4, 4), bool))
     with pytest.raises(ValueError):
         external_override(mu, sigma, ext, near_stat=1.0)
+
+
+@pytest.mark.parametrize(
+    "shape, grid",
+    [
+        pytest.param((1, 64, 32), (4, 4), id="rows-and-columns-imply-different-patches"),
+        pytest.param((1, 4, 5), (2, 2), id="columns-not-divisible"),
+        pytest.param((1, 6, 4), (2, 2), id="rows-set-a-patch-the-columns-do-not-fit"),
+        pytest.param((1, 1, 1), (2, 2), id="smaller-than-the-grid"),
+    ],
+)
+def test_external_override_needs_the_token_grid_of_one_patch_size(shape, grid):
+    """The map's rows set the patch size, and that patch must tile the map
+    into exactly the prediction grid; 64x32 over 4x4 tokens would need
+    16-pixel rows and 8-pixel columns."""
+    mu, sigma = _grids(ht=grid[0], wt=grid[1])
+    ext = RadialMap(values=np.full(shape, 5.0), source_valid=np.ones(shape, bool))
+    with pytest.raises(ValueError, match="incompatible with the token grid|is not divisible"):
+        external_override(mu, sigma, ext, near_stat=1.0)

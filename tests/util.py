@@ -5,7 +5,8 @@ by step with scalar math, independently of the library's vectorized
 implementations, so tests can compare two routes that share no code.
 take_along_axis_coefficients, reference_mc_expected_phasor,
 dense_intersect and reference_train_head_on_tokens keep earlier forms of
-library code as the references that pin its results.
+library code as the references that pin its results. segment_phasor
+is the kernel's one-segment view, for tests that feed it raw phase pairs.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from curverope.camera import BETA_EPS, RigidTransform, UcmCamera
 from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
-from curverope.phasor import _segment_terms, segment_phasor
+from curverope.phasor import _segment_terms
 from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_planes, _scene_spheres
 from curverope.supervision import TokenTargets, radial_loss
 from curverope.trainer import _CLIP_NORM, _WARMUP_FRACTION, DivergenceError
@@ -145,6 +146,20 @@ def small_transform(rng, max_angle=0.1, max_shift=0.05):
     return RigidTransform(
         random_rotation(rng, max_angle), rng.uniform(-max_shift, max_shift, size=3)
     )
+
+
+def segment_phasor(theta_a, theta_b):
+    """Mean of (cos, sin) over a linear phase segment, shape (..., 2).
+
+    The one-segment view of the kernel coefficients_from_paths runs: the
+    tangent half-angle terms of phasor._segment_terms on quarter phases,
+    combined as (q (1 - u^2), 2 q u).
+    """
+    ta = np.asarray(theta_a, dtype=float)
+    tb = np.asarray(theta_b, dtype=float)
+    shape = np.broadcast_shapes(ta.shape, tb.shape)
+    q, m, u = _segment_terms(np.atleast_1d(0.25 * ta), np.atleast_1d(0.25 * tb))
+    return np.stack([q * m, 2.0 * (q * u)], axis=-1).reshape(*shape, 2)
 
 
 def sinc_segment_phasor(theta_a, theta_b):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BETA_EPS",
     "UcmCamera",
     "RigidTransform",
     "Ray",
@@ -22,7 +21,7 @@ __all__ = [
 ]
 
 # Projection denominator guard; sign-preserving (see project_points).
-BETA_EPS = 1e-8
+_BETA_EPS = 1e-8
 _ROTATION_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
@@ -33,6 +32,11 @@ class UcmCamera:
 
     xi = 0 is exactly the pinhole model; xi in (0, 1] covers wide-angle
     and fisheye lenses. Values outside [0, 1] are rejected.
+
+    Visibility: a camera-frame point p = (x, y, z) is visible when
+    beta = z + xi |p| > 0. The model projects exactly the points with
+    z > -xi |p|, and for xi in [0, 1] that domain is beta > 0 (for a
+    pinhole camera, z > 0). Every pixel unprojects to a ray with beta > 0.
     """
 
     fx: float
@@ -61,7 +65,8 @@ class Ray:
     """Unit viewing direction in the camera frame.
 
     Directions with a non-positive z component only arise from cameras with
-    xi > 0 (the model admits rays behind the pinhole plane).
+    xi > 0: the model admits rays behind the pinhole plane, and every such
+    ray still has beta > 0, the visibility rule of UcmCamera.
     """
 
     direction: np.ndarray
@@ -134,8 +139,9 @@ def unproject_points(cam: UcmCamera, pixels: np.ndarray) -> np.ndarray:
 def project_points(cam: UcmCamera, points: np.ndarray) -> np.ndarray:
     """Map camera-frame points (..., 3) to pixel coordinates (..., 2).
 
-    The denominator Z + xi*|X| is clamped away from zero preserving its
-    sign, so projection is total; callers decide validity.
+    The denominator beta = Z + xi*|X| is clamped away from zero preserving
+    its sign, so projection is total; a point is visible only where
+    beta > 0 (see UcmCamera), and callers decide validity by that rule.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 3:
@@ -146,7 +152,7 @@ def project_points(cam: UcmCamera, points: np.ndarray) -> np.ndarray:
     if np.any(norm == 0.0):
         raise ValueError("cannot project a zero-norm point")
     beta = pts[..., 2] + cam.xi * norm
-    beta = np.where(beta >= 0.0, np.maximum(beta, BETA_EPS), np.minimum(beta, -BETA_EPS))
+    beta = np.where(beta >= 0.0, np.maximum(beta, _BETA_EPS), np.minimum(beta, -_BETA_EPS))
     u = cam.fx * pts[..., 0] / beta + cam.cx
     v = cam.fy * pts[..., 1] / beta + cam.cy
     return np.stack([u, v], axis=-1)

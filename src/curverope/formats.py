@@ -109,7 +109,9 @@ def read_rdm1(path) -> RadialMap:
             f"RDM1 payload length mismatch: have {len(data)} bytes, expected {expected}",
             min(len(data), expected),
         )
-    values = np.frombuffer(data, dtype="<f4", offset=16).reshape(f, h, w).astype(float)
+    # Casting a signalling NaN quiets it and warns; the pixel is invalid either way.
+    with np.errstate(invalid="ignore"):
+        values = np.frombuffer(data, dtype="<f4", offset=16).reshape(f, h, w).astype(float)
     return RadialMap(values=values, source_valid=np.isfinite(values))
 
 

@@ -64,9 +64,10 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
     """Draw a geometrically benign configuration.
 
     Setups are resampled until every breakpoint of a fine (K = 129) path
-    is in front of the query camera with margin (beta > 1e-3 and z > 1e-3,
-    which makes every point valid for the analytic path), so the
-    Monte-Carlo route never straddles the projection guard.
+    is visible to the query camera with margin, beta = z + xi |p| > 1e-3
+    (the model's projection domain is beta > 0), so every point is valid
+    for the analytic path and the Monte-Carlo route never crosses the
+    edge of that domain.
     """
     while True:
         w = h = 128
@@ -96,9 +97,8 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
         omega = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
         radii = breakpoints(interval.mu, interval.sigma, _REFERENCE_K)
         pts = transform.apply(radii[:, None] * ray.direction)
-        z = pts[:, 2]
-        beta = z + cam_q.xi * np.linalg.norm(pts, axis=1)
-        if np.min(beta) > 1e-3 and np.min(z) > 1e-3:
+        beta = pts[:, 2] + cam_q.xi * np.linalg.norm(pts, axis=1)
+        if np.min(beta) > 1e-3:
             return PhasorSetup(cam_q, transform, ray, interval, omega)
 
 

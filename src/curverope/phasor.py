@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import BETA_EPS, Ray, RigidTransform, UcmCamera, unproject_points
+from .camera import Ray, RigidTransform, UcmCamera, unproject_points
 from .rope import FrequencyPlan
 
 __all__ = [
@@ -81,11 +81,13 @@ class ProjectedPath:
     """Query-view coordinates of lifted breakpoints, batched over leading axes.
 
     points[..., k, :] = (u_bounded, v_bounded, range) where (u, v) lie in
-    the unit disk by construction ((u^2 + v^2) / (u^2 + v^2 + 1) < 1 up to
-    rounding) and range is the query-frame radial distance; valid[..., k]
-    flags the points that enter the phase integral. A valid point has
-    positive range: range 0 puts the point at the camera centre, where
-    beta = 0 marks it invalid.
+    the closed unit disk by construction ((sx x, sy y) over
+    sqrt((sx x)^2 + (sy y)^2 + beta^2), on the unit circle only where
+    beta = 0) and range is the query-frame radial distance; valid[..., k]
+    flags the visible points, beta > 0 (see UcmCamera), and a segment
+    enters the phase integral when both of its breakpoints are visible. A
+    valid point has positive range: range 0 puts the point at the camera
+    centre, where beta = 0 marks it invalid.
     """
 
     points: np.ndarray
@@ -151,11 +153,16 @@ def token_paths(
     rotated into the query frame once, d = R ray, and the breakpoint at
     radius r is r d + t, formed per coordinate, so the rotation costs one
     small product per ray rather than one per breakpoint. A point is
-    flagged invalid when the query camera is pinhole (xi = 0) and the point
-    sits at or behind its principal plane, or when the projection
-    denominator is smaller than the guard; projection itself stays total.
-    The radii are taken as breakpoints makes them (positive, finite,
-    non-decreasing, K >= 2) and are not checked again here.
+    valid when it is visible, beta = z + xi |p| > 0 (see UcmCamera). The
+    bounded coordinates are written guard-free, (sx x, sy y) /
+    sqrt((sx x)^2 + (sy y)^2 + beta^2) with sx = fx / width and
+    sy = fy / height: for beta > 0 this is (u, v) / sqrt(u^2 + v^2 + 1)
+    of the projection u = sx x / beta, and it stays finite and continuous
+    across beta = 0. The one point it leaves 0 / 0, x = y = beta = 0 (the
+    query camera centre, and for xi = 1 the optical axis behind it), gets
+    the coordinate (0, 0). The radii are taken as breakpoints makes them
+    (positive, finite, non-decreasing, K >= 2) and are not checked again
+    here.
     """
     r = np.asarray(radii, dtype=float)
     d = np.asarray(rays, dtype=float) @ transform.rotation.T
@@ -163,17 +170,12 @@ def token_paths(
     x, y, z = (r * d[..., c, None] + t[c] for c in range(3))
     rng = np.sqrt(x * x + y * y + z * z)
     beta = z + cam_q.xi * rng
-    near = np.abs(beta) < BETA_EPS
-    valid = ~near
-    if cam_q.xi == 0.0:
-        valid &= z > 0.0
-    if near.any():  # clamp away from zero, keeping the sign (+ for 0 and -0)
-        beta[near] = np.where(beta[near] >= 0.0, BETA_EPS, -BETA_EPS)
-    ub = (cam_q.fx / cam_q.width) * x / beta
-    vb = (cam_q.fy / cam_q.height) * y / beta
-    denom = np.sqrt(ub * ub + vb * vb + 1.0)
-    points = np.stack([ub / denom, vb / denom, rng], axis=-1)
-    return ProjectedPath(points=points, valid=valid)
+    xs = (cam_q.fx / cam_q.width) * x
+    ys = (cam_q.fy / cam_q.height) * y
+    denom = np.sqrt(xs * xs + ys * ys + beta * beta)
+    np.copyto(denom, 1.0, where=denom == 0.0)
+    points = np.stack([xs / denom, ys / denom, rng], axis=-1)
+    return ProjectedPath(points=points, valid=beta > 0.0)
 
 
 def projected_path(
@@ -219,12 +221,11 @@ def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
 
     path has shape (..., offsets, K); the result has shape (..., D/2, 2),
     with the plan's coordinates ordered (u_bounded, v_bounded, range) per
-    offset. Invalid breakpoints are dropped and segments formed from
-    consecutive valid points; an offset whose path keeps fewer than two
-    valid points falls back to identity coefficients (1, 0) on its channels.
-    When every breakpoint is valid the points are used as they are;
-    otherwise they are compacted first, and an all-valid offset gets the
-    same bits either way.
+    offset. A segment counts when both of its breakpoints are valid, and
+    each offset's coefficients are the mean over its counted segments; an
+    offset with no such segment falls back to identity coefficients (1, 0)
+    on its channels. When every breakpoint is valid the mask is skipped,
+    and an all-valid offset gets the same bits either way.
     """
     *batch, num_offsets, k = path.valid.shape
     if plan.num_coordinates != 3 * num_offsets:
@@ -233,24 +234,12 @@ def coefficients_from_paths(path: ProjectedPath, plan: FrequencyPlan):
         )
     if not np.all(np.isfinite(path.points)):
         raise ValueError("path points must be finite")
-    kept, unused = path.points, None
-    n_seg = k - 1
-    if not np.all(path.valid):
-        # Stable sort moves the valid points to the front in path order, so
-        # segment j < n_valid - 1 joins the j-th and (j+1)-th kept points.
-        # Adding each path's row offset to its order makes one flat gather.
-        order = np.argsort(~path.valid, axis=-1, kind="stable")
-        order += k * np.arange(order.size // k).reshape(*order.shape[:-1], 1)
-        kept = np.take(path.points.reshape(-1, 3), order, axis=0)
-        n_seg = path.valid.sum(axis=-1) - 1
-        unused = (np.arange(k - 1) >= n_seg[..., None])[..., None, None, :]
-    psi = np.swapaxes(kept, -1, -2)[..., None, :] * (0.25 * plan.frequencies[:, None])
+    psi = np.swapaxes(path.points, -1, -2)[..., None, :] * (0.25 * plan.frequencies[:, None])
     q, m, u = _segment_terms(psi[..., :-1], psi[..., 1:])  # (..., offsets, 3, F, K-1)
-    if unused is not None:
-        np.copyto(q, 0.0, where=unused)
+    used = path.valid[..., :-1] & path.valid[..., 1:]
+    if not np.all(path.valid):
+        q *= used[..., None, None, :]
     total = np.stack([np.vecdot(q, m), 2.0 * np.vecdot(q, u)], axis=-1)
-    if unused is None:
-        return (total / n_seg).reshape(*batch, plan.num_pairs, 2), 0
-    mean = total / np.maximum(n_seg, 1)[..., None, None, None]
-    coeffs = np.where((n_seg < 1)[..., None, None, None], [1.0, 0.0], mean)
-    return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg < 1))
+    n_seg = np.count_nonzero(used, axis=-1)[..., None, None, None]
+    coeffs = np.where(n_seg == 0, [1.0, 0.0], total / np.maximum(n_seg, 1))
+    return coeffs.reshape(*batch, plan.num_pairs, 2), int(np.count_nonzero(n_seg == 0))

@@ -377,6 +377,24 @@ def test_exit_code_parse_error_rdm1(tmp_path):
     assert main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_coeffs_reads_a_signalling_nan_pixel_quietly(tmp_path, capsys):
+    """A signalling NaN in an RDM1 payload is an invalid pixel like any NaN:
+    coeffs exits 0 with nothing on stderr and no warning raised."""
+    traj, cam, poses = _make_trajectory_file(tmp_path)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    raw = bytearray(rdm.read_bytes())
+    raw[16:20] = b"\x00\x00\x81\x7f"  # pixel 0 of frame 0
+    rdm.write_bytes(bytes(raw))
+    cfg = _write_config(tmp_path, trajectory=traj, rdm1=str(rdm))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_code_validation_error(tmp_path):
     cfg = _write_config(tmp_path)  # no trajectory given
     assert main(["coeffs", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

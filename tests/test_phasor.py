@@ -156,17 +156,31 @@ _ORBIT = [RigidTransform(_rot_y(0.1 * f), np.array([0.03 * f, 0.0, 0.1 * f])) fo
 _PAN = [RigidTransform(_rot_y(1.6 * f / 9), np.array([0.6 * f / 9, 0.0, 0.0])) for f in range(10)]
 
 
+def _quotient_bounded_coordinate(cam_q, rotation, translation, direction, radius):
+    """The bounded image coordinate in quotient form, (ubar, vbar) /
+    sqrt(ubar^2 + vbar^2 + 1) with ubar = sx x / beta: defined for beta != 0,
+    and equal to the guard-free form only where beta > 0."""
+    q = np.asarray(rotation) @ (radius * np.asarray(direction)) + np.asarray(translation)
+    beta = q[2] + cam_q.xi * float(np.sqrt(q @ q))
+    ubar = (cam_q.fx / cam_q.width) * q[0] / beta
+    vbar = (cam_q.fy / cam_q.height) * q[1] / beta
+    scale = np.sqrt(ubar * ubar + vbar * vbar + 1.0)
+    return np.array([ubar / scale, vbar / scale])
+
+
 @pytest.mark.parametrize(
-    "xi, size, focal, poses, pairs",
+    "xi, size, focal, poses, pairs, want_invalid",
     [
-        pytest.param(0.9, 128, 56.0, _ORBIT, [(0, 3), (3, 0), (1, 2)], id="fisheye-orbit"),
-        pytest.param(0.0, 64, 48.0, _PAN, [(9, 0), (0, 9), (4, 5), (5, 0)], id="pinhole-pan"),
+        pytest.param(0.9, 128, 56.0, _ORBIT, [(0, 3), (3, 0), (1, 2)], 148, id="fisheye-orbit"),
+        pytest.param(0.0, 64, 48.0, _PAN, [(9, 0), (0, 9), (4, 5), (5, 0)], 757, id="pinhole-pan"),
     ],
 )
-def test_token_path_batches_match_composition_oracle(xi, size, focal, poses, pairs):
+def test_token_path_batches_match_composition_oracle(xi, size, focal, poses, pairs, want_invalid):
     """Full token_rays batches under bench-like poses: every point of the
     ray-first lift within 1e-12 of the scalar composition oracle (lift,
-    then rotate), with the same valid flags."""
+    then rotate), with the same valid flags, beta > 0. Both pose sets put
+    some points out of view; where beta > 0 the oracle's guard-free
+    coordinate is the quotient form."""
     rng = np.random.default_rng(17)
     cam = UcmCamera(focal, focal, size / 2, size / 2, xi, size, size)
     rays = token_rays(cam, 16)
@@ -177,10 +191,13 @@ def test_token_path_batches_match_composition_oracle(xi, size, focal, poses, pai
         path = token_paths(cam, transform, rays, radii)
         for t, a, j in np.ndindex(path.valid.shape):
             args = (cam, transform.rotation, transform.translation, rays[t, a], radii[t, 0, j])
+            want = oracle_bounded_coordinate(*args)
             assert path.valid[t, a, j] == oracle_valid(*args)
-            assert np.max(np.abs(path.points[t, a, j] - oracle_bounded_coordinate(*args))) < 1e-12
+            assert np.max(np.abs(path.points[t, a, j] - want)) < 1e-12
+            if path.valid[t, a, j]:
+                assert np.max(np.abs(want[:2] - _quotient_bounded_coordinate(*args))) < 1e-15
         invalid += int(np.count_nonzero(~path.valid))
-    assert invalid > 0 if xi == 0.0 else invalid == 0
+    assert invalid == want_invalid
 
 
 def test_projected_path_flags_behind_pinhole():
@@ -221,6 +238,8 @@ def test_point_at_the_query_camera_centre_is_invalid(xi):
     path = token_paths(cam, RigidTransform(np.eye(3), -2.0 * ray), ray, np.array([1.0, 2.0, 3.0]))
     assert path.points[1, 2] == 0.0 and not path.valid[1]
     assert path.valid[2] and np.all(path.points[path.valid, 2] > 0)
+    # x = y = beta = 0 there: the coordinate is (0, 0), not 0 / 0.
+    assert np.array_equal(path.points[1], [0.0, 0.0, 0.0])
 
 
 def test_segment_phasor_degenerate():
@@ -594,10 +613,24 @@ def test_patch_rays_match_direct_unprojection():
     assert np.allclose(rays, unproject_points(cam, pixels), atol=1e-15)
 
 
+def _masked_segment_mean(points, valid, plan):
+    """Per coordinate, the mean segment phasor over the segments whose two
+    breakpoints are both valid, by a direct loop; identity where there is
+    none. points (K, 3), valid (K,); the result has shape (3, F, 2)."""
+    segs = [j for j in range(len(valid) - 1) if valid[j] and valid[j + 1]]
+    out = np.tile([1.0, 0.0], (3, plan.frequencies.size, 1))
+    for c in range(3) if segs else ():
+        th = plan.frequencies[:, None] * points[:, c]
+        out[c] = np.mean([segment_phasor(th[:, j], th[:, j + 1]) for j in segs], axis=0)
+    return out
+
+
 def test_coefficients_mixed_validity_batch():
     """One batch mixing offsets with 0, 1, 2 and K valid breakpoints, plus
-    interior gaps: each offset equals the segment mean over its kept points,
-    computed by the scalar composition oracle; short paths fall back."""
+    interior gaps: each offset equals the mean over its segments with both
+    ends valid, computed from the scalar composition oracle's points; an
+    offset with no such segment falls back. A gap drops the segments on
+    both sides of it rather than bridging it."""
     k = 7
     cam = UcmCamera(90, 70, 32, 30, 0.0, 64, 64)
     ahead = RigidTransform(np.eye(3), np.array([0.0, 0.0, -1.5]))
@@ -612,32 +645,25 @@ def test_coefficients_mixed_validity_batch():
     path = token_paths(cam, ahead, rays, radii)
     assert np.array_equal(path.valid.sum(-1), n_valid)
     gapped = path.valid.copy()
-    gapped[1, 0, [1, 4]] = False  # interior gaps in the all-valid path
+    gapped[1, 0, [1, 4]] = False  # interior gaps in the all-valid path: 2 of 6 segments left
     for valid in (path.valid, gapped):
         coeffs, fallbacks = coefficients_from_paths(ProjectedPath(path.points, valid), plan)
-        counts = valid.sum(-1)
-        assert fallbacks == int((counts < 2).sum())
-        for t in range(2):
-            for a in range(3):
-                for c in range(3):
-                    got = coeffs[t, plan.pair_slice(3 * a + c)]
-                    if counts[t, a] < 2:
-                        assert np.array_equal(got, np.tile([1.0, 0.0], (plan.frequencies.size, 1)))
-                        continue
-                    kept = [
-                        oracle_bounded_coordinate(
-                            cam, ahead.rotation, ahead.translation, rays[t, a], radii[t, a, j]
-                        )[c]
-                        for j in range(k) if valid[t, a, j]
-                    ]
-                    want = mean_segment_phasor(plan.frequencies[:, None] * np.array(kept)[None, :])
-                    assert np.max(np.abs(got - want)) < 1e-12
+        coeffs = coeffs.reshape(2, 3, 3, plan.frequencies.size, 2)
+        assert fallbacks == 3
+        for t, a in np.ndindex(2, 3):
+            pts = np.array([
+                oracle_bounded_coordinate(cam, ahead.rotation, ahead.translation, rays[t, a], radii[t, a, j])
+                for j in range(k)
+            ])
+            if n_valid[t, a] < 2:
+                assert np.array_equal(coeffs[t, a], np.tile([1.0, 0.0], (3, plan.frequencies.size, 1)))
+            assert np.max(np.abs(coeffs[t, a] - _masked_segment_mean(pts, valid[t, a], plan))) < 1e-12
 
 
 def test_all_valid_rows_same_bits_with_or_without_compaction():
     """A token whose breakpoints are all valid gets the same coefficient bits
-    when its batch is all valid (no compaction) and when the batch also holds
-    tokens with invalid breakpoints (compaction and the segment mask)."""
+    when its batch is all valid (the mask is skipped) and when the batch
+    also holds tokens with invalid breakpoints (the segment mask runs)."""
     rng = np.random.default_rng(13)
     plan = _token_plan()
     checked = 0
@@ -658,6 +684,41 @@ def test_all_valid_rows_same_bits_with_or_without_compaction():
     assert checked >= 10, checked
 
 
+def test_partly_visible_fisheye_paths():
+    """A fisheye query (xi 0.9) with the source camera 2 behind it and 1.5 to
+    the side, turned toward the space behind the query: the paths hold
+    points of both beta signs, the flags are an independently computed
+    beta > 0, every coordinate is finite and in the unit disk, and a path
+    whose visible points are split by an invisible run gets the mean over
+    its segments with both ends visible, not the mean that bridges the run."""
+    cam = UcmCamera(40, 40, 32, 32, 0.9, 64, 64)
+    transform = RigidTransform(_rot_y(-0.6), np.array([1.5, 0.0, -2.0]))
+    rays = token_rays(cam, 16)
+    radii = breakpoints(0.5, 1.5, 33)
+    path = token_paths(cam, transform, rays, radii)
+    # Point first (rotate r * ray), not the library's ray-first lift.
+    p = (radii[..., None] * rays[:, :, None, :]) @ transform.rotation.T + transform.translation
+    beta = p[..., 2] + 0.9 * np.linalg.norm(p, axis=-1)
+    assert np.min(np.abs(beta)) > 1e-9  # no flag hangs on rounding
+    assert np.array_equal(path.valid, beta > 0)
+    assert (beta > 0).any() and (beta < 0).any()
+    assert np.all(np.isfinite(path.points))
+    assert np.all(path.points[..., 0] ** 2 + path.points[..., 1] ** 2 <= 1.0 + 1e-12)
+
+    plan = _token_plan()
+    coeffs, fallbacks = coefficients_from_paths(path, plan)
+    coeffs = coeffs.reshape(len(rays), 3, 3, plan.frequencies.size, 2)
+    v = path.valid
+    split = v[..., 0] & v[..., -1] & ~v.all(-1)
+    assert fallbacks == 0 and np.count_nonzero(split) >= 5
+    for t, a in zip(*np.nonzero(split)):
+        pts = path.points[t, a]
+        want = _masked_segment_mean(pts, v[t, a], plan)
+        bridged = mean_segment_phasor(plan.frequencies[:, None, None] * pts[v[t, a]].T[None])
+        assert np.max(np.abs(coeffs[t, a] - want)) < 1e-12
+        assert np.max(np.abs(coeffs[t, a] - np.swapaxes(bridged, 0, 1))) > 1e-3
+
+
 def test_coefficients_reject_non_finite_points():
     """A non-finite point, valid or not, is an error rather than NaN coefficients."""
     plan = make_frequency_plan(6, 3)
@@ -671,10 +732,13 @@ def test_coefficients_reject_non_finite_points():
 
 
 @pytest.mark.parametrize("batch", [(6, 3), (2, 5, 3), (1,)], ids=["tokens", "frames-tokens", "one-ray"])
-def test_flat_gather_compaction_matches_take_along_axis_bits(batch):
-    """The kernel's flat-gather compaction gives the bits of the
-    take_along_axis compaction, over (tokens, 3, K), (F, tokens, 3, K) and
-    the oracle's one-ray (1, K) paths, with 0, 1, 2 and K valid points."""
+def test_segment_mask_keeps_the_bits_of_fully_valid_rows(batch):
+    """The segment mask, over (tokens, 3, K), (F, tokens, 3, K) and the
+    oracle's one-ray (1, K) paths with 0, 1, 2 and K valid points: fully
+    valid rows keep the bits of the compaction kernel it replaced
+    (take_along_axis_coefficients), every row is the mean over its segments
+    with both ends valid (a direct loop), and exactly the rows with no such
+    segment fall back."""
     rng = np.random.default_rng(29)
     offsets = batch[-1]
     plan = make_frequency_plan(36, 9, base=10.0) if offsets == 3 else FrequencyPlan(3, [0.7])
@@ -689,6 +753,13 @@ def test_flat_gather_compaction_matches_take_along_axis_bits(batch):
         )
         path = ProjectedPath(points, valid)
         got, fallbacks = coefficients_from_paths(path, plan)
-        want, want_fallbacks = take_along_axis_coefficients(path, plan)
-        assert fallbacks == want_fallbacks == int(np.count_nonzero(counts < 2))
-        assert got.tobytes() == want.tobytes()
+        got = got.reshape(*batch, 3, plan.frequencies.size, 2)
+        want = take_along_axis_coefficients(path, plan)[0].reshape(got.shape)
+        full = counts == k
+        assert got[full].tobytes() == want[full].tobytes()
+        alone = ~(valid[..., :-1] & valid[..., 1:]).any(-1)
+        assert alone[counts < 2].all()
+        assert fallbacks == int(np.count_nonzero(alone))
+        assert np.array_equal(got[alone], np.broadcast_to([1.0, 0.0], got[alone].shape))
+        for row in np.ndindex(batch):
+            assert np.max(np.abs(got[row] - _masked_segment_mean(points[row], valid[row], plan))) < 1e-12

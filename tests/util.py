@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from curverope.camera import BETA_EPS, RigidTransform, UcmCamera
+from curverope.camera import RigidTransform, UcmCamera
 from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from curverope.phasor import _segment_terms
 from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_planes, _scene_spheres
@@ -62,32 +62,36 @@ def oracle_project(cam, point):
 def oracle_bounded_coordinate(cam_q, rotation, translation, direction, radius):
     """Scalar lift -> transform -> project -> bounded coordinate.
 
-    Returns (u_bounded, v_bounded, range) for one breakpoint.
+    Returns (u_bounded, v_bounded, range) for one breakpoint. The bounded
+    coordinate is written guard-free, (sx x, sy y) / sqrt((sx x)^2 +
+    (sy y)^2 + beta^2), which for beta > 0 is the quotient form
+    (ubar, vbar) / sqrt(ubar^2 + vbar^2 + 1) with ubar = sx x / beta; the
+    point x = y = beta = 0 maps to (0, 0).
     """
     p = radius * np.asarray(direction, dtype=float)
     q = np.asarray(rotation, dtype=float) @ p + np.asarray(translation, dtype=float)
     norm = math.sqrt(float(q @ q))
     beta = q[2] + cam_q.xi * norm
-    ubar = (cam_q.fx / cam_q.width) * q[0] / beta
-    vbar = (cam_q.fy / cam_q.height) * q[1] / beta
-    scale = math.sqrt(ubar * ubar + vbar * vbar + 1.0)
-    return np.array([ubar / scale, vbar / scale, norm])
+    xs = (cam_q.fx / cam_q.width) * q[0]
+    ys = (cam_q.fy / cam_q.height) * q[1]
+    scale = math.sqrt(xs * xs + ys * ys + beta * beta) or 1.0
+    return np.array([xs / scale, ys / scale, norm])
 
 
 def oracle_valid(cam_q, rotation, translation, direction, radius):
-    """Scalar validity of one breakpoint: the projection denominator clears
-    the guard and, for a pinhole query camera, the point is ahead of it."""
+    """Scalar validity of one breakpoint: it is visible to the query
+    camera, beta = z + xi |p| > 0."""
     p = radius * np.asarray(direction, dtype=float)
     q = np.asarray(rotation, dtype=float) @ p + np.asarray(translation, dtype=float)
-    beta = q[2] + cam_q.xi * math.sqrt(float(q @ q))
-    return abs(beta) >= BETA_EPS and (cam_q.xi != 0.0 or q[2] > 0.0)
+    return q[2] + cam_q.xi * math.sqrt(float(q @ q)) > 0.0
 
 
 def take_along_axis_coefficients(path, plan):
-    """coefficients_from_paths with the invalid-point compaction written as
-    np.take_along_axis over the (..., K, 3) points: the reference that pins
-    the bits of the kernel's flat-gather compaction. The segment terms and
-    reductions are the kernel's own, so any difference is the compaction's.
+    """coefficients_from_paths as it was before the segment mask: invalid
+    points compacted away with np.take_along_axis over the (..., K, 3)
+    points, and the segments between consecutive kept points averaged. The
+    segment terms and reductions are the kernel's own. It is the reference
+    that pins the bits of fully valid rows, in any batch.
     """
     *batch, num_offsets, k = path.valid.shape
     kept, used, n_seg = path.points, None, k - 1

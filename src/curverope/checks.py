@@ -19,6 +19,8 @@ from .supervision import S_CEILING, S_FLOOR_VAR, TokenTargets, radial_loss
 __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 
 
+# Step of every central difference.
+_STEP = 1e-5
 # Perturbed copies are built and evaluated in row blocks of at most this
 # many float64 entries (16 MiB), so memory stays linear in the parameter
 # count; at the default d_model = 64 all of w1's probes fit in one block.
@@ -28,10 +30,10 @@ _PROBE_BLOCK_ENTRIES = 2**21
 _BOUNDARY_MARGIN = 1e-3
 
 
-def _perturbed_blocks(flat: np.ndarray, step: float):
+def _perturbed_blocks(flat: np.ndarray):
     """Yield the (2n, n) perturbed copies of ``flat`` as row blocks.
 
-    Row j has entry j at orig + step, row n + j at orig - step; each block
+    Row j has entry j at orig + _STEP, row n + j at orig - _STEP; each block
     holds at most ``_PROBE_BLOCK_ENTRIES`` entries, or one row if n exceeds it.
     """
     n = flat.size
@@ -40,16 +42,16 @@ def _perturbed_blocks(flat: np.ndarray, step: float):
         r = np.arange(start, min(start + rows, 2 * n))
         j = r % n
         block = np.tile(flat, (r.size, 1))
-        block[np.arange(r.size), j] = np.where(r < n, flat[j] + step, flat[j] - step)
+        block[np.arange(r.size), j] = np.where(r < n, flat[j] + _STEP, flat[j] - _STEP)
         yield block
 
 
-def _finite_differences(evaluate, point: np.ndarray, step: float) -> np.ndarray:
+def _finite_differences(evaluate, point: np.ndarray) -> np.ndarray:
     """Central differences at the flattened ``point``; ``evaluate`` maps a
     block of perturbed copies, one per row, to one value per row."""
-    f = np.concatenate([evaluate(block) for block in _perturbed_blocks(point.reshape(-1), step)])
+    f = np.concatenate([evaluate(block) for block in _perturbed_blocks(point.reshape(-1))])
     up, down = f.reshape(2, -1)
-    return (up - down) / (2 * step)
+    return (up - down) / (2 * _STEP)
 
 
 def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -84,12 +86,7 @@ def _run_samples(samples: int, seed: int, draw, skipped_key: str) -> dict:
     }
 
 
-def run_head_gradcheck(
-    samples: int,
-    d_model: int,
-    seed: int,
-    step: float = 1e-5,
-) -> dict:
+def run_head_gradcheck(samples: int, seed: int, d_model: int = 64) -> dict:
     """Check head gradients at random smooth points.
 
     Returns max relative error over accepted samples plus the count of
@@ -126,17 +123,16 @@ def run_head_gradcheck(
             fd = _finite_differences(
                 lambda block: objective(replace(params, **{name: block.reshape(-1, *shape)}), x),
                 base,
-                step,
             )
             pairs.append((analytic.reshape(-1), fd))
-        fd = _finite_differences(lambda block: objective(params, block), feature, step)
+        fd = _finite_differences(lambda block: objective(params, block), feature)
         pairs.append((head_feature_gradient(params, cache, gm, gs)[0], fd))
         return pairs
 
     return _run_samples(samples, seed, draw, "excluded")
 
 
-def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
+def run_loss_gradcheck(samples: int, seed: int) -> dict:
     """Check radial-loss gradients at random smooth points.
 
     Tokens near the |exp(mu) - target| kink or the scale floor/ceiling are
@@ -171,6 +167,6 @@ def run_loss_gradcheck(samples: int, seed: int, step: float = 1e-5) -> dict:
             m, g = block.T.copy().reshape(2, -1, 1, 1, 1)
             return radial_loss(m, g, targets).loss
 
-        return [(analytic, _finite_differences(losses, np.array([mu, sigma]), step))]
+        return [(analytic, _finite_differences(losses, np.array([mu, sigma])))]
 
     return _run_samples(samples, seed, draw, "flagged")

@@ -37,6 +37,10 @@ _MC_CHUNK = 2**13
 # Breakpoints of the fine path random_setup screens and of the reference
 # analytic value every other K is compared against.
 _REFERENCE_K = 129
+# The check's two gates: the largest reference-vs-MC error a config may
+# show, and the share of configs on which K = 5 must beat K = 2.
+_MC_TOLERANCE = 5e-3
+_K5_WIN_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -208,21 +212,14 @@ def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:
     return coeffs
 
 
-def run_oracle_check(
-    num_configs: int,
-    samples: int,
-    k_values,
-    seed: int,
-    mc_tolerance: float = 5e-3,
-    win_fraction: float = 0.9,
-) -> dict:
+def run_oracle_check(num_configs: int, samples: int, k_values, seed: int) -> dict:
     """Compare analytic expected phasors against the MC estimate.
 
     Per configuration, reports the max component error of the reference
     (K = 129) analytic value against MC, and the max component error of
     every other K against the reference. Passing requires the MC error
-    within tolerance everywhere, and K=5 beating K=2 (vs the reference) on
-    at least win_fraction of configurations when both are requested.
+    within _MC_TOLERANCE everywhere, and K=5 beating K=2 (vs the reference)
+    on at least _K5_WIN_FRACTION of configurations when both are requested.
     """
     if num_configs < 1:
         raise ValueError(f"num_configs must be >= 1, got {num_configs}")
@@ -250,13 +247,13 @@ def run_oracle_check(
         "num_configs": num_configs,
         "samples": samples,
         "reference_k": _REFERENCE_K,
-        "mc_tolerance": mc_tolerance,
+        "mc_tolerance": _MC_TOLERANCE,
         "max_mc_error": max(r["mc_error"] for r in rows),
-        "mc_pass": all(r["mc_error"] <= mc_tolerance for r in rows),
+        "mc_pass": all(r["mc_error"] <= _MC_TOLERANCE for r in rows),
     }
     if 5 in k_values and 2 in k_values:
         wins = sum(1 for r in rows if r["err_k5"] <= r["err_k2"])
         report["k5_beats_k2_fraction"] = wins / num_configs
-        report["k5_pass"] = wins / num_configs >= win_fraction
+        report["k5_pass"] = wins / num_configs >= _K5_WIN_FRACTION
     report["pass"] = report["mc_pass"] and report.get("k5_pass", True)
     return {"report": report, "rows": rows}

@@ -201,18 +201,17 @@ def make_layer_features(
     num_layers: int,
     d_model: int,
     seed: int,
-    depth_weight: float | None = None,
     noise_scale: float = 0.1,
 ) -> np.ndarray:
     """Token features (frames, patches, d_model) carrying a layer-dependent amount of depth signal.
 
     Features are a frozen random affine mix of the standardized log radial
     target, positional sinusoids and per-layer noise. The depth-signal
-    weight defaults to a hump profile over layer_index so mid-stack layers
-    expose the most recoverable signal; the mixing directions are shared
-    across layers.
+    weight is depth_signal_weight(layer_index, num_layers), a hump profile
+    so mid-stack layers expose the most recoverable signal; the mixing
+    directions are shared across layers.
     """
-    w = depth_signal_weight(layer_index, num_layers) if depth_weight is None else float(depth_weight)
+    w = depth_signal_weight(layer_index, num_layers)
     f, ht, wt = targets.targets.shape
     n = f * ht * wt
     flat_mask = targets.mask.reshape(n)

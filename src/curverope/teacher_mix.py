@@ -31,6 +31,11 @@ __all__ = [
 BLOCK_FRAME = "block_frame"
 VIDEO = "video"
 _MODE_FLOORS = {BLOCK_FRAME: 0.1, VIDEO: 0.5}
+# The decay window: full substitution up to _DECAY_START, the floor from
+# _DECAY_END on.
+_DECAY_START = 1000
+_DECAY_END = 7000
+# Half-width of the narrow teacher interval.
 TEACHER_SIGMA = 0.1
 
 
@@ -38,21 +43,17 @@ TEACHER_SIGMA = 0.1
 class MixSchedule:
     """Piecewise-linear substitution-probability schedule.
 
-    Full substitution up to decay_start, linear decay to the floor at
-    decay_end, constant after. Granularity and floor follow the mode:
+    Full substitution up to step _DECAY_START, linear decay to the floor at
+    _DECAY_END, constant after. Granularity and floor follow the mode:
     block_frame draws one mask bit per frame (floor 0.1), video one bit per
     clip (floor 0.5).
     """
 
     mode: str
-    decay_start: int = 1000
-    decay_end: int = 7000
 
     def __post_init__(self) -> None:
         if self.mode not in _MODE_FLOORS:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.decay_start >= self.decay_end:
-            raise ValueError("decay_start must precede decay_end")
 
     @property
     def floor(self) -> float:
@@ -66,11 +67,11 @@ def substitution_probability(schedule: MixSchedule, step: int) -> float:
     floor as its decimal value) so the schedule lands on exact decimals at
     round fractions of the decay window.
     """
-    if step <= schedule.decay_start:
+    if step <= _DECAY_START:
         return 1.0
-    if step >= schedule.decay_end:
+    if step >= _DECAY_END:
         return float(schedule.floor)
-    t = Fraction(step - schedule.decay_start, schedule.decay_end - schedule.decay_start)
+    t = Fraction(step - _DECAY_START, _DECAY_END - _DECAY_START)
     floor = Fraction(str(schedule.floor))
     return float(1 - t * (1 - floor))
 
@@ -92,12 +93,11 @@ def effective_interval(
     gt_normalized: np.ndarray,
     substituted: np.ndarray,
     valid: np.ndarray,
-    teacher_sigma: float = TEACHER_SIGMA,
 ):
     """Interval grids (mu, sigma) after teacher substitution.
 
     All arguments broadcast together. A token takes the teacher interval
-    clamp_interval(log target, |teacher_sigma|) iff it is substituted and
+    clamp_interval(log target, TEACHER_SIGMA) iff it is substituted and
     valid, and keeps its prediction otherwise; out-of-range teachers are
     clamped into the head's log bound so the interval invariants hold
     downstream. Every valid token needs a finite positive target.
@@ -107,7 +107,7 @@ def effective_interval(
     if np.any(valid & ~(np.isfinite(target) & (target > 0))):
         raise ValueError("a valid target requires a finite positive normalized value")
     take = np.asarray(substituted, dtype=bool) & valid
-    t_mu, t_sigma = clamp_interval(np.log(np.where(take, target, 1.0)), abs(teacher_sigma))
+    t_mu, t_sigma = clamp_interval(np.log(np.where(take, target, 1.0)), TEACHER_SIGMA)
     return np.where(take, t_mu, pred_mu), np.where(take, t_sigma, pred_sigma)
 
 
@@ -125,7 +125,6 @@ def external_override(
     pred_sigma: np.ndarray,
     external: RadialMap,
     near_stat: float,
-    teacher_sigma: float = TEACHER_SIGMA,
 ) -> OverrideResult:
     """Replace predictions with teacher intervals where an external radial
     map is valid after filtering, normalization and token pooling; invalid
@@ -143,7 +142,5 @@ def external_override(
         raise ValueError("external map shape is incompatible with the token grid")
     mask = validity_mask(external)
     tokens = normalize_and_pool(external, mask, near_stat, patch)
-    mu, sigma = effective_interval(
-        pred_mu, pred_sigma, tokens.targets, True, tokens.mask, teacher_sigma
-    )
+    mu, sigma = effective_interval(pred_mu, pred_sigma, tokens.targets, True, tokens.mask)
     return OverrideResult(mu=mu, sigma=sigma, substituted=tokens.mask.copy())

@@ -44,6 +44,8 @@ __all__ = [
 _WARMUP_FRACTION = 0.2
 # Global gradient norm above which a step is scaled down to this norm.
 _CLIP_NORM = 1.0
+# Scale of the per-layer noise in the probe's synthetic features.
+_PROBE_NOISE = 0.2
 
 
 class DivergenceError(RuntimeError):
@@ -252,18 +254,19 @@ def run_layer_probe(
     lr: float,
     seed: int,
     holdout_fraction: float = 0.2,
-    noise_scale: float = 0.1,
     record_every: int = 0,
 ):
     """Train one probe head per layer slot, all slots in lockstep; returns
     LayerProbeResult rows."""
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    if d_model < 1:
+        raise ValueError(f"d_model must be >= 1, got {d_model}")
     flat_vals, flat_mask = _flat_targets(targets)
     if not flat_mask.any():
         raise ValueError("no valid tokens to probe")
     feats = np.stack([
-        make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=noise_scale)
+        make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=_PROBE_NOISE)
         .reshape(-1, d_model)[flat_mask]
         for layer in range(num_layers)
     ])

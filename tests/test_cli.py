@@ -210,7 +210,7 @@ def test_trace_csv_bytes_equal_a_csv_writer_over_the_same_paths(tmp_path):
     assert main(["trace-path", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     mu, sigma = np.zeros((3, 4, 4)), np.full((3, 4, 4), LOG_RANGE_BOUND)
-    teacher = external_override(mu, sigma, read_rdm1(rdm), 1.5, teacher_sigma=0.1)
+    teacher = external_override(mu, sigma, read_rdm1(rdm), 1.5)
     radii = breakpoints(teacher.mu[0], teacher.sigma[0], 7).reshape(16, 1, 7)
     path = token_paths(cam, relative_transform(poses[0], poses[2]), token_rays(cam, 16), radii)
     assert 0 < path.valid.sum() < path.valid.size and np.unique(radii[:, 0, 0]).size > 1
@@ -444,6 +444,9 @@ def test_exit_code_unknown_config_key(tmp_path, capsys):
         ("gradcheck", {"gradcheck": {"samples": 0}}, "samples"),
         ("oracle-check", {"oracle": {"samples": 0}}, "samples"),
         ("oracle-check", {"oracle": {"num_configs": 0}}, "num_configs"),
+        # NumPy used to report these as a failed reshape or negative dimensions.
+        ("train-head", {"train": {"d_model": 0}}, "d_model"),
+        ("train-head", {"train": {"d_model": -3}}, "d_model"),
     ],
 )
 def test_exit_code_nonpositive_counts(tmp_path, capsys, command, doc, key):
@@ -567,6 +570,33 @@ def _pose_in_file(pose):
     return make
 
 
+def _far_pose(translation, fx=56.0):
+    """A 2-frame trajectory (64x64, xi 0.4, patch 16, k 5) whose second pose
+    is the identity rotation moved by translation: finite and orthonormal,
+    so it loads, but its points overflow."""
+    def make(tmp_path):
+        traj, _, _ = _make_trajectory_file(tmp_path)
+        doc = json.loads((tmp_path / "traj.json").read_text())
+        doc["camera"]["fx"] = fx
+        doc["poses"][1] = [[1.0, 0.0, 0.0, translation[0]], [0.0, 1.0, 0.0, translation[1]],
+                           [0.0, 0.0, 1.0, translation[2]], [0.0, 0.0, 0.0, 1.0]]
+        (tmp_path / "traj.json").write_text(json.dumps(doc))
+        return {"trajectory": traj, "patch_size": 16, "k": 5}
+    return make
+
+
+def _retired(key):
+    """The error of a key retired from DEFAULT_CONFIG."""
+    return f"unknown config key {key!r}"
+
+
+def _nested(key, value):
+    """The document that sets the dotted key to value."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
 _TOKEN_COMMANDS = ("coeffs", "trace-path")
 _MALFORMED = [
     *(
@@ -601,10 +631,6 @@ _MALFORMED = [
     pytest.param(
         "train-head", _doc(train={"camera": {"fx": 1e-200}}), "no valid tokens", id="train-head-fx=1e-200"
     ),
-    *(
-        pytest.param(c, _nan_teacher_sigma, "finite", id=f"{c}-teacher_sigma=nan")
-        for c in _TOKEN_COMMANDS
-    ),
     # NaN and the infinities are JSON numbers to Python's parser; a 401-digit
     # integer is past the float range.
     *(
@@ -622,9 +648,64 @@ _MALFORMED = [
         )
         for c in _TOKEN_COMMANDS
     ),
+    # A far pose overflows the squares of the path points: an input error, with
+    # no NumPy warning and no file of infinite ranges. At x = 1e154 with
+    # fx / width = 2 only (sx x)^2 overflows, which used to leave finite but
+    # wrong coordinates.
     *(
-        pytest.param("gradcheck", _doc(gradcheck={"step": v}), "gradcheck.step", id=f"step={v}")
+        pytest.param(c, _far_pose(t, fx), "path points must be finite", id=f"{c}-far-pose-{name}")
+        for name, t, fx in (
+            ("z=1e160", (0.0, 0.0, 1e160), 56.0),
+            ("z=1e308", (0.0, 0.0, 1e308), 56.0),
+            ("x=1e154", (1e154, 0.0, 0.0), 128.0),
+        )
+        for c in _TOKEN_COMMANDS
+    ),
+    # Keys retired from DEFAULT_CONFIG, whose values each have one home in
+    # the library now: setting one, even to its former default, is an
+    # unknown key.
+    *(
+        pytest.param(c, _doc(**_nested(key, v)), _retired(key), id=f"{c}-{key}-retired")
+        for c, key, v in (
+            ("coeffs", "freq_base", 10000.0),
+            ("coeffs", "coeffs.teacher_sigma", 0.1),
+            ("oracle-check", "oracle.tolerance", 5e-3),
+            ("oracle-check", "oracle.win_fraction", 0.9),
+            ("gradcheck", "gradcheck.step", 1e-5),
+            ("gradcheck", "gradcheck.d_model", 64),
+            ("mix-sim", "mix.decay_start", 1000),
+            ("mix-sim", "mix.decay_end", 7000),
+            ("train-head", "train.noise", 0.2),
+        )
+    ),
+    # The documents the retired keys' range rules used to reject stay
+    # rejected, now as unknown keys.
+    *(
+        pytest.param(c, _nan_teacher_sigma, _retired("coeffs.teacher_sigma"), id=f"{c}-teacher_sigma=nan")
+        for c in _TOKEN_COMMANDS
+    ),
+    *(
+        pytest.param("gradcheck", _doc(gradcheck={"step": v}), _retired("gradcheck.step"), id=f"step={v}")
         for v in (0.0, -1e-5, NAN, INF)
+    ),
+    *(
+        pytest.param("oracle-check", _doc(oracle={"win_fraction": v}), _retired("oracle.win_fraction"),
+                     id=f"win_fraction={v}")
+        for v in (-1.0, 1.5, NAN)
+    ),
+    *(
+        pytest.param("oracle-check", _doc(oracle={"tolerance": v}), _retired("oracle.tolerance"),
+                     id=f"tolerance={v}")
+        for v in (NAN, 0.0, -5e-3, INF)
+    ),
+    *(
+        pytest.param(c, _doc(**doc), _retired(key), id=id_)
+        for c, doc, key, id_ in (
+            ("gradcheck", {"oracle": {"tolerance": NAN}}, "oracle.tolerance", "gradcheck-oracle.tolerance"),
+            ("mix-sim", {"oracle": {"win_fraction": 2.0}}, "oracle.win_fraction", "mix-sim-oracle.win_fraction"),
+            ("mix-sim", {"gradcheck": {"step": 0.0}}, "gradcheck.step", "mix-sim-gradcheck.step"),
+            ("gradcheck", {"gradcheck": {"step": 10**400}}, "gradcheck.step", "gradcheck-gradcheck.step=10**400"),
+        )
     ),
     *(
         pytest.param("train-head", _doc(train={"scene": {"extent": v}}), "extent", id=f"extent={v}")
@@ -634,24 +715,17 @@ _MALFORMED = [
         pytest.param("train-head", _doc(train={"holdout": v}), "train.holdout", id=f"holdout={v}")
         for v in (-0.5, 1.0, NAN)
     ),
+    # A negative stride used to record every |value|-th step.
     *(
-        pytest.param("oracle-check", _doc(oracle={"win_fraction": v}), "oracle.win_fraction",
-                     id=f"win_fraction={v}")
-        for v in (-1.0, 1.5, NAN)
-    ),
-    *(
-        pytest.param("oracle-check", _doc(oracle={"tolerance": v}), "oracle.tolerance", id=f"tolerance={v}")
-        for v in (NAN, 0.0, -5e-3, INF)
+        pytest.param(c, _doc(train={"record_every": -5}), "train.record_every", id=f"{c}-record_every=-5")
+        for c in ("train-head", "mix-sim")
     ),
     # Every range rule holds for every subcommand, not only the one that reads the key.
     *(
         pytest.param(c, _doc(**doc), named, id=f"{c}-{named}")
         for c, doc, named in (
             ("coeffs", {"mix": {"stride": 0}}, "mix.stride"),
-            ("gradcheck", {"oracle": {"tolerance": NAN}}, "oracle.tolerance"),
             ("mix-sim", {"train": {"holdout": 1.0}}, "train.holdout"),
-            ("mix-sim", {"oracle": {"win_fraction": 2.0}}, "oracle.win_fraction"),
-            ("mix-sim", {"gradcheck": {"step": 0.0}}, "gradcheck.step"),
             ("mix-sim", {"coeffs": {"sigma_override": 400.0}}, "coeffs.sigma_override"),
             ("trace-path", {"pairs_per_group": 0}, "pairs_per_group"),
         )
@@ -660,7 +734,6 @@ _MALFORMED = [
     *(
         pytest.param(c, _doc(**doc), f"config key {named!r}", id=f"{c}-{named}=10**400")
         for c, doc, named in (
-            ("gradcheck", {"gradcheck": {"step": 10**400}}, "gradcheck.step"),
             ("train-head", {"train": {"lr": 10**400}}, "train.lr"),
             ("mix-sim", {"coeffs": {"sigma_override": -(10**400)}}, "coeffs.sigma_override"),
         )
@@ -721,10 +794,66 @@ def test_every_range_rule_names_a_default_leaf_that_passes_it():
         assert holds(node), name
 
 
+class _ReadRecorder(dict):
+    """A config mapping that records the dotted name of every entry read.
+
+    Nested objects are recorded under their prefix; overriding __iter__
+    makes ** unpacking read each entry through __getitem__."""
+
+    def __init__(self, data, reads, prefix=""):
+        super().__init__(data)
+        self._reads, self._prefix = reads, prefix
+
+    def __getitem__(self, key):
+        name = self._prefix + key
+        self._reads.add(name)
+        value = super().__getitem__(key)
+        return _ReadRecorder(value, self._reads, name + ".") if isinstance(value, dict) else value
+
+    def __iter__(self):
+        return iter(list(self.keys()))
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_every_default_config_leaf_is_read_by_a_subcommand(tmp_path, monkeypatch):
+    """A DEFAULT_CONFIG key that no subcommand reads is dead: setting it only
+    changes the config hash. Each subcommand runs on tiny sizes with a config
+    that records its reads."""
+    from curverope import cli
+
+    reads = set()
+    load = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda args: _ReadRecorder(load(args), reads))
+    traj, cam, poses = _make_trajectory_file(tmp_path)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    spec = {"camera": {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4, "width": 64, "height": 64},
+            "frames": 2, "motion": "dolly", "amplitude": 0.3}
+    runs = [
+        ("coeffs", {"trajectory": traj, "rdm1": str(rdm)}),
+        ("trace-path", {"trajectory_spec": spec}),
+        ("oracle-check", {"oracle": {"num_configs": 1, "samples": 100}}),
+        ("gradcheck", {"gradcheck": {"samples": 1}}),
+        ("train-head", {"train": {"num_layers": 1, "d_model": 8, "steps": 2}}),
+        ("mix-sim", {"mix": {"total_steps": 200}}),
+    ]
+    for command, doc in runs:
+        cfg = _write_config(tmp_path, **doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+    assert set(_leaves(cli.DEFAULT_CONFIG)) - reads == set()
+
+
 def test_default_config_hash_is_pinned():
     """Every output embeds config_hash(cfg), so renaming, adding or changing
     a DEFAULT_CONFIG entry changes the bytes of every file the CLI writes.
     Such a change must update this value on purpose."""
     from curverope.cli import DEFAULT_CONFIG, config_hash
 
-    assert config_hash(DEFAULT_CONFIG) == "ef252a3f43e46ff1973deba41c5c15c1ea8d6cd67c9de1a4ced3ba51aa90dd0d"
+    assert config_hash(DEFAULT_CONFIG) == "bccfeea59caa08e1b7985f402ed03eab5b18049d18a08298a1e66c6b5c439f8c"

@@ -161,7 +161,7 @@ def test_gradcheck_probe_blocks_bound_memory(monkeypatch):
     full[np.arange(7), np.arange(7)] = flat + 1e-5
     full[np.arange(7) + 7, np.arange(7)] = flat - 1e-5
     monkeypatch.setattr(checks, "_PROBE_BLOCK_ENTRIES", 21)
-    blocks = list(checks._perturbed_blocks(flat, 1e-5))
+    blocks = list(checks._perturbed_blocks(flat))
     assert len(blocks) == 5 and all(b.size <= 21 for b in blocks)
     np.testing.assert_array_equal(np.concatenate(blocks), full)
 

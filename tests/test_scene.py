@@ -168,10 +168,12 @@ def test_layer_features_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
-def test_layer_features_depth_weight_scales_signal():
+def test_layer_features_depth_weight_scales_signal(monkeypatch):
     t = _targets()
-    weak = make_layer_features(t, 0, 8, 32, seed=5, depth_weight=0.0, noise_scale=0.0)
-    strong = make_layer_features(t, 0, 8, 32, seed=5, depth_weight=1.0, noise_scale=0.0)
+    monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 0.0)
+    weak = make_layer_features(t, 0, 8, 32, seed=5, noise_scale=0.0)
+    monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 1.0)
+    strong = make_layer_features(t, 0, 8, 32, seed=5, noise_scale=0.0)
     diff = strong - weak
     # the difference is exactly the rank-one depth term: nonzero only on valid tokens
     flat = diff.reshape(-1, 32)

@@ -45,8 +45,6 @@ def test_schedule_continuity():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         MixSchedule(mode="nope")
-    with pytest.raises(ValueError):
-        MixSchedule(mode="video", decay_start=7000, decay_end=1000)
 
 
 def test_sample_mask_extremes():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curverope import trainer
+from curverope import scene, trainer
 from curverope.head import HeadParams, head_backward, head_forward, head_init
 from curverope.scene import make_layer_features
 from curverope.supervision import TokenTargets, uncertainty_scale
@@ -35,20 +35,22 @@ def _norm(fields):
     ])
 
 
-def test_signal_case_recovers_targets():
+def test_signal_case_recovers_targets(monkeypatch):
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=1.0, noise_scale=0.0)
+    monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 1.0)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0, noise_scale=0.0)
     _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
     assert stats["loss_reduction"] >= 0.9
     assert stats["final_probe_error"] < 0.15 * stats["init_probe_error"]
     assert stats["final_probe_error"] < 0.08
 
 
-def test_null_case_no_probe_improvement():
+def test_null_case_no_probe_improvement(monkeypatch):
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0, depth_weight=0.0, noise_scale=0.1)
+    monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 0.0)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0, noise_scale=0.1)
     _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
     reduction = 1.0 - stats["final_probe_error"] / stats["init_probe_error"]
     assert reduction < 0.05
@@ -80,7 +82,7 @@ def test_training_curve_recorded():
 def test_layer_probe_prefers_mid_stack():
     targets = _iid_targets(seed=9)
     rows = run_layer_probe(
-        targets, num_layers=6, d_model=48, steps=800, lr=0.01, seed=0, noise_scale=0.2
+        targets, num_layers=6, d_model=48, steps=800, lr=0.01, seed=0
     )
     errs = [r.final_probe_error for r in rows]
     best = int(np.argmin(errs))

@@ -29,7 +29,6 @@ from .camera import UcmCamera, relative_transform
 from .checks import run_head_gradcheck, run_loss_gradcheck
 from .formats import (
     FormatError,
-    camera_from_dict,
     load_trajectory,
     parse_json,
     read_rdm1,
@@ -67,29 +66,12 @@ DEFAULT_CONFIG = {
     "patch_size": 16,
     "pairs_per_group": 2,
     "trajectory": None,
-    "trajectory_spec": None,
     "rdm1": None,
     "coeffs": {"sigma_override": None},
     "trace": {"query_frame": -1, "source_frame": 0},
     "oracle": {"num_configs": 50, "samples": 200000, "k_values": [2, 5, 129]},
     "gradcheck": {"samples": 100},
-    "train": {
-        "num_layers": 12,
-        "d_model": 64,
-        "steps": 2000,
-        "lr": 0.01,
-        "holdout": 0.2,
-        "patch_size": 8,
-        "record_every": 100,
-        "scene": {"kind": "point_cloud", "extent": 2.0, "num_points": 300, "seed": 0},
-        "motion": "dolly",
-        "frames": 3,
-        "amplitude": 0.4,
-        "camera": {
-            "fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0,
-            "xi": 0.3, "width": 64, "height": 64,
-        },
-    },
+    "train": {"num_layers": 12, "d_model": 64, "steps": 2000, "record_every": 100},
     "mix": {
         "mode": "block_frame",
         "total_steps": 8000,
@@ -103,7 +85,6 @@ DEFAULT_CONFIG = {
 # Types of the entries whose default is None (unset).
 _OPTIONAL_TYPES = {
     "trajectory": str,
-    "trajectory_spec": dict,
     "rdm1": str,
     "coeffs.sigma_override": (int, float),
 }
@@ -119,9 +100,6 @@ _RANGES = {
     "coeffs.sigma_override": (
         lambda v: v is None or abs(v) <= LOG_RANGE_BOUND, f"finite with |value| <= {LOG_RANGE_BOUND}"
     ),
-    # A negative fraction would still hold out one token, and 1 would leave
-    # no training tokens.
-    "train.holdout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     # 0 records no curve; a negative stride would record every |value|-th step.
     "train.record_every": (lambda v: v >= 0, ">= 0"),
     # The rates divide by granules and by the number of logged steps, and a
@@ -207,33 +185,6 @@ def _write_json(path: Path, chash: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _trajectory(section: dict):
-    """(camera, poses) of a {camera, frames, motion, amplitude} section.
-
-    The casts stay: an inline trajectory_spec is not type-checked.
-    """
-    cam = camera_from_dict(section["camera"])
-    spec = TrajectorySpec(
-        frames=int(section["frames"]), motion=section["motion"],
-        amplitude=float(section["amplitude"]), camera=cam,
-    )
-    return cam, make_trajectory(spec)
-
-
-def _resolve_trajectory(cfg: dict):
-    if cfg["trajectory"]:
-        return load_trajectory(cfg["trajectory"])
-    spec = cfg["trajectory_spec"]
-    if spec is None:
-        raise ValueError("this command needs 'trajectory' (file) or 'trajectory_spec' (inline)")
-    try:
-        return _trajectory(spec)
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"trajectory_spec needs camera, frames, motion and amplitude: {e!r}") from e
-    except OverflowError as e:  # int(inf) frames, float() of an integer past the float range
-        raise ValueError(f"trajectory_spec field out of range: {e}") from e
-
-
 def _token_intervals(cfg: dict, cam: UcmCamera, frames: int):
     """Interval grids (mu, sigma) per (frame, row, col) token, and the
     number of tokens that took a teacher interval.
@@ -276,7 +227,9 @@ def _token_setup(cfg: dict):
     """What coeffs and trace-path share: camera, poses, token grid (rows, cols),
     offset rays (tokens, 3, 3), per-source-frame breakpoints (F, tokens, 1, K)
     and the number of teacher-substituted tokens."""
-    cam, poses = _resolve_trajectory(cfg)
+    if not cfg["trajectory"]:
+        raise ValueError("this command needs a 'trajectory' file")
+    cam, poses = load_trajectory(cfg["trajectory"])
     mu, sigma, substituted = _token_intervals(cfg, cam, len(poses))
     frames, rows, cols = mu.shape
     radii = breakpoints(mu, sigma, cfg["k"]).reshape(frames, rows * cols, 1, cfg["k"])
@@ -409,19 +362,28 @@ def cmd_gradcheck(cfg: dict, out: Path, chash: str) -> bool:
     return bool(head["pass"] and loss["pass"])
 
 
+# train-head's synthetic input, a fixed experiment: a 3-frame dolly past a
+# 300-sphere cloud, seen by a xi = 0.3 camera, its radial maps pooled over
+# 8x8-pixel patches.
+_TRAIN_SCENE = SceneSpec(kind="point_cloud", extent=2.0, num_points=300, seed=0)
+_TRAIN_TRAJECTORY = TrajectorySpec(
+    frames=3, motion="dolly", amplitude=0.4,
+    camera=UcmCamera(fx=56.0, fy=56.0, cx=32.0, cy=32.0, xi=0.3, width=64, height=64),
+)
+_TRAIN_PATCH_SIZE = 8
+
+
 def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     t = cfg["train"]
-    cam, poses = _trajectory(t)
-    rmap = render_clip(SceneSpec(**t["scene"]), poses, cam)
+    rmap = render_clip(_TRAIN_SCENE, make_trajectory(_TRAIN_TRAJECTORY), _TRAIN_TRAJECTORY.camera)
     mask = validity_mask(rmap)
     near = near_distance_stat(rmap, mask)
-    targets = normalize_and_pool(rmap, mask, near, t["patch_size"])
+    targets = normalize_and_pool(rmap, mask, near, _TRAIN_PATCH_SIZE)
 
     results = run_layer_probe(
         targets,
         num_layers=t["num_layers"], d_model=t["d_model"],
-        steps=t["steps"], lr=float(t["lr"]), seed=cfg["seed"],
-        holdout_fraction=float(t["holdout"]), record_every=t["record_every"],
+        steps=t["steps"], seed=cfg["seed"], record_every=t["record_every"],
     )
 
     # Every scalar field of a result, in declaration order; repr of an int

@@ -40,6 +40,7 @@ __all__ = [
 RDM1_MAGIC = b"RDM1"
 _HEADER_FMT = "<III"
 _TRAJ_ROTATION_TOL = 1e-6
+_CAMERA_SIZES = ("width", "height")
 
 
 class FormatError(ValueError):
@@ -124,11 +125,16 @@ def read_sidecar(path) -> dict | None:
     if not isinstance(doc, dict):
         raise FormatError("RDM1 sidecar must be a JSON object", 0)
     near = doc.get("near_stat")
-    if near is not None and (isinstance(near, bool) or not isinstance(near, (int, float))):
+    if near is not None and not _is_number(near):
         raise FormatError("RDM1 sidecar near_stat must be a number", 0)
     if near is not None and not _finite_float(near):
         raise ValueError("RDM1 sidecar near_stat must be a finite number within the float range")
     return doc
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return type(value) in (int, float)
 
 
 def _finite_float(value) -> bool:
@@ -142,18 +148,26 @@ def _finite_float(value) -> bool:
 def camera_from_dict(c: dict) -> UcmCamera:
     """Camera from its {fx, fy, cx, cy, xi, width, height} mapping.
 
-    A missing field raises KeyError and a non-numeric one TypeError or
-    ValueError, as does a number float() or int() cannot hold (an integer
-    past the float range, an infinite size); callers say which document was
-    malformed.
+    A field that is not a JSON number is a FormatError naming it. A size
+    that is not a whole number, and a number float() or int() cannot hold
+    (an integer past the float range, an infinite size), are ValueErrors. A
+    missing field raises KeyError; callers say which document lacked it.
     """
-    try:
-        return UcmCamera(
-            fx=float(c["fx"]), fy=float(c["fy"]), cx=float(c["cx"]), cy=float(c["cy"]),
-            xi=float(c["xi"]), width=int(c["width"]), height=int(c["height"]),
-        )
-    except OverflowError as e:
-        raise ValueError(f"camera field out of range: {e}") from e
+    values = {}
+    for name in ("fx", "fy", "cx", "cy", "xi", *_CAMERA_SIZES):
+        value = c[name]
+        if not _is_number(value):
+            raise FormatError(f"camera field {name} must be a number", 0)
+        try:
+            number = int(value) if name in _CAMERA_SIZES else float(value)
+        except OverflowError as e:  # an integer past the float range, an infinite size
+            raise ValueError(f"camera field out of range: {e}") from e
+        except ValueError:  # a NaN size
+            number = None
+        if name in _CAMERA_SIZES and number != value:  # a fraction or NaN
+            raise ValueError(f"camera field {name} must be a whole number, got {value}")
+        values[name] = number
+    return UcmCamera(**values)
 
 
 def save_trajectory(path, cam: UcmCamera, poses) -> None:
@@ -181,6 +195,14 @@ def _orthonormalize(r: np.ndarray) -> np.ndarray:
     return u @ fix @ vt
 
 
+def _is_matrix_4x4(m) -> bool:
+    """Whether a parsed JSON value is 4 rows of 4 numbers."""
+    return (
+        isinstance(m, list) and len(m) == 4
+        and all(isinstance(row, list) and len(row) == 4 and all(map(_is_number, row)) for row in m)
+    )
+
+
 def load_trajectory(path):
     """Load (camera, poses); rotations must be orthonormal within 1e-6.
 
@@ -196,10 +218,10 @@ def load_trajectory(path):
     poses = []
     for i, m in enumerate(matrices):
         try:
-            m = np.asarray(m, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # ragged rows, strings, objects, huge ints
+            m = np.array(m, dtype=float) if _is_matrix_4x4(m) else None
+        except OverflowError:  # an integer past the float range
             m = None
-        if m is None or m.shape != (4, 4) or not np.all(np.isfinite(m)):
+        if m is None or not np.all(np.isfinite(m)):
             raise ValueError(f"pose {i} is not a finite 4x4 matrix")
         if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
             raise ValueError(f"pose {i} bottom row must be [0, 0, 0, 1]")

@@ -251,8 +251,8 @@ def run_layer_probe(
     num_layers: int,
     d_model: int,
     steps: int,
-    lr: float,
     seed: int,
+    lr: float = 0.01,
     holdout_fraction: float = 0.2,
     record_every: int = 0,
 ):

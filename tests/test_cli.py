@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from curverope.camera import UcmCamera, relative_transform
 from curverope.cli import main
-from curverope.formats import camera_from_dict, read_rdm1, save_trajectory, write_rdm1
+from curverope.formats import camera_from_dict, load_trajectory, read_rdm1, save_trajectory, write_rdm1
 from curverope.phasor import LOG_RANGE_BOUND, breakpoints, token_paths, token_rays
 from curverope.rope import make_frequency_plan
 from curverope.scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
@@ -202,11 +203,12 @@ def test_trace_csv_bytes_equal_a_csv_writer_over_the_same_paths(tmp_path):
     the tokens different radii and the pinhole pan flags some points invalid."""
     camera = {"fx": 40.0, "fy": 44.0, "cx": 31.0, "cy": 33.0, "xi": 0.0, "width": 64, "height": 64}
     cam = camera_from_dict(camera)
-    poses = make_trajectory(TrajectorySpec(frames=3, motion="pan", amplitude=1.2, camera=cam))
+    traj = tmp_path / "traj.json"
+    save_trajectory(traj, cam, make_trajectory(TrajectorySpec(frames=3, motion="pan", amplitude=1.2, camera=cam)))
+    cam, poses = load_trajectory(traj)
     rdm = tmp_path / "maps.rdm1"
     write_rdm1(rdm, render_clip(SceneSpec(kind="two_planes", extent=2.0), poses, cam), near_stat=1.5)
-    spec = {"camera": camera, "frames": 3, "motion": "pan", "amplitude": 1.2}
-    cfg = _write_config(tmp_path, trajectory_spec=spec, rdm1=str(rdm), k=7)
+    cfg = _write_config(tmp_path, trajectory=str(traj), rdm1=str(rdm), k=7)
     assert main(["trace-path", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     mu, sigma = np.zeros((3, 4, 4)), np.full((3, 4, 4), LOG_RANGE_BOUND)
@@ -412,8 +414,8 @@ def test_exit_code_validation_error(tmp_path):
 def test_exit_code_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, bogus_key=1)
     assert main(["mix-sim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    # nested keys, missing inline-trajectory fields and wrong types are
-    # validation errors; a malformed RDM1 sidecar is a parse error
+    # nested keys, a retired key and wrong types are validation errors; a
+    # malformed RDM1 sidecar is a parse error
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
     write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
@@ -524,18 +526,19 @@ def _sigma_override(value):
     }
 
 
-def _camera_in_file(field, value):
-    """A trajectory file whose camera field holds a non-finite number."""
+def _camera_in_file(field, value, **config):
+    """A trajectory file whose camera field holds value, and config over it."""
     def make(tmp_path):
         traj, _, _ = _make_trajectory_file(tmp_path)
         doc = json.loads((tmp_path / "traj.json").read_text())
         doc["camera"][field] = value
         (tmp_path / "traj.json").write_text(json.dumps(doc))
-        return {"trajectory": traj}
+        return {"trajectory": traj, **config}
     return make
 
 
 def _camera_in_spec(field, value):
+    """An inline trajectory_spec, a key retired from DEFAULT_CONFIG."""
     camera = {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4, "width": 64, "height": 64}
     camera[field] = value
     return _doc(trajectory_spec={"camera": camera, "frames": 2, "motion": "dolly", "amplitude": 0.3})
@@ -604,32 +607,50 @@ _MALFORMED = [
         for v in (NAN, INF, 800.0, 400.0, -400.0) for c in _TOKEN_COMMANDS
     ),
     *(
-        pytest.param(c, make(field, v), field, id=f"{c}-{field}={v}-{where}")
-        for field, v in (("cx", NAN), ("cy", INF))
-        for where, make in (("file", _camera_in_file), ("spec", _camera_in_spec)) for c in _TOKEN_COMMANDS
+        pytest.param(c, _camera_in_file(field, v), field, id=f"{c}-{field}={v}-file")
+        for field, v in (("cx", NAN), ("cy", INF)) for c in _TOKEN_COMMANDS
     ),
     # Numbers float() or int() cannot hold: an integer past the float range, an infinite size.
     *(
-        pytest.param(c, make(field, v), "camera field out of range", id=f"{c}-{field}={name}-{where}")
-        for field, v, name in (("fx", 10**400, "10**400"), ("width", INF, "inf"))
-        for where, make in (("file", _camera_in_file), ("spec", _camera_in_spec)) for c in _TOKEN_COMMANDS
+        pytest.param(c, _camera_in_file(field, v), "camera field out of range", id=f"{c}-{field}={name}-file")
+        for field, v, name in (("fx", 10**400, "10**400"), ("width", INF, "inf")) for c in _TOKEN_COMMANDS
+    ),
+    # int() would truncate a size with a fraction.
+    *(
+        pytest.param(c, _camera_in_file(field, 64.9), f"camera field {field} must be a whole number",
+                     id=f"{c}-{field}=64.9-file")
+        for field in ("width", "height") for c in _TOKEN_COMMANDS
+    ),
+    # Finite intrinsics whose unprojection overflows.
+    *(
+        pytest.param(c, _camera_in_file("fx", 1e-200), "non-finite token rays", id=f"{c}-fx=1e-200-file")
+        for c in _TOKEN_COMMANDS
+    ),
+    # The retired inline trajectory_spec: its documents stay rejected, now as
+    # an unknown key.
+    *(
+        pytest.param(c, _camera_in_spec(field, v), _retired("trajectory_spec"), id=f"{c}-{field}={name}-spec")
+        for field, v, name in (
+            ("cx", NAN, "nan"), ("cy", INF, "inf"), ("fx", 10**400, "10**400"), ("width", INF, "inf")
+        )
+        for c in _TOKEN_COMMANDS
     ),
     *(
         pytest.param(
             c, _doc(trajectory_spec={"camera": {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4,
                                                 "width": 64, "height": 64},
                                      "frames": 2, "motion": "dolly", "amplitude": 0.3, **field}),
-            "trajectory_spec field out of range", id=f"{c}-{name}",
+            _retired("trajectory_spec"), id=f"{c}-{name}",
         )
         for field, name in (({"frames": INF}, "frames=inf"), ({"amplitude": 10**400}, "amplitude=10**400"))
         for c in _TOKEN_COMMANDS
     ),
     *(
-        pytest.param(c, _camera_in_spec("fx", 1e-200), "non-finite token rays", id=f"{c}-fx=1e-200")
+        pytest.param(c, _camera_in_spec("fx", 1e-200), _retired("trajectory_spec"), id=f"{c}-fx=1e-200")
         for c in _TOKEN_COMMANDS
     ),
     pytest.param(
-        "train-head", _doc(train={"camera": {"fx": 1e-200}}), "no valid tokens", id="train-head-fx=1e-200"
+        "train-head", _doc(train={"camera": {"fx": 1e-200}}), _retired("train.camera"), id="train-head-fx=1e-200"
     ),
     # NaN and the infinities are JSON numbers to Python's parser; a 401-digit
     # integer is past the float range.
@@ -645,6 +666,9 @@ _MALFORMED = [
             ("ragged", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]]),
             ("3x3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
             ("object", {"rotation": 1}),
+            # NumPy reads "1" and true as 1.0; JSON does not call them numbers.
+            ("strings", [[str(x) for x in row] for row in np.eye(4, dtype=int).tolist()]),
+            ("booleans", np.eye(4, dtype=bool).tolist()),
         )
         for c in _TOKEN_COMMANDS
     ),
@@ -676,6 +700,23 @@ _MALFORMED = [
             ("mix-sim", "mix.decay_start", 1000),
             ("mix-sim", "mix.decay_end", 7000),
             ("train-head", "train.noise", 0.2),
+            ("coeffs", "trajectory_spec", {"camera": {}, "frames": 3, "motion": "dolly", "amplitude": 0.4}),
+            ("train-head", "train.motion", "dolly"),
+            ("train-head", "train.frames", 3),
+            ("train-head", "train.amplitude", 0.4),
+            ("train-head", "train.patch_size", 8),
+            ("train-head", "train.lr", 0.01),
+            ("train-head", "train.holdout", 0.2),
+        )
+    ),
+    # A retired object is reported by its own name, whichever leaf is set.
+    *(
+        pytest.param("train-head", _doc(train={section: {key: v}}), _retired(f"train.{section}"),
+                     id=f"train-head-train.{section}.{key}-retired")
+        for section, key, v in (
+            ("scene", "kind", "point_cloud"), ("scene", "extent", 2.0), ("scene", "num_points", 300),
+            ("scene", "seed", 0), ("camera", "fx", 56.0), ("camera", "fy", 56.0), ("camera", "cx", 32.0),
+            ("camera", "cy", 32.0), ("camera", "xi", 0.3), ("camera", "width", 64), ("camera", "height", 64),
         )
     ),
     # The documents the retired keys' range rules used to reject stay
@@ -708,11 +749,13 @@ _MALFORMED = [
         )
     ),
     *(
-        pytest.param("train-head", _doc(train={"scene": {"extent": v}}), "extent", id=f"extent={v}")
+        pytest.param(
+            "train-head", _doc(train={"scene": {"extent": v}}), _retired("train.scene"), id=f"extent={v}"
+        )
         for v in (NAN, INF)
     ),
     *(
-        pytest.param("train-head", _doc(train={"holdout": v}), "train.holdout", id=f"holdout={v}")
+        pytest.param("train-head", _doc(train={"holdout": v}), _retired("train.holdout"), id=f"holdout={v}")
         for v in (-0.5, 1.0, NAN)
     ),
     # A negative stride used to record every |value|-th step.
@@ -725,7 +768,6 @@ _MALFORMED = [
         pytest.param(c, _doc(**doc), named, id=f"{c}-{named}")
         for c, doc, named in (
             ("coeffs", {"mix": {"stride": 0}}, "mix.stride"),
-            ("mix-sim", {"train": {"holdout": 1.0}}, "train.holdout"),
             ("mix-sim", {"coeffs": {"sigma_override": 400.0}}, "coeffs.sigma_override"),
             ("trace-path", {"pairs_per_group": 0}, "pairs_per_group"),
         )
@@ -734,10 +776,33 @@ _MALFORMED = [
     *(
         pytest.param(c, _doc(**doc), f"config key {named!r}", id=f"{c}-{named}=10**400")
         for c, doc, named in (
-            ("train-head", {"train": {"lr": 10**400}}, "train.lr"),
             ("mix-sim", {"coeffs": {"sigma_override": -(10**400)}}, "coeffs.sigma_override"),
         )
     ),
+    *(
+        pytest.param(c, _doc(**doc), _retired(key), id=id_)
+        for c, doc, key, id_ in (
+            ("mix-sim", {"train": {"holdout": 1.0}}, "train.holdout", "mix-sim-train.holdout"),
+            ("train-head", {"train": {"lr": 10**400}}, "train.lr", "train-head-train.lr=10**400"),
+        )
+    ),
+]
+
+
+# Trajectory camera fields that are not JSON numbers: parse errors (exit 2)
+# naming the field.
+_UNPARSABLE = [
+    pytest.param(c, _camera_in_file(field, v, **config), f"camera field {field} must be a number",
+                 id=f"{c}-{field}={name}-file")
+    for field, v, name, config in (
+        ("width", "64", "'64'", {}),
+        ("fx", "56", "'56'", {}),
+        ("fx", [56], "[56]", {}),
+        ("xi", True, "true", {}),
+        # int(true) is 1: with patch 1 that camera would run 1 pixel wide.
+        ("width", True, "true", {"patch_size": 1}),
+    )
+    for c in _TOKEN_COMMANDS
 ]
 
 
@@ -756,6 +821,21 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, make_
     assert err.startswith("validation error:") and named in err, err
     assert "Traceback" not in err
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, make_doc, named", _UNPARSABLE)
+def test_trajectory_value_that_is_not_a_number_is_a_parse_error(tmp_path, capsys, command, make_doc, named):
+    """A trajectory camera field that is not a JSON number exits 2 with a
+    parse error naming the field, no traceback and no output."""
+    cfg = _write_config(tmp_path, **make_doc(tmp_path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and named in err, err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
+
 
 @pytest.mark.parametrize("case", ["trajectory", "rdm1", "config", "config-directory"])
 def test_unreadable_input_file_is_a_validation_error(tmp_path, capsys, case):
@@ -834,11 +914,9 @@ def test_every_default_config_leaf_is_read_by_a_subcommand(tmp_path, monkeypatch
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
     write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
-    spec = {"camera": {"fx": 56.0, "fy": 56.0, "cx": 32.0, "cy": 32.0, "xi": 0.4, "width": 64, "height": 64},
-            "frames": 2, "motion": "dolly", "amplitude": 0.3}
     runs = [
         ("coeffs", {"trajectory": traj, "rdm1": str(rdm)}),
-        ("trace-path", {"trajectory_spec": spec}),
+        ("trace-path", {"trajectory": traj}),
         ("oracle-check", {"oracle": {"num_configs": 1, "samples": 100}}),
         ("gradcheck", {"gradcheck": {"samples": 1}}),
         ("train-head", {"train": {"num_layers": 1, "d_model": 8, "steps": 2}}),
@@ -856,4 +934,27 @@ def test_default_config_hash_is_pinned():
     Such a change must update this value on purpose."""
     from curverope.cli import DEFAULT_CONFIG, config_hash
 
-    assert config_hash(DEFAULT_CONFIG) == "bccfeea59caa08e1b7985f402ed03eab5b18049d18a08298a1e66c6b5c439f8c"
+    assert config_hash(DEFAULT_CONFIG) == "0fc91f6c2e39691e261c6f16d3446b55fa3b23eb8d7b8b9cc203a0e805a98435"
+
+
+def test_optional_types_cover_exactly_the_none_default_leaves():
+    """A None-default leaf without a type would fail the config walk with a
+    KeyError; a type for any other name is never read."""
+    from curverope.cli import _OPTIONAL_TYPES, DEFAULT_CONFIG
+
+    unset = {
+        name for name in _leaves(DEFAULT_CONFIG)
+        if functools.reduce(dict.__getitem__, name.split("."), DEFAULT_CONFIG) is None
+    }
+    assert set(_OPTIONAL_TYPES) == unset
+
+
+def test_train_head_input_is_pinned(tmp_path):
+    """train-head's synthetic input is a fixed experiment (a 3-frame dolly
+    past a 300-sphere cloud, xi 0.3, 8-pixel patches); a mistyped constant
+    moves its near-distance statistic or its count of valid tokens."""
+    cfg = _write_config(tmp_path, train={"num_layers": 1, "d_model": 8, "steps": 2})
+    assert main(["train-head", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "train_report.json").read_text())
+    assert report["near_stat"] == 1.7536882061641361
+    assert report["valid_tokens"] == 117

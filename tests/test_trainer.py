@@ -6,7 +6,7 @@ import pytest
 from curverope import scene, trainer
 from curverope.head import HeadParams, head_backward, head_forward, head_init
 from curverope.scene import make_layer_features
-from curverope.supervision import TokenTargets, uncertainty_scale
+from curverope.supervision import RadialMap, TokenTargets, normalize_and_pool, uncertainty_scale
 from curverope.trainer import DivergenceError, run_layer_probe, train_head_on_tokens
 
 from util import reference_train_head_on_tokens
@@ -94,8 +94,15 @@ def test_probe_requires_valid_tokens():
     empty = TokenTargets(
         targets=np.zeros((1, 2, 2)), mask=np.zeros((1, 2, 2), bool), near_stat=1.0
     )
-    with pytest.raises(ValueError):
-        run_layer_probe(empty, num_layers=2, d_model=16, steps=10, lr=0.01, seed=0)
+    # Targets pooled from a map whose every pixel is invalid.
+    values = np.full((2, 16, 16), np.nan)
+    pooled = normalize_and_pool(
+        RadialMap(values=values, source_valid=np.zeros(values.shape, bool)),
+        np.zeros(values.shape, bool), 1.0, 8,
+    )
+    for targets in (empty, pooled):
+        with pytest.raises(ValueError, match="no valid tokens to probe"):
+            run_layer_probe(targets, num_layers=2, d_model=16, steps=10, lr=0.01, seed=0)
 
 
 @pytest.mark.parametrize("steps", [0, -3])

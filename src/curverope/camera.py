@@ -102,6 +102,15 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
+    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
+        """A transform from float arrays that hold its invariants by
+        construction, without the constructor's checks."""
+        transform = object.__new__(cls)
+        object.__setattr__(transform, "rotation", rotation)
+        object.__setattr__(transform, "translation", translation)
+        return transform
+
+    @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
@@ -162,10 +171,13 @@ def relative_transform(pose_source: RigidTransform, pose_query: RigidTransform) 
     """Transform from source-camera coordinates into query-camera coordinates.
 
     Both poses are camera-to-world; the result is inverse(pose_query)
-    composed with pose_source.
+    composed with pose_source. The poses were checked when they were built,
+    and the product is not checked again: that would cost more than the
+    product, and the deviations of two accepted rotations can add up past
+    the 1e-9 tolerance.
     """
     rq = pose_query.rotation
     rel_rot = rq.T @ pose_source.rotation
     rel_t = rq.T @ (pose_source.translation - pose_query.translation)
-    return RigidTransform(rel_rot, rel_t)
+    return RigidTransform._unchecked(rel_rot, rel_t)
 

@@ -44,10 +44,11 @@ _CAMERA_SIZES = ("width", "height")
 
 
 class FormatError(ValueError):
-    """Malformed file; carries the byte offset where parsing failed."""
+    """Malformed file; carries the byte offset where parsing failed, or None
+    for a value of a parsed document, whose position the parser does not keep."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -123,10 +124,10 @@ def read_sidecar(path) -> dict | None:
         return None
     doc = parse_json(sidecar.read_bytes(), "RDM1 sidecar")
     if not isinstance(doc, dict):
-        raise FormatError("RDM1 sidecar must be a JSON object", 0)
+        raise FormatError("RDM1 sidecar must be a JSON object")
     near = doc.get("near_stat")
     if near is not None and not _is_number(near):
-        raise FormatError("RDM1 sidecar near_stat must be a number", 0)
+        raise FormatError("RDM1 sidecar near_stat must be a number")
     if near is not None and not _finite_float(near):
         raise ValueError("RDM1 sidecar near_stat must be a finite number within the float range")
     return doc
@@ -157,7 +158,7 @@ def camera_from_dict(c: dict) -> UcmCamera:
     for name in ("fx", "fy", "cx", "cy", "xi", *_CAMERA_SIZES):
         value = c[name]
         if not _is_number(value):
-            raise FormatError(f"camera field {name} must be a number", 0)
+            raise FormatError(f"camera field {name} must be a number")
         try:
             number = int(value) if name in _CAMERA_SIZES else float(value)
         except OverflowError as e:  # an integer past the float range, an infinite size
@@ -214,7 +215,7 @@ def load_trajectory(path):
         cam = camera_from_dict(doc["camera"])
         matrices = list(doc["poses"])
     except (KeyError, TypeError) as e:
-        raise FormatError(f"trajectory document missing field: {e}", 0) from e
+        raise FormatError(f"trajectory document missing field: {e}") from e
     poses = []
     for i, m in enumerate(matrices):
         try:

@@ -15,6 +15,7 @@ token_paths then coefficients_from_paths, as the coeffs subcommand runs it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,16 @@ __all__ = [
     "run_oracle_check",
 ]
 
-# Monte-Carlo samples drawn and reduced at a time (64 kB per float64 array).
+# Monte-Carlo samples drawn and transformed at a time (256 kB per float64
+# row): blocks this long make each ufunc call long enough that worker threads
+# overlap instead of queueing for the interpreter lock between calls.
+_MC_BLOCK = 2**15
+# Samples summed at a time. Each chunk of a block is reduced on its own, in
+# order, so the sums do not depend on the block size.
 _MC_CHUNK = 2**13
+# Phase offsets provably within +-3 < pi round to 0 turns, so their range
+# reduction is skipped (bit-identical: it would subtract zero).
+_NO_WRAP_BOUND = 3.0
 # Breakpoints of the fine path random_setup screens and of the reference
 # analytic value every other K is compared against.
 _REFERENCE_K = 129
@@ -106,34 +115,67 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
             return PhasorSetup(cam_q, transform, ray, interval, omega)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
+def _mc_buffers(size: int) -> tuple:
+    """One estimator's working arrays, for blocks of up to size samples."""
+    return (
+        np.empty(size),
+        np.empty((3, size)),
+        np.empty((3, size)),
+        np.empty((3, size), dtype=np.float32),
+        np.empty((3, size), dtype=np.float32),
+    )
+
+
 def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo phasor mean per coordinate, shape (3, 2).
 
-    Samples are drawn and reduced in chunks of ``_MC_CHUNK`` into buffers
-    allocated once, so the working set stays in cache; successive draws
-    continue one generator stream, so the samples are those of a single
-    draw of ``samples`` values. The geometry is float64. Each coordinate's
-    phases are centred on theta_c, the phase at the interval centre
-    exp(mu): the offset d = theta - theta_c is reduced to [-pi, pi] in
-    float64 and only then cast to float32 for the (SIMD) sines, and the
-    sums of sin d and 2 sin^2(d / 2) = 1 - cos d, taken in float64, are
-    rotated by theta_c once per call. A degenerate interval gives d = 0
-    exactly, so its estimate is the float64 phasor at the centre.
+    Samples are drawn and transformed in blocks of ``_MC_BLOCK`` into
+    buffers allocated once, and summed in chunks of ``_MC_CHUNK``;
+    successive draws continue one generator stream, so the samples are
+    those of a single ``rng.uniform`` draw of ``samples`` values. The
+    geometry is float64. Each coordinate's phases are centred on theta_c,
+    the phase at the interval centre exp(mu): the offset d = theta - theta_c
+    is reduced to [-pi, pi] in float64 (where it can leave that range) and
+    only then cast to float32 for the (SIMD) sines, and the sums of sin d
+    and 2 sin^2(d / 2) = 1 - cos d, taken in float64, are rotated by
+    theta_c once per call. A degenerate interval gives d = 0 exactly, so
+    its estimate is the float64 phasor at the centre.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_samples(samples)
+    return _mc_estimate(setup, samples, rng, _mc_buffers(min(_MC_BLOCK, samples)))
+
+
+def _mc_estimate(setup: PhasorSetup, samples: int, rng: np.random.Generator, buffers: tuple) -> np.ndarray:
+    """mc_expected_phasor's estimate, in buffers from _mc_buffers.
+
+    Calls nothing public, so it can run on a worker thread: a tracer that
+    wraps the public functions keeps one span stack, on the calling thread.
+    """
+    draws, work, theta, sin32, half32 = buffers
+    block = len(draws)
     iv = setup.interval
     a = abs(iv.sigma)
+    lo, hi = iv.mu - a, iv.mu + a
     # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
     dx, dy, dz = setup.transform.rotation @ setup.ray.direction
     tx, ty, tz = setup.transform.translation
     cam = setup.cam_q
     sx, sy = cam.fx / cam.width, cam.fy / cam.height
-    size = min(_MC_CHUNK, samples)
-    work = np.empty((3, size))
-    theta = np.empty((3, size))
-    sin32 = np.empty((3, size), dtype=np.float32)
-    half32 = np.empty((3, size), dtype=np.float32)
+    omega = setup.omega
+    # Offsets reach at most 2 omega for the bounded coordinates (they lie in
+    # (-1, 1)) and omega (e^(mu+a) - e^mu) for the range, which is
+    # 1-Lipschitz in r. Only the rows from `wrapped` on are reduced.
+    if 2.0 * omega > _NO_WRAP_BOUND:
+        wrapped = 0
+    elif omega * (np.exp(hi) - np.exp(iv.mu)) > _NO_WRAP_BOUND:
+        wrapped = 2
+    else:
+        wrapped = 3
 
     def phases(r: np.ndarray) -> np.ndarray:
         """omega * (u_bounded, v_bounded, range) at radii r, shape (3, len(r))."""
@@ -168,31 +210,39 @@ def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generato
         np.sqrt(denom, out=denom)
         ub /= denom
         vb /= denom
-        th *= setup.omega
+        th *= omega
         return th
 
     # The samples' own arithmetic, so a sigma = 0 interval has offsets of exactly 0.
     centre = phases(np.exp(np.array([iv.mu])))[:, 0].copy()
     sin_sum = np.zeros(3)
     half_sq_sum = np.zeros(3)
-    for start in range(0, samples, _MC_CHUNK):
-        n = min(_MC_CHUNK, samples - start)
-        r = rng.uniform(iv.mu - a, iv.mu + a, size=n)
+    for start in range(0, samples, block):
+        n = min(block, samples - start)
+        r = draws[:n]
+        # rng.uniform(lo, hi, n) bit for bit, and to the same stream position.
+        rng.random(out=r)
+        r *= hi - lo
+        r += lo
         np.exp(r, out=r)
         delta = phases(r)
         delta -= centre[:, None]
-        turns = np.multiply(delta, 1.0 / (2.0 * np.pi), out=work[:, :n])
-        np.rint(turns, out=turns)
-        turns *= 2.0 * np.pi
-        delta -= turns
+        if wrapped < 3:
+            near = delta[wrapped:]
+            turns = np.multiply(near, 1.0 / (2.0 * np.pi), out=work[wrapped:, :n])
+            np.rint(turns, out=turns)
+            turns *= 2.0 * np.pi
+            near -= turns
         sin_d, half = sin32[:, :n], half32[:, :n]
         np.copyto(sin_d, delta, casting="same_kind")
         np.multiply(sin_d, 0.5, out=half)
         np.sin(sin_d, out=sin_d)
         np.sin(half, out=half)
         half *= half
-        sin_sum += sin_d.sum(axis=1, dtype=np.float64)
-        half_sq_sum += half.sum(axis=1, dtype=np.float64)
+        for chunk in range(0, n, _MC_CHUNK):
+            part = slice(chunk, chunk + _MC_CHUNK)
+            sin_sum += sin_d[:, part].sum(axis=1, dtype=np.float64)
+            half_sq_sum += half[:, part].sum(axis=1, dtype=np.float64)
     cos_part = samples - 2.0 * half_sq_sum
     c, s = np.cos(centre), np.sin(centre)
     sums = np.stack([c * cos_part - s * sin_sum, s * cos_part + c * sin_sum], axis=1)
@@ -212,6 +262,13 @@ def analytic_expected_phasor(setup: PhasorSetup, k: int) -> np.ndarray:
     return coeffs
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_oracle_check(num_configs: int, samples: int, k_values, seed: int) -> dict:
     """Compare analytic expected phasors against the MC estimate.
 
@@ -220,28 +277,60 @@ def run_oracle_check(num_configs: int, samples: int, k_values, seed: int) -> dic
     every other K against the reference. Passing requires the MC error
     within _MC_TOLERANCE everywhere, and K=5 beating K=2 (vs the reference)
     on at least _K5_WIN_FRACTION of configurations when both are requested.
+
+    The MC estimates run on one worker thread per available CPU, each with
+    its configuration's own generator and one of the buffer sets allocated
+    here; the calling thread draws the setups and computes the analytic
+    values meanwhile. Every configuration is seeded on its own, so the
+    result does not depend on the number of workers.
     """
     if num_configs < 1:
         raise ValueError(f"num_configs must be >= 1, got {num_configs}")
+    _check_samples(samples)
+    # Imported here, not with the package: every CLI call pays the package import.
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
     k_values = sorted(set(int(k) for k in k_values) | {_REFERENCE_K})
-    rows = []
-    for i in range(num_configs):
-        cfg_rng = np.random.default_rng([seed, i])
-        setup = random_setup(cfg_rng)
-        mc = mc_expected_phasor(setup, samples, cfg_rng)
-        ref = analytic_expected_phasor(setup, _REFERENCE_K)
-        row = {
-            "config": i,
-            "sigma": setup.interval.sigma,
-            "omega": setup.omega,
-            "mc_error": float(np.max(np.abs(ref - mc))),
-        }
-        for k in k_values:
-            if k == _REFERENCE_K:
-                continue
-            approx = analytic_expected_phasor(setup, k)
-            row[f"err_k{k}"] = float(np.max(np.abs(approx - ref)))
-        rows.append(row)
+    workers = min(num_configs, _worker_count())
+    idle = SimpleQueue()
+    for _ in range(workers):
+        idle.put(_mc_buffers(min(_MC_BLOCK, samples)))
+
+    def estimate(setup: PhasorSetup, rng: np.random.Generator) -> np.ndarray:
+        buffers = idle.get()  # one set per worker, so one is always free
+        try:
+            return _mc_estimate(setup, samples, rng, buffers)
+        finally:
+            idle.put(buffers)
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            configs = []
+            for i in range(num_configs):
+                cfg_rng = np.random.default_rng([seed, i])
+                setup = random_setup(cfg_rng)
+                mc = pool.submit(estimate, setup, cfg_rng)
+                ref = analytic_expected_phasor(setup, _REFERENCE_K)
+                errors = {
+                    f"err_k{k}": float(np.max(np.abs(analytic_expected_phasor(setup, k) - ref)))
+                    for k in k_values
+                    if k != _REFERENCE_K
+                }
+                configs.append((setup, mc, ref, errors))
+            rows = [
+                {
+                    "config": i,
+                    "sigma": setup.interval.sigma,
+                    "omega": setup.omega,
+                    "mc_error": float(np.max(np.abs(ref - mc.result()))),
+                    **errors,
+                }
+                for i, (setup, mc, ref, errors) in enumerate(configs)
+            ]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     report = {
         "num_configs": num_configs,

@@ -101,6 +101,19 @@ def test_relative_transform_pure_translation():
     assert np.allclose(rel.translation, -t)
 
 
+def test_relative_transform_of_two_accepted_poses_is_not_checked_again():
+    """Each pose is orthonormal within the 1e-9 tolerance; their product is
+    not (its deviation is about 1.8e-9), and relative_transform returns it
+    as computed. The checks stay where poses enter."""
+    e = np.diag([0.45e-9, -0.45e-9, 0.0])
+    pose = RigidTransform(np.eye(3) + e, np.zeros(3))
+    rel = relative_transform(pose, pose)
+    assert rel.rotation.tobytes() == (pose.rotation.T @ pose.rotation).tobytes()
+    assert rel.translation.tobytes() == np.zeros(3).tobytes()
+    with pytest.raises(ValueError, match="not orthonormal within 1e-9"):
+        RigidTransform(rel.rotation, rel.translation)
+
+
 def test_relative_transform_against_world_frame():
     rng = np.random.default_rng(6)
     for _ in range(20):

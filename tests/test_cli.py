@@ -826,13 +826,15 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, command, make_
 @pytest.mark.parametrize("command, make_doc, named", _UNPARSABLE)
 def test_trajectory_value_that_is_not_a_number_is_a_parse_error(tmp_path, capsys, command, make_doc, named):
     """A trajectory camera field that is not a JSON number exits 2 with a
-    parse error naming the field, no traceback and no output."""
+    parse error naming the field, no byte offset (the parsed document keeps
+    none), no traceback and no output."""
     cfg = _write_config(tmp_path, **make_doc(tmp_path))
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and named in err, err
+    assert "byte offset" not in err, err
     assert "Traceback" not in err
     assert not any(out.glob("*"))
 

@@ -197,10 +197,24 @@ def test_trajectory_not_utf8_is_a_parse_error(tmp_path):
 
 
 def test_trajectory_missing_field(tmp_path):
+    """A parsed document keeps no byte positions, so the error gives none."""
     path = tmp_path / "traj.json"
     path.write_text(json.dumps({"camera": {"fx": 10}}))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="missing field") as e:
         load_trajectory(path)
+    assert e.value.offset is None and "byte offset" not in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "doc, named", [([1.5], "must be a JSON object"), ({"near_stat": "1.5"}, "near_stat must be a number")]
+)
+def test_sidecar_value_errors_give_no_offset(tmp_path, doc, named):
+    path = tmp_path / "m.rdm1"
+    write_rdm1(path, _map(np.random.default_rng(0)))
+    (tmp_path / "m.rdm1.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=named) as e:
+        read_sidecar(path)
+    assert e.value.offset is None and "byte offset" not in str(e.value)
 
 
 def test_head_checkpoint_roundtrip(tmp_path):

@@ -1,0 +1,144 @@
+"""The oracle check's worker threads, and the pinned bits of the Monte-Carlo
+estimator they run."""
+
+import concurrent.futures
+import hashlib
+import itertools
+import json
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from curverope import oracle
+
+# sha256 over mc_expected_phasor(setup, n, default_rng([20, i])) followed by
+# the generator's next draw, for each n in _PIN_SAMPLES, with the setup drawn
+# by random_setup(default_rng([19, i])). Taken from the estimator that drew
+# and summed 2^13 samples at a time and reduced every offset; the estimator
+# in 2^15-sample blocks, which skips the reductions that subtract nothing,
+# must keep every bit. The key is i, and the value also says which rows the
+# reduction covers: none, all three (2 omega > 3), or the range alone.
+_PIN_SAMPLES = (1, 2**13 - 1, 2**13 + 1, 2**15 + 5, 10**5)
+_PINS = {
+    0: ("none", "594ad2ce04665451a708a2a94a4d138f317d8451059c1c1bcb82e67725971a72"),
+    1: ("all", "6624ea148750965497cfa404b47b72b324e41415a800c7371f947d14e79bea0c"),
+    29: ("range", "5fb1a6bed7b9c57e640cb23896458710bbdf52f4b338f8e3eeab3f29507f496a"),
+    79: ("all", "53be6bf7a50c3c985a0a988a98d2746cb1168775090259d048ab03880d0fda47"),
+}
+
+
+def _reduced_rows(setup) -> str:
+    """Which offsets the range reduction covers: those not provably within ±3."""
+    iv, omega = setup.interval, setup.omega
+    if 2.0 * omega > 3.0:
+        return "all"
+    return "range" if omega * (np.exp(iv.mu + abs(iv.sigma)) - np.exp(iv.mu)) > 3.0 else "none"
+
+
+@pytest.mark.parametrize("config", sorted(_PINS))
+def test_mc_expected_phasor_bits_are_pinned(config):
+    rows, want = _PINS[config]
+    setup = oracle.random_setup(np.random.default_rng([19, config]))
+    assert _reduced_rows(setup) == rows
+    digest = hashlib.sha256()
+    for samples in _PIN_SAMPLES:
+        rng = np.random.default_rng([20, config])
+        digest.update(oracle.mc_expected_phasor(setup, samples, rng).tobytes())
+        digest.update(rng.random(1).tobytes())
+    assert digest.hexdigest() == want
+
+
+def _serial_rows(num_configs, samples, k_values, seed):
+    """run_oracle_check's rows from one loop over the public functions."""
+    rows = []
+    for i in range(num_configs):
+        rng = np.random.default_rng([seed, i])
+        setup = oracle.random_setup(rng)
+        mc = oracle.mc_expected_phasor(setup, samples, rng)
+        ref = oracle.analytic_expected_phasor(setup, 129)
+        row = {
+            "config": i,
+            "sigma": setup.interval.sigma,
+            "omega": setup.omega,
+            "mc_error": float(np.max(np.abs(ref - mc))),
+        }
+        for k in k_values:
+            row[f"err_k{k}"] = float(np.max(np.abs(oracle.analytic_expected_phasor(setup, k) - ref)))
+        rows.append(row)
+    return rows
+
+
+def test_the_result_does_not_depend_on_the_worker_count(monkeypatch):
+    """With 1, 2 and 3 workers (3 is more than a 2-core host has cores) and
+    the interpreter switching threads every microsecond, the rows and the
+    report keep their bytes, and the rows are those of a serial loop over
+    mc_expected_phasor: a buffer set shared by two running estimates would
+    change them."""
+    args = (7, 3 * oracle._MC_BLOCK + 3, [2, 5, 129], 41)
+    results = set()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            results.add(json.dumps(oracle.run_oracle_check(*args)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 1
+    (result,) = results
+    assert json.dumps(json.loads(result)["rows"]) == json.dumps(_serial_rows(7, args[1], [2, 5], 41))
+
+
+def test_a_worker_error_propagates_and_the_threads_end(monkeypatch):
+    """The first estimate fails; the error reaches the caller, the estimates
+    not yet started are cancelled, and every worker thread has ended."""
+    calls = itertools.count()
+    real = oracle._mc_estimate
+
+    def estimate(*args):
+        if next(calls) == 0:
+            raise RuntimeError("estimate failed")
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_mc_estimate", estimate)
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="estimate failed"):
+        oracle.run_oracle_check(20, 100, [2, 5], 3)
+    assert threading.active_count() == before
+    assert next(calls) < 20  # the pending estimates never ran
+
+
+def test_an_error_on_the_calling_thread_ends_the_workers(monkeypatch):
+    real = oracle.analytic_expected_phasor
+    calls = itertools.count()
+
+    def analytic(setup, k):
+        if next(calls) == 4:
+            raise ValueError("analytic failed")
+        return real(setup, k)
+
+    monkeypatch.setattr(oracle, "analytic_expected_phasor", analytic)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="analytic failed"):
+        oracle.run_oracle_check(6, 1000, [2, 5], 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_nonpositive_samples_raise_before_any_thread_starts(monkeypatch, samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the sample count was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(oracle, "random_setup", refuse)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        oracle.run_oracle_check(4, samples, [2, 5], 0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        oracle.mc_expected_phasor(None, samples, np.random.default_rng(0))
+    assert threading.active_count() == before

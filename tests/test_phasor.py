@@ -311,8 +311,8 @@ def test_expected_phasor_matches_monte_carlo():
 
 
 def test_mc_expected_phasor_chunks_match_one_draw(monkeypatch):
-    """Chunked sampling leaves the generator where a single draw of the same
-    size would, the estimate does not depend on the chunk size beyond
+    """Sampling in blocks leaves the generator where a single draw of the
+    same size would, the estimate does not depend on the chunk size beyond
     summation rounding, and it matches the float64 reference estimator on
     the same draws."""
     from curverope import oracle
@@ -320,7 +320,7 @@ def test_mc_expected_phasor_chunks_match_one_draw(monkeypatch):
     setup = oracle.random_setup(np.random.default_rng([11, 0]))
     chunk = oracle._MC_CHUNK
     estimates = {}
-    for samples in (1, chunk - 1, chunk + 1):
+    for samples in (1, chunk - 1, chunk + 1, oracle._MC_BLOCK + 1):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = oracle.mc_expected_phasor(setup, samples, rng)
         want = reference_mc_expected_phasor(setup, samples, ref_rng)

@@ -1,15 +1,8 @@
 """Depth-aware rotary positional encoding along curved projected ray paths
 for unified central cameras, with its supervision and scheduling machinery."""
 
-from .attention import AttentionParams, TokenBatch, attention_forward, attention_init
-from .camera import (
-    Ray,
-    RigidTransform,
-    UcmCamera,
-    project_points,
-    relative_transform,
-    unproject_points,
-)
+from .attention import AttentionParams, TokenBatch, attention_forward
+from .camera import Ray, RigidTransform, UcmCamera, relative_transform, unproject_points
 from .head import HeadParams, head_backward, head_forward, head_init
 from .phasor import (
     ProjectedPath,
@@ -19,15 +12,14 @@ from .phasor import (
     token_paths,
     token_rays,
 )
-from .rope import FrequencyPlan, apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
-from .scene import SceneSpec, TrajectorySpec, make_layer_features, make_trajectory, render_radial_map
+from .rope import FrequencyPlan, apply_coefficients, make_frequency_plan
+from .scene import SceneSpec, make_layer_features, make_trajectory, render_radial_map
 from .supervision import (
     RadialMap,
     TokenTargets,
     near_distance_stat,
     normalize_and_pool,
     radial_loss,
-    timestep_gate,
     uncertainty_scale,
     validity_mask,
 )

@@ -17,7 +17,6 @@ from .rope import FrequencyPlan, apply_coefficients
 __all__ = [
     "AttentionParams",
     "TokenBatch",
-    "attention_init",
     "attention_forward",
 ]
 
@@ -60,18 +59,6 @@ class TokenBatch:
         if not np.all(np.isfinite(f)):
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", f)
-
-
-def attention_init(d_model: int, head_dim: int, seed: int) -> AttentionParams:
-    """Seeded projections with a zero output projection."""
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d_model)
-    return AttentionParams(
-        wq=rng.uniform(-bound, bound, size=(d_model, head_dim)),
-        wk=rng.uniform(-bound, bound, size=(d_model, head_dim)),
-        wv=rng.uniform(-bound, bound, size=(d_model, head_dim)),
-        wo=np.zeros((head_dim, d_model)),
-    )
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

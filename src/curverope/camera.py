@@ -1,4 +1,4 @@
-"""Unified Camera Model geometry: projection, unprojection, rigid transforms.
+"""Unified Camera Model geometry: unprojection and rigid transforms.
 
 Conventions: right-handed camera frame with +Z forward, +X right, +Y down;
 pixel origin at the top-left corner with pixel centers at integer + 0.5.
@@ -15,13 +15,10 @@ __all__ = [
     "UcmCamera",
     "RigidTransform",
     "Ray",
-    "project_points",
     "unproject_points",
     "relative_transform",
 ]
 
-# Projection denominator guard; sign-preserving (see project_points).
-_BETA_EPS = 1e-8
 _ROTATION_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
@@ -110,18 +107,10 @@ class RigidTransform:
         object.__setattr__(transform, "translation", translation)
         return transform
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
 
 
 def unproject_points(cam: UcmCamera, pixels: np.ndarray) -> np.ndarray:
@@ -143,28 +132,6 @@ def unproject_points(cam: UcmCamera, pixels: np.ndarray) -> np.ndarray:
         gamma = (cam.xi + np.sqrt(1.0 + (1.0 - cam.xi * cam.xi) * rho2)) / (1.0 + rho2)
         vec = np.stack([gamma * x, gamma * y, gamma - cam.xi], axis=-1)
         return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
-
-
-def project_points(cam: UcmCamera, points: np.ndarray) -> np.ndarray:
-    """Map camera-frame points (..., 3) to pixel coordinates (..., 2).
-
-    The denominator beta = Z + xi*|X| is clamped away from zero preserving
-    its sign, so projection is total; a point is visible only where
-    beta > 0 (see UcmCamera), and callers decide validity by that rule.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 3:
-        raise ValueError("points must have shape (..., 3)")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    norm = np.linalg.norm(pts, axis=-1)
-    if np.any(norm == 0.0):
-        raise ValueError("cannot project a zero-norm point")
-    beta = pts[..., 2] + cam.xi * norm
-    beta = np.where(beta >= 0.0, np.maximum(beta, _BETA_EPS), np.minimum(beta, -_BETA_EPS))
-    u = cam.fx * pts[..., 0] / beta + cam.cx
-    v = cam.fy * pts[..., 1] / beta + cam.cy
-    return np.stack([u, v], axis=-1)
 
 
 def relative_transform(pose_source: RigidTransform, pose_query: RigidTransform) -> RigidTransform:

@@ -45,7 +45,7 @@ from .phasor import (
     token_rays,
 )
 from .rope import make_frequency_plan
-from .scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
+from .scene import SceneSpec, make_trajectory, render_clip
 from .supervision import near_distance_stat, normalize_and_pool, validity_mask
 from .teacher_mix import MixSchedule, external_override, sample_mask, substitution_probability
 from .trainer import DivergenceError, LayerProbeResult, run_layer_probe
@@ -365,17 +365,14 @@ def cmd_gradcheck(cfg: dict, out: Path, chash: str) -> bool:
 # train-head's synthetic input, a fixed experiment: a 3-frame dolly past a
 # 300-sphere cloud, seen by a xi = 0.3 camera, its radial maps pooled over
 # 8x8-pixel patches.
-_TRAIN_SCENE = SceneSpec(kind="point_cloud", extent=2.0, num_points=300, seed=0)
-_TRAIN_TRAJECTORY = TrajectorySpec(
-    frames=3, motion="dolly", amplitude=0.4,
-    camera=UcmCamera(fx=56.0, fy=56.0, cx=32.0, cy=32.0, xi=0.3, width=64, height=64),
-)
+_TRAIN_SCENE = SceneSpec(extent=2.0, num_points=300, seed=0)
+_TRAIN_CAMERA = UcmCamera(fx=56.0, fy=56.0, cx=32.0, cy=32.0, xi=0.3, width=64, height=64)
 _TRAIN_PATCH_SIZE = 8
 
 
 def cmd_train_head(cfg: dict, out: Path, chash: str) -> bool:
     t = cfg["train"]
-    rmap = render_clip(_TRAIN_SCENE, make_trajectory(_TRAIN_TRAJECTORY), _TRAIN_TRAJECTORY.camera)
+    rmap = render_clip(_TRAIN_SCENE, make_trajectory(frames=3, amplitude=0.4), _TRAIN_CAMERA)
     mask = validity_mask(rmap)
     near = near_distance_stat(rmap, mask)
     targets = normalize_and_pool(rmap, mask, near, _TRAIN_PATCH_SIZE)

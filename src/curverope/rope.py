@@ -1,4 +1,4 @@
-"""Rotary positional encoding: frequency plans, phases, exact rotations.
+"""Rotary positional encoding: frequency plans and coefficient application.
 
 Coefficients are (cos, sin) pairs stored as arrays of shape (D/2, 2),
 one pair per frequency slot; the block-diagonal rotation matrix is never
@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "FrequencyPlan",
     "make_frequency_plan",
-    "rope_phases",
-    "exact_rotation",
     "apply_coefficients",
 ]
 
@@ -50,11 +48,6 @@ class FrequencyPlan:
     def total_dim(self) -> int:
         return 2 * self.num_pairs
 
-    def pair_slice(self, coordinate: int) -> slice:
-        """Channel pairs driven by one coordinate."""
-        n = self.frequencies.size
-        return slice(coordinate * n, (coordinate + 1) * n)
-
 
 def make_frequency_plan(total_dim: int, num_coordinates: int, base: float = 10000.0) -> FrequencyPlan:
     """Split total_dim channels evenly over coordinates with a geometric
@@ -70,24 +63,6 @@ def make_frequency_plan(total_dim: int, num_coordinates: int, base: float = 1000
     dim_per_coord = total_dim // num_coordinates
     f = np.arange(dim_per_coord // 2, dtype=float)
     return FrequencyPlan(num_coordinates, base ** (-2.0 * f / dim_per_coord))
-
-
-def rope_phases(plan: FrequencyPlan, coords: np.ndarray) -> np.ndarray:
-    """Phases omega_f * x_c, one per channel pair, in plan slot order."""
-    x = np.asarray(coords, dtype=float)
-    if x.shape != (plan.num_coordinates,):
-        raise ValueError(f"expected {plan.num_coordinates} coordinates, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("coordinates must be finite")
-    return (plan.frequencies * x[:, None]).reshape(-1)
-
-
-def exact_rotation(phases: np.ndarray) -> np.ndarray:
-    """Unit-magnitude (cos, sin) pairs, shape (..., 2)."""
-    th = np.asarray(phases, dtype=float)
-    if not np.all(np.isfinite(th)):
-        raise ValueError("phases must be finite")
-    return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 def apply_coefficients(vec: np.ndarray, coeffs: np.ndarray, plan: FrequencyPlan) -> np.ndarray:

@@ -1,10 +1,9 @@
-"""Deterministic synthetic scenes: analytic ray-traced radial maps along
-simple trajectories, plus layer-indexed token features with a recoverable
-depth signal for probing demos.
+"""Deterministic synthetic scenes: analytic ray-traced radial maps of a
+sphere cloud along a dolly trajectory, plus layer-indexed token features
+with a recoverable depth signal for probing demos.
 
-Primitives are intersected analytically (axis-aligned planes, spheres) so
-rendered radial values are exact and reprojection tests can use tight
-tolerances.
+Spheres are intersected analytically, so rendered radial values are exact
+and reprojection tests can use tight tolerances.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from .camera import RigidTransform, UcmCamera, unproject_points
 from .supervision import RadialMap, TokenTargets
 
 __all__ = [
-    "SCENE_KINDS",
-    "MOTIONS",
     "SceneSpec",
-    "TrajectorySpec",
     "make_trajectory",
     "render_radial_map",
     "render_clip",
@@ -28,82 +24,44 @@ __all__ = [
     "make_layer_features",
 ]
 
-SCENE_KINDS = ("point_cloud", "fronto_plane", "two_planes")
-MOTIONS = ("orbit", "dolly", "pan")
-# Orbit trajectories pivot about a point this far ahead of the first camera.
-ORBIT_PIVOT_DISTANCE = 4.0
 _HIT_EPS = 1e-9
 # Sphere hits are evaluated for this many rays at a time, so the (rays,
 # spheres) work arrays stay near 0.6 MB each at 300 spheres instead of
 # growing with the image.
 _RAYS_PER_BLOCK = 256
+# Scale of the per-layer noise in make_layer_features.
+_FEATURE_NOISE = 0.2
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    kind: str
+    """A cloud of num_points spheres of radius 0.12 extent, their centres
+    drawn in [-extent, extent]^2 x [extent, 5 extent] from seed."""
+
     extent: float
     num_points: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENE_KINDS:
-            raise ValueError(f"unknown scene kind {self.kind!r}")
         if not 0 < self.extent < np.inf:
             raise ValueError(f"extent must be finite and positive, got {self.extent}")
         if self.num_points < 1:
             raise ValueError("num_points must be >= 1")
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    frames: int
-    motion: str
-    amplitude: float
-    camera: UcmCamera
-
-    def __post_init__(self) -> None:
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
-        if self.motion not in MOTIONS:
-            raise ValueError(f"unknown motion {self.motion!r}")
-
-
-def _rot_y(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def make_trajectory(spec: TrajectorySpec) -> list:
-    """Camera-to-world poses; frame 0 is always the identity pose."""
+def make_trajectory(frames: int, amplitude: float) -> list:
+    """Camera-to-world poses of a dolly that advances amplitude along +Z;
+    frame 0 is always the identity pose."""
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
     poses = []
-    for f in range(spec.frames):
-        t = 0.0 if spec.frames == 1 else f / (spec.frames - 1)
-        if spec.motion == "dolly":
-            poses.append(RigidTransform(np.eye(3), np.array([0.0, 0.0, spec.amplitude * t])))
-        elif spec.motion == "pan":
-            poses.append(RigidTransform(_rot_y(spec.amplitude * t), np.zeros(3)))
-        else:  # orbit about the pivot point ahead of the first camera
-            phi = spec.amplitude * t
-            pivot = np.array([0.0, 0.0, ORBIT_PIVOT_DISTANCE])
-            pos = pivot - ORBIT_PIVOT_DISTANCE * np.array([np.sin(phi), 0.0, np.cos(phi)])
-            poses.append(RigidTransform(_rot_y(phi), pos))
+    for f in range(frames):
+        t = 0.0 if frames == 1 else f / (frames - 1)
+        poses.append(RigidTransform(np.eye(3), np.array([0.0, 0.0, amplitude * t])))
     return poses
 
 
-def _scene_planes(spec: SceneSpec) -> list:
-    # (z, x_min, x_max, y_min, y_max) axis-aligned rectangles.
-    e = spec.extent
-    if spec.kind == "fronto_plane":
-        return [(e, -2 * e, 2 * e, -2 * e, 2 * e)]
-    if spec.kind == "two_planes":
-        return [(e, -2 * e, 0.0, -2 * e, 2 * e), (2 * e, -4 * e, 4 * e, -4 * e, 4 * e)]
-    return []
-
-
 def _scene_spheres(spec: SceneSpec):
-    if spec.kind != "point_cloud":
-        return np.zeros((0, 3)), 0.0
     rng = np.random.default_rng(spec.seed)
     e = spec.extent
     centers = np.stack(
@@ -121,43 +79,27 @@ def _intersect(spec: SceneSpec, origin: np.ndarray, dirs: np.ndarray):
     """Nearest positive hit distance per ray from one origin; inf where nothing is hit."""
     n = dirs.shape[0]
     best = np.full(n, np.inf)
-    for z0, x_min, x_max, y_min, y_max in _scene_planes(spec):
-        dz = dirs[:, 2]
-        ok = np.abs(dz) > 1e-12
-        t = np.where(ok, (z0 - origin[2]) / np.where(ok, dz, 1.0), np.inf)
-        hit_x = origin[0] + t * dirs[:, 0]
-        hit_y = origin[1] + t * dirs[:, 1]
-        inside = (
-            ok
-            & (t > _HIT_EPS)
-            & (hit_x >= x_min)
-            & (hit_x <= x_max)
-            & (hit_y >= y_min)
-            & (hit_y <= y_max)
-        )
-        best = np.where(inside & (t < best), t, best)
     centers, radius = _scene_spheres(spec)
     m = centers.shape[0]
-    if m:
-        oc = centers - origin  # (m, 3): every ray shares the origin
-        cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
-        for start in range(0, n, _RAYS_PER_BLOCK):
-            rows = slice(start, start + _RAYS_PER_BLOCK)
-            d = dirs[rows]
-            # einsum over a broadcast view sums each product in the same
-            # order as over a dense (rays, spheres, 3) array, so hits stay
-            # bit-identical; a BLAS matmul rounds differently.
-            proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
-            disc = proj * proj - cc
-            # Few ray-sphere pairs meet, so the roots are taken at the hits
-            # only; a minimum is exact in any order.
-            ray, sphere = np.nonzero(disc >= 0)
-            p = proj[ray, sphere]
-            root = np.sqrt(disc[ray, sphere])
-            t_near = p - root
-            t = np.where(t_near > _HIT_EPS, t_near, p + root)
-            ahead = t > _HIT_EPS
-            np.minimum.at(best, start + ray[ahead], t[ahead])
+    oc = centers - origin  # (m, 3): every ray shares the origin
+    cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
+    for start in range(0, n, _RAYS_PER_BLOCK):
+        rows = slice(start, start + _RAYS_PER_BLOCK)
+        d = dirs[rows]
+        # einsum over a broadcast view sums each product in the same
+        # order as over a dense (rays, spheres, 3) array, so hits stay
+        # bit-identical; a BLAS matmul rounds differently.
+        proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
+        disc = proj * proj - cc
+        # Few ray-sphere pairs meet, so the roots are taken at the hits
+        # only; a minimum is exact in any order.
+        ray, sphere = np.nonzero(disc >= 0)
+        p = proj[ray, sphere]
+        root = np.sqrt(disc[ray, sphere])
+        t_near = p - root
+        t = np.where(t_near > _HIT_EPS, t_near, p + root)
+        ahead = t > _HIT_EPS
+        np.minimum.at(best, start + ray[ahead], t[ahead])
     return best
 
 
@@ -201,7 +143,6 @@ def make_layer_features(
     num_layers: int,
     d_model: int,
     seed: int,
-    noise_scale: float = 0.1,
 ) -> np.ndarray:
     """Token features (frames, patches, d_model) carrying a layer-dependent amount of depth signal.
 
@@ -242,5 +183,5 @@ def make_layer_features(
     b = mix_rng.normal(0.0, 0.15, size=(pos.shape[1], d_model))
     noise_rng = np.random.default_rng([seed, layer_index])
     eps = noise_rng.standard_normal((n, d_model))
-    feats = w * signal[:, None] * u[None, :] + pos @ b + noise_scale * eps
+    feats = w * signal[:, None] * u[None, :] + pos @ b + _FEATURE_NOISE * eps
     return feats.reshape(f, ht * wt, d_model)

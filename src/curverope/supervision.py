@@ -1,5 +1,5 @@
 """Radial-distance supervision: validity filtering, per-clip normalization,
-token pooling, the uncertainty-weighted loss and timestep gating.
+token pooling and the uncertainty-weighted loss.
 
 Metric pseudo targets are filtered (never clipped) before normalization:
 non-finite, non-positive, source-invalid or beyond-range values are
@@ -27,7 +27,6 @@ __all__ = [
     "normalize_and_pool",
     "uncertainty_scale",
     "radial_loss",
-    "timestep_gate",
 ]
 
 NEAR_STAT_FLOOR = 0.1
@@ -39,8 +38,6 @@ S_FLOOR_VAR = 1e-6
 S_CEILING = 10.0
 # Weight of the log s term of the radial loss.
 _LOSS_ALPHA = 1.0
-# The noisiest fraction of diffusion timesteps gets no radial loss.
-_GATE_FRACTION = 0.03
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -216,12 +213,3 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> Rad
     g_sigma = np.where(mask, g_sigma / n, 0.0)
     return RadialLossResult(loss, g_mu, g_sigma, n, False)
 
-
-def timestep_gate(t: float) -> bool:
-    """True when the radial loss applies; the noisiest 3% is gated off.
-
-    t is the diffusion timestep in [0, 1] with 1 the noisiest.
-    """
-    if not (np.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ValueError(f"timestep must lie in [0, 1], got {t}")
-    return not (t > 1.0 - _GATE_FRACTION)

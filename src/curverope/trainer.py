@@ -44,8 +44,10 @@ __all__ = [
 _WARMUP_FRACTION = 0.2
 # Global gradient norm above which a step is scaled down to this norm.
 _CLIP_NORM = 1.0
-# Scale of the per-layer noise in the probe's synthetic features.
-_PROBE_NOISE = 0.2
+# Gradient-descent step size.
+_LR = 0.01
+# Share of the tokens held out to measure the probe error.
+_HOLDOUT_FRACTION = 0.2
 
 
 class DivergenceError(RuntimeError):
@@ -109,16 +111,13 @@ def train_head_on_tokens(
     features: np.ndarray,
     target_values: np.ndarray,
     steps: int,
-    lr: float,
     seed: int,
-    holdout_fraction: float = 0.2,
     record_every: int = 0,
 ):
     """Train one head per slot of (L, N, d) features against N positive
     normalized targets, all slots in lockstep.
 
-    Returns one (params, stats) pair per slot; (N, d) features are the
-    L = 1 view and return that slot's pair alone. The stats hold the
+    Returns one (params, stats) pair per slot. The stats hold the
     init/final training loss, init/final held-out probe error, the largest
     global gradient norm before clipping, the fraction of steps whose
     gradient was clipped, the fractions of training tokens stalled at the
@@ -128,21 +127,18 @@ def train_head_on_tokens(
     """
     feats = np.asarray(features, dtype=float)
     vals = np.asarray(target_values, dtype=float)
-    stacked = feats.ndim == 3
-    if feats.ndim not in (2, 3) or vals.shape != feats.shape[-2:-1]:
-        raise ValueError("need (N, d) or (L, N, d) features and N targets")
+    if feats.ndim != 3 or vals.shape != feats.shape[1:2]:
+        raise ValueError("need (L, N, d) features and N targets")
     if not np.all(np.isfinite(feats)):
         raise ValueError("features must be finite")
     if not np.all(vals > 0):
         raise ValueError("targets must be positive normalized radial distances")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not stacked:
-        feats = feats[None]
     slots, n, d_model = feats.shape
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n))) if n > 1 else 0
+    n_hold = max(1, int(round(_HOLDOUT_FRACTION * n))) if n > 1 else 0
     hold_idx = order[:n_hold]
     train_idx = order[n_hold:]
     if train_idx.size == 0:
@@ -215,8 +211,8 @@ def train_head_on_tokens(
         max_total = np.fmax(max_total, total)
         over = ~(total <= _CLIP_NORM)
         clipped += over
-        # lr within the clip norm, else (lr * _CLIP_NORM) / total.
-        scale = np.divide(lr * _CLIP_NORM, total, out=np.full(slots, float(lr)), where=over)
+        # _LR within the clip norm, else (_LR * _CLIP_NORM) / total.
+        scale = np.divide(_LR * _CLIP_NORM, total, out=np.full(slots, float(_LR)), where=over)
         flat -= scale[:, None] * grad_flat
     final_probe = probe_error(params)
     _, floored, ceiled = uncertainty_scale(cache["mu"], cache["sigma"])
@@ -243,7 +239,7 @@ def train_head_on_tokens(
             "stalls": {k: int(c[i]) / train_idx.size for k, c in stall_counts.items()},
         }
         results.append((head, stats))
-    return results if stacked else results[0]
+    return results
 
 
 def run_layer_probe(
@@ -252,8 +248,6 @@ def run_layer_probe(
     d_model: int,
     steps: int,
     seed: int,
-    lr: float = 0.01,
-    holdout_fraction: float = 0.2,
     record_every: int = 0,
 ):
     """Train one probe head per layer slot, all slots in lockstep; returns
@@ -266,13 +260,11 @@ def run_layer_probe(
     if not flat_mask.any():
         raise ValueError("no valid tokens to probe")
     feats = np.stack([
-        make_layer_features(targets, layer, num_layers, d_model, seed, noise_scale=_PROBE_NOISE)
-        .reshape(-1, d_model)[flat_mask]
+        make_layer_features(targets, layer, num_layers, d_model, seed).reshape(-1, d_model)[flat_mask]
         for layer in range(num_layers)
     ])
     trained = train_head_on_tokens(
-        feats, flat_vals[flat_mask], steps=steps, lr=lr, seed=seed,
-        holdout_fraction=holdout_fraction, record_every=record_every,
+        feats, flat_vals[flat_mask], steps=steps, seed=seed, record_every=record_every
     )
     return [
         LayerProbeResult(

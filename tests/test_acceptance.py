@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from curverope.attention import TokenBatch, attention_forward, attention_init
-from curverope.camera import UcmCamera, project_points, unproject_points
+from curverope.attention import TokenBatch, attention_forward
+from curverope.camera import UcmCamera, unproject_points
 from curverope.checks import run_head_gradcheck, run_loss_gradcheck
 from curverope.cli import main
 from curverope.formats import read_rdm1, save_trajectory, write_rdm1
@@ -23,8 +23,7 @@ from curverope.phasor import (
     token_paths,
     token_rays,
 )
-from curverope.rope import exact_rotation, make_frequency_plan, rope_phases
-from curverope.scene import TrajectorySpec, make_trajectory
+from curverope.rope import make_frequency_plan
 from curverope.supervision import (
     RadialMap,
     near_distance_stat,
@@ -41,9 +40,13 @@ from curverope.teacher_mix import (
 )
 
 from util import (
+    attention_init,
     mean_segment_phasor,
     oracle_bounded_coordinate,
+    oracle_project,
+    orbit_poses,
     random_camera,
+    rope_rotation,
     segment_phasor,
     small_transform,
 )
@@ -81,7 +84,7 @@ def test_criterion_01_rope_collapse():
                 for a in range(3)
             ]
         )
-        expected = exact_rotation(rope_phases(PLAN9, coords))
+        expected = rope_rotation(PLAN9, coords)
         worst = max(worst, float(np.max(np.abs(coeffs - expected))))
     elapsed = time.monotonic() - start
     assert worst < 1e-9, worst
@@ -153,7 +156,7 @@ def test_criterion_05_ucm_roundtrip():
         )
         radii = rng.uniform(0.05, 50.0, 100)
         dirs = unproject_points(cam, pixels)
-        back = project_points(cam, radii[:, None] * dirs)
+        back = np.array([oracle_project(cam, p) for p in radii[:, None] * dirs])
         worst = max(worst, float(np.max(np.abs(back - pixels))))
     assert worst < 1e-6, worst
 
@@ -307,7 +310,7 @@ def test_criterion_13_toy_probing(tmp_path):
 
 def test_criterion_14_determinism_and_roundtrips(tmp_path):
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.5, 64, 64)
-    poses = make_trajectory(TrajectorySpec(frames=2, motion="orbit", amplitude=0.2, camera=cam))
+    poses = orbit_poses(2, 0.2)
     traj = tmp_path / "traj.json"
     save_trajectory(traj, cam, poses)
     small = tmp_path / "small.json"

@@ -50,6 +50,44 @@ BENCHMARK_NAMES = (
 )
 
 
+# Exported names that no library code uses and the benchmark does not name,
+# kept on purpose: the writing halves of the RDM1 and trajectory formats,
+# which the Hypothesis round trips test against their readers.
+FORMAT_WRITERS = (
+    ("formats", "write_rdm1"),
+    ("formats", "save_trajectory"),
+)
+
+
+def _names_used_in_library():
+    """Every identifier the library's code reads: names and attribute names,
+    outside import statements, ``__all__`` lists (strings) and def/class
+    lines. The package root only re-exports, so it is left out."""
+    used = set()
+    for path in Path(curverope.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
+    """A name only the tests reach belongs in tests/util.py, not in src/."""
+    used = _names_used_in_library()
+    allowed = set(BENCHMARK_NAMES) | set(FORMAT_WRITERS)
+    unused = [
+        (module, name)
+        for module in MODULES
+        for name in importlib.import_module(f"curverope.{module}").__all__
+        if name not in used and (module, name) not in allowed
+    ]
+    assert unused == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"curverope.{module}")

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from curverope.attention import (
-    AttentionParams,
-    TokenBatch,
-    attention_forward,
-    attention_init,
-)
+from curverope.attention import AttentionParams, TokenBatch, attention_forward
 from curverope.camera import RigidTransform
 from curverope.phasor import breakpoints, coefficients_from_paths, token_paths, token_rays
-from curverope.rope import apply_coefficients, exact_rotation, make_frequency_plan, rope_phases
+from curverope.rope import FrequencyPlan, apply_coefficients, make_frequency_plan
 
-from util import oracle_bounded_coordinate, random_camera, small_transform
+from util import attention_init, oracle_bounded_coordinate, random_camera, rope_rotation, small_transform
 
 PLAN = make_frequency_plan(36, 9)
 D = PLAN.total_dim
+# rope_rotation(UNIT, phases) are the unit phasors of one phase per pair.
+UNIT = FrequencyPlan(PLAN.num_pairs, np.ones(1))
 
 
 def _batch(rng, frames=2, patches=4, d_model=12):
@@ -23,7 +20,7 @@ def _batch(rng, frames=2, patches=4, d_model=12):
 
 def _random_coeffs(rng, frames, patches):
     mags = rng.uniform(0, 1, (frames, frames, patches, PLAN.num_pairs, 1))
-    return mags * exact_rotation(rng.uniform(-5, 5, (frames, frames, patches, PLAN.num_pairs)))
+    return mags * rope_rotation(UNIT, rng.uniform(-5, 5, (frames, frames, patches, PLAN.num_pairs)))
 
 
 def test_zero_init_output_is_identity():
@@ -76,7 +73,7 @@ def test_sigma_zero_matches_exact_rope_logits():
     frames, patch_size = 2, 16
     cam = random_camera(rng)
     tokens = [(r, c) for r in range(2) for c in range(2)]
-    poses = [RigidTransform.identity(), small_transform(rng)]
+    poses = [RigidTransform(np.eye(3), np.zeros(3)), small_transform(rng)]
     d_model = 10
     batch = TokenBatch(features=rng.normal(size=(frames, len(tokens), d_model)))
     params = attention_init(d_model, D, seed=5)
@@ -101,7 +98,7 @@ def test_sigma_zero_matches_exact_rope_logits():
                         for a in range(3)
                     ]
                 )
-                exact[qf, sf, p] = exact_rotation(rope_phases(PLAN, coords))
+                exact[qf, sf, p] = rope_rotation(PLAN, coords)
 
     q = batch.features @ params.wq
     k = batch.features @ params.wk
@@ -152,7 +149,7 @@ def test_modulate_key_zero_coefficient_annihilates_pair():
 def test_modulate_key_unit_magnitude_preserves_norm():
     rng = np.random.default_rng(8)
     key = rng.normal(size=D)
-    coeffs = exact_rotation(rng.uniform(-8, 8, PLAN.num_pairs))
+    coeffs = rope_rotation(UNIT, rng.uniform(-8, 8, PLAN.num_pairs))
     assert abs(np.linalg.norm(apply_coefficients(key, coeffs, PLAN)) - np.linalg.norm(key)) < 1e-12
 
 

@@ -14,9 +14,11 @@ from curverope.cli import main
 from curverope.formats import camera_from_dict, load_trajectory, read_rdm1, save_trajectory, write_rdm1
 from curverope.phasor import LOG_RANGE_BOUND, breakpoints, token_paths, token_rays
 from curverope.rope import make_frequency_plan
-from curverope.scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
+from curverope.scene import make_trajectory
 from curverope.supervision import RadialMap
 from curverope.teacher_mix import external_override
+
+from util import orbit_poses, pair_slice, pan_poses, plane_clip
 
 
 def _write_config(tmp_path, **overrides):
@@ -25,9 +27,9 @@ def _write_config(tmp_path, **overrides):
     return str(path)
 
 
-def _make_trajectory_file(tmp_path, frames=2, motion="dolly", amplitude=0.3, xi=0.4, name="traj.json"):
+def _make_trajectory_file(tmp_path, frames=2, poses_of=make_trajectory, amplitude=0.3, xi=0.4, name="traj.json"):
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, xi, 64, 64)
-    poses = make_trajectory(TrajectorySpec(frames=frames, motion=motion, amplitude=amplitude, camera=cam))
+    poses = poses_of(frames, amplitude)
     path = tmp_path / name
     save_trajectory(path, cam, poses)
     return str(path), cam, poses
@@ -76,7 +78,7 @@ def test_coeffs_init_head_range_channels_shrink(tmp_path):
     plan = make_frequency_plan(36, 9)
     range_pairs = np.zeros(plan.num_pairs, bool)
     for a in range(3):
-        range_pairs[plan.pair_slice(3 * a + 2)] = True
+        range_pairs[pair_slice(plan, 3 * a + 2)] = True
     assert np.all(mags[..., range_pairs] < 1.0 - 1e-6)
 
 
@@ -99,7 +101,7 @@ def test_coeffs_exit_1_when_magnitude_bound_fails(tmp_path, monkeypatch):
 
 
 def test_coeffs_deterministic(tmp_path):
-    traj, _, _ = _make_trajectory_file(tmp_path, frames=2, motion="orbit", amplitude=0.2)
+    traj, _, _ = _make_trajectory_file(tmp_path, frames=2, poses_of=orbit_poses, amplitude=0.2)
     cfg = _write_config(tmp_path, trajectory=traj)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["coeffs", "--config", cfg, "--out", str(out1), "--seed", "5"]) == 0
@@ -110,8 +112,7 @@ def test_coeffs_deterministic(tmp_path):
 
 def test_coeffs_with_rdm1_teacher_intervals(tmp_path):
     traj, cam, poses = _make_trajectory_file(tmp_path, frames=2, amplitude=0.1)
-    scene = SceneSpec(kind="fronto_plane", extent=3.0)
-    rmap = render_clip(scene, poses, cam)
+    rmap = plane_clip("fronto_plane", 3.0, poses, cam)
     invalid = RadialMap(values=np.full(rmap.values.shape, np.nan), source_valid=np.zeros(rmap.values.shape, bool))
     # 2 frames of 4 x 4 tokens; every token of the fronto plane is valid.
     for name, radial_map, substituted in (("maps", rmap, 32), ("invalid", invalid, 0)):
@@ -150,7 +151,7 @@ def test_trace_identity_constant_uv(tmp_path):
 
 
 def test_trace_curved_path_turns(tmp_path):
-    traj, _, _ = _make_trajectory_file(tmp_path, frames=2, motion="orbit", amplitude=0.25, xi=0.8)
+    traj, _, _ = _make_trajectory_file(tmp_path, frames=2, poses_of=orbit_poses, amplitude=0.25, xi=0.8)
     cfg = _write_config(tmp_path, trajectory=traj, k=9)
     out = tmp_path / "out"
     assert main(["trace-path", "--config", cfg, "--out", str(out)]) == 0
@@ -180,7 +181,7 @@ def test_trace_frame_index_range(tmp_path, capsys, key):
     """trace-path takes frame indices in [-F, F): -1 is the last frame and
     traces what F - 1 traces; 9 and -5 on a 4-frame clip are validation
     errors naming the key, not frames 1 and 3 by wrap-around."""
-    traj, _, _ = _make_trajectory_file(tmp_path, frames=4, motion="orbit", amplitude=0.25)
+    traj, _, _ = _make_trajectory_file(tmp_path, frames=4, poses_of=orbit_poses, amplitude=0.25)
     bodies = {}
     for index, code in ((9, 1), (-5, 1), (3, 0), (-1, 0)):
         cfg = _write_config(tmp_path, trajectory=traj, k=5, trace={key: index})
@@ -196,19 +197,26 @@ def test_trace_frame_index_range(tmp_path, capsys, key):
     assert bodies[-1] == bodies[3]
 
 
+def _pinhole_pan_clip(tmp_path, k):
+    """A config for a 3-frame, 1.2 rad pinhole pan of 4 x 4 tokens with a
+    two-plane RDM1 map: the late frames look away from the first frame's
+    content, so some breakpoints are invisible and some offsets fall back."""
+    camera = {"fx": 40.0, "fy": 44.0, "cx": 31.0, "cy": 33.0, "xi": 0.0, "width": 64, "height": 64}
+    cam = camera_from_dict(camera)
+    traj = tmp_path / "traj.json"
+    save_trajectory(traj, cam, pan_poses(3, 1.2))
+    cam, poses = load_trajectory(traj)
+    rdm = tmp_path / "maps.rdm1"
+    write_rdm1(rdm, plane_clip("two_planes", 2.0, poses, cam), near_stat=1.5)
+    return cam, poses, rdm, _write_config(tmp_path, trajectory=str(traj), rdm1=str(rdm), k=k)
+
+
 def test_trace_csv_bytes_equal_a_csv_writer_over_the_same_paths(tmp_path):
     """trace.csv is formatted column by column; its bytes equal csv.writer
     rows of repr(float) over the same token_paths arrays, with a bare LF
     after the config-hash line and CRLF after every row. The RDM1 map gives
     the tokens different radii and the pinhole pan flags some points invalid."""
-    camera = {"fx": 40.0, "fy": 44.0, "cx": 31.0, "cy": 33.0, "xi": 0.0, "width": 64, "height": 64}
-    cam = camera_from_dict(camera)
-    traj = tmp_path / "traj.json"
-    save_trajectory(traj, cam, make_trajectory(TrajectorySpec(frames=3, motion="pan", amplitude=1.2, camera=cam)))
-    cam, poses = load_trajectory(traj)
-    rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="two_planes", extent=2.0), poses, cam), near_stat=1.5)
-    cfg = _write_config(tmp_path, trajectory=str(traj), rdm1=str(rdm), k=7)
+    cam, poses, rdm, cfg = _pinhole_pan_clip(tmp_path, k=7)
     assert main(["trace-path", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     mu, sigma = np.zeros((3, 4, 4)), np.full((3, 4, 4), LOG_RANGE_BOUND)
@@ -227,10 +235,65 @@ def test_trace_csv_bytes_equal_a_csv_writer_over_the_same_paths(tmp_path):
     assert body == buf.getvalue().encode()
 
 
+def test_coeffs_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """coeffs.bin and coeffs_summary.json are byte-identical for every
+    _PHASES_PER_CALL from 2^8 (one token per kernel call) to 2^20 (one call
+    per frame pair), on a clip whose paths have invisible breakpoints and
+    identity fallbacks."""
+    from curverope import cli
+
+    _, _, _, cfg = _pinhole_pan_clip(tmp_path, k=129)
+    kernel = cli.coefficients_from_paths
+    calls = []
+
+    def spy(path, plan):
+        coeffs, fallbacks = kernel(path, plan)
+        calls.append((int(np.count_nonzero(~path.valid)), fallbacks))
+        return coeffs, fallbacks
+
+    monkeypatch.setattr(cli, "coefficients_from_paths", spy)
+    outputs, num_calls = {}, {}
+    for exponent in (8, 12, 14, 16, 20):
+        monkeypatch.setattr(cli, "_PHASES_PER_CALL", 2**exponent)
+        out = tmp_path / f"block-{exponent}"
+        start = len(calls)
+        assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
+        num_calls[exponent] = len(calls) - start
+        outputs[exponent] = [(out / name).read_bytes() for name in ("coeffs.bin", "coeffs_summary.json")]
+    assert all(files == outputs[8] for files in outputs.values())
+    # 9 frame pairs of 16 tokens: one token per call, blocks of 7 tokens
+    # with a partial last block, and whole pairs.
+    assert num_calls == {8: 144, 12: 144, 14: 27, 16: 9, 20: 9}
+    assert sum(invisible for invisible, _ in calls) > 0
+    assert sum(fallbacks for _, fallbacks in calls) > 0
+    assert json.loads(outputs[8][1])["identity_fallback_count"] > 0
+
+
+def test_float32_export_meets_the_magnitude_bound_within_float32_rounding(tmp_path):
+    """magnitude_bound_ok checks the float64 coefficients, |c|^2 <= 1 + 1e-12.
+    Rounding a component to float32 scales it by at most 1 + 2^-24, so every
+    pair in coeffs.bin has |c|^2 <= (1 + 2^-24)^2 (1 + 1e-12). On this
+    fisheye clip with an RDM1 map, some exported pairs do exceed 1."""
+    cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.9, 64, 64)
+    poses = orbit_poses(3, 0.3)
+    traj, rdm = tmp_path / "traj.json", tmp_path / "maps.rdm1"
+    save_trajectory(traj, cam, poses)
+    write_rdm1(rdm, plane_clip("two_planes", 2.0, poses, cam), near_stat=1.5)
+    cfg = _write_config(tmp_path, trajectory=str(traj), rdm1=str(rdm), k=129)
+    out = tmp_path / "out"
+    assert main(["coeffs", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "coeffs_summary.json").read_text())
+    assert summary["magnitude_bound_ok"] is True and summary["teacher_substituted_tokens"] > 0
+    coeffs = _read_coeffs(out / "coeffs.bin")
+    sq = (coeffs**2).sum(axis=-1)
+    assert np.count_nonzero(sq > 1.0) > 0
+    assert sq.max() <= (1.0 + 2.0**-24) ** 2 * (1.0 + 1e-12)
+
+
 def test_trace_and_coeffs_all_invalid_token(tmp_path):
     # query camera 30 units ahead of every lifted point, pinhole: all behind
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.0, 64, 64)
-    poses = make_trajectory(TrajectorySpec(frames=2, motion="dolly", amplitude=30.0, camera=cam))
+    poses = make_trajectory(2, 30.0)
     traj = tmp_path / "traj.json"
     save_trajectory(traj, cam, poses)
     cfg = _write_config(tmp_path, trajectory=str(traj), coeffs={"sigma_override": 0.5})
@@ -384,7 +447,7 @@ def test_coeffs_reads_a_signalling_nan_pixel_quietly(tmp_path, capsys):
     coeffs exits 0 with nothing on stderr and no warning raised."""
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam), near_stat=2.0)
     raw = bytearray(rdm.read_bytes())
     raw[16:20] = b"\x00\x00\x81\x7f"  # pixel 0 of frame 0
     rdm.write_bytes(bytes(raw))
@@ -404,7 +467,7 @@ def test_exit_code_validation_error(tmp_path):
     # teacher map that would otherwise be pooled over a different patch size
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam), near_stat=2.0)
     for extra in ({}, {"rdm1": str(rdm)}):
         cfg = _write_config(tmp_path, trajectory=traj, patch_size=48, **extra)
         for command in ("coeffs", "trace-path"):
@@ -418,7 +481,7 @@ def test_exit_code_unknown_config_key(tmp_path, capsys):
     # malformed RDM1 sidecar is a parse error
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam), near_stat=2.0)
     (tmp_path / "maps.rdm1.json").write_text("{not json")
     cases = [
         ("mix-sim", {"mix": {"sampels": 5}}, 1),
@@ -547,7 +610,7 @@ def _camera_in_spec(field, value):
 def _nan_teacher_sigma(tmp_path):
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam), near_stat=2.0)
     return {"trajectory": traj, "rdm1": str(rdm), "coeffs": {"teacher_sigma": NAN}}
 
 
@@ -556,7 +619,7 @@ def _sidecar_near_stat(text):
     def make(tmp_path):
         traj, cam, poses = _make_trajectory_file(tmp_path)
         rdm = tmp_path / "maps.rdm1"
-        write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam))
+        write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam))
         (tmp_path / "maps.rdm1.json").write_text(f'{{"near_stat": {text}}}')
         return {"trajectory": traj, "rdm1": str(rdm)}
     return make
@@ -915,7 +978,7 @@ def test_every_default_config_leaf_is_read_by_a_subcommand(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "_load_config", lambda args: _ReadRecorder(load(args), reads))
     traj, cam, poses = _make_trajectory_file(tmp_path)
     rdm = tmp_path / "maps.rdm1"
-    write_rdm1(rdm, render_clip(SceneSpec(kind="fronto_plane", extent=3.0), poses, cam), near_stat=2.0)
+    write_rdm1(rdm, plane_clip("fronto_plane", 3.0, poses, cam), near_stat=2.0)
     runs = [
         ("coeffs", {"trajectory": traj, "rdm1": str(rdm)}),
         ("trace-path", {"trajectory": traj}),

@@ -6,23 +6,21 @@ import struct
 
 import numpy as np
 
-from curverope.attention import TokenBatch, attention_forward, attention_init
+from curverope.attention import TokenBatch, attention_forward
 from curverope.camera import UcmCamera
 from curverope.cli import main
 from curverope.formats import save_trajectory, write_rdm1
 from curverope.rope import make_frequency_plan
-from curverope.scene import SceneSpec, TrajectorySpec, make_trajectory, render_clip
 from curverope.supervision import near_distance_stat, validity_mask
+
+from util import attention_init, orbit_poses, plane_clip
 
 
 def test_scene_to_attention_chain(tmp_path):
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.6, 64, 64)
     frames = 3
-    poses = make_trajectory(
-        TrajectorySpec(frames=frames, motion="orbit", amplitude=0.3, camera=cam)
-    )
-    scene = SceneSpec(kind="two_planes", extent=2.0)
-    rmap = render_clip(scene, poses, cam)
+    poses = orbit_poses(frames, 0.3)
+    rmap = plane_clip("two_planes", 2.0, poses, cam)
     near = near_distance_stat(rmap, validity_mask(rmap))
 
     traj = tmp_path / "traj.json"

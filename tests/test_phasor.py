@@ -14,19 +14,24 @@ from curverope.phasor import (
     token_paths,
     token_rays,
 )
-from curverope.rope import FrequencyPlan, exact_rotation, make_frequency_plan, rope_phases
+from curverope.rope import FrequencyPlan, make_frequency_plan
 
 from util import (
     exact_expected_phasor,
     mean_segment_phasor,
     oracle_bounded_coordinate,
     oracle_valid,
+    pair_slice,
     random_camera,
     reference_mc_expected_phasor,
+    rope_rotation,
+    rot_y,
     segment_phasor,
     small_transform,
     take_along_axis_coefficients,
 )
+
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
 
 
 def _token_coefficients(cam_q, transform, rays, mu, sigma, plan, k):
@@ -107,7 +112,7 @@ def test_breakpoints_bad_k():
 def test_projected_path_on_axis():
     cam = UcmCamera(100, 100, 50, 50, 0.0, 100, 100)
     path = projected_path(
-        cam, RigidTransform.identity(), Ray(np.array([0.0, 0.0, 1.0])), np.array([1.0, 2.0])
+        cam, IDENTITY, Ray(np.array([0.0, 0.0, 1.0])), np.array([1.0, 2.0])
     )
     assert np.allclose(path.points[:, :2], 0, atol=1e-15)
     assert np.allclose(path.points[:, 2], [1.0, 2.0])
@@ -123,7 +128,7 @@ def test_projected_path_identity_constant_coords():
         ray = Ray(unproject_points(cam, pixel))
         mu, sigma = clamp_interval(rng.uniform(-1, 1), rng.uniform(0, 2))
         radii = breakpoints(mu, sigma, 7)
-        path = projected_path(cam, RigidTransform.identity(), ray, radii)
+        path = projected_path(cam, IDENTITY, ray, radii)
         assert path.valid.all()
         assert np.max(np.abs(path.points[:, :2] - path.points[0, :2])) < 1e-9
         assert np.allclose(path.points[:, 2], radii, atol=1e-12)
@@ -145,15 +150,10 @@ def test_projected_path_matches_composition_oracle():
             assert np.max(np.abs(path.points[k] - expected)) < 1e-10
 
 
-def _rot_y(phi):
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 # Camera-to-world poses shaped like the benchmark clips: a 4-frame orbit
 # (yaw and forward step 0.3) and a 10-frame pan (1.6 rad) with sideways drift.
-_ORBIT = [RigidTransform(_rot_y(0.1 * f), np.array([0.03 * f, 0.0, 0.1 * f])) for f in range(4)]
-_PAN = [RigidTransform(_rot_y(1.6 * f / 9), np.array([0.6 * f / 9, 0.0, 0.0])) for f in range(10)]
+_ORBIT = [RigidTransform(rot_y(0.1 * f), np.array([0.03 * f, 0.0, 0.1 * f])) for f in range(4)]
+_PAN = [RigidTransform(rot_y(1.6 * f / 9), np.array([0.6 * f / 9, 0.0, 0.0])) for f in range(10)]
 
 
 def _quotient_bounded_coordinate(cam_q, rotation, translation, direction, radius):
@@ -491,7 +491,7 @@ def test_coefficients_collapse_to_exact_rotation():
                 for a in range(3)
             ]
         )
-        expected = exact_rotation(rope_phases(plan, coords))
+        expected = rope_rotation(plan, coords)
         assert np.max(np.abs(coeffs - expected)) < 1e-9
 
 
@@ -502,11 +502,11 @@ def test_coefficients_identity_transform_channels():
     cam = random_camera(rng)
     plan = _token_plan()
     rays = token_rays(cam, 16)[4 * 1 + 2]
-    coeffs = _token_coefficients(cam, RigidTransform.identity(), rays, 0.0, 3.0, plan, 9)
+    coeffs = _token_coefficients(cam, IDENTITY, rays, 0.0, 3.0, plan, 9)
     mags = np.sqrt((coeffs**2).sum(-1))
     for a in range(3):
         for c in range(3):
-            sl = plan.pair_slice(3 * a + c)
+            sl = pair_slice(plan, 3 * a + c)
             if c < 2:
                 assert np.max(np.abs(mags[sl] - 1.0)) < 1e-9
             else:
@@ -577,7 +577,7 @@ def test_coefficients_plan_mismatch():
     cam = random_camera(rng)
     rays = token_rays(cam, 16)[0]
     with pytest.raises(ValueError):
-        _token_coefficients(cam, RigidTransform.identity(), rays, 0, 1, make_frequency_plan(12, 3), 5)
+        _token_coefficients(cam, IDENTITY, rays, 0, 1, make_frequency_plan(12, 3), 5)
 
 
 def test_patch_rays_center_token():
@@ -692,7 +692,7 @@ def test_partly_visible_fisheye_paths():
     whose visible points are split by an invisible run gets the mean over
     its segments with both ends visible, not the mean that bridges the run."""
     cam = UcmCamera(40, 40, 32, 32, 0.9, 64, 64)
-    transform = RigidTransform(_rot_y(-0.6), np.array([1.5, 0.0, -2.0]))
+    transform = RigidTransform(rot_y(-0.6), np.array([1.5, 0.0, -2.0]))
     rays = token_rays(cam, 16)
     radii = breakpoints(0.5, 1.5, 33)
     path = token_paths(cam, transform, rays, radii)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from curverope import scene as scene_module
-from curverope.camera import UcmCamera, project_points, unproject_points
+from curverope.camera import RigidTransform, UcmCamera, unproject_points
 from curverope.scene import (
-    SCENE_KINDS,
     SceneSpec,
-    TrajectorySpec,
     depth_signal_weight,
     make_layer_features,
     make_trajectory,
@@ -17,17 +15,21 @@ from curverope.scene import (
 )
 from curverope.supervision import TokenTargets
 
-from util import dense_intersect
+from util import ORBIT_PIVOT_DISTANCE, dense_intersect, oracle_project, orbit_poses, pan_poses, plane_clip
 
 
 CAM = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.0, 64, 64)
+IDENTITY = RigidTransform(np.eye(3), np.zeros(3))
+
+
+def _plane_frame(kind, extent):
+    """The plane fixture's radial map seen from the identity pose."""
+    rmap = plane_clip(kind, extent, [IDENTITY], CAM)
+    return rmap.values[0], rmap.source_valid[0]
 
 
 def test_fronto_plane_center_pixel():
-    scene = SceneSpec(kind="fronto_plane", extent=4.0)
-    from curverope.camera import RigidTransform
-
-    values, valid = render_radial_map(scene, RigidTransform.identity(), CAM)
+    values, valid = _plane_frame("fronto_plane", 4.0)
     # principal point (32, 32) lies at the corner of pixels 31/32: the
     # pixel-center ray of (31, 31) is (31.5+..) -> use the exact ray instead
     assert np.allclose(unproject_points(CAM, (32.0, 32.0)), [0, 0, 1])
@@ -39,10 +41,7 @@ def test_fronto_plane_center_pixel():
 
 
 def test_fronto_plane_off_axis_matches_formula():
-    scene = SceneSpec(kind="fronto_plane", extent=4.0)
-    from curverope.camera import RigidTransform
-
-    values, valid = render_radial_map(scene, RigidTransform.identity(), CAM)
+    values, valid = _plane_frame("fronto_plane", 4.0)
     rng = np.random.default_rng(0)
     for _ in range(30):
         i, j = rng.integers(8, 56, 2)
@@ -52,19 +51,14 @@ def test_fronto_plane_off_axis_matches_formula():
 
 
 def test_empty_region_invalid():
-    scene = SceneSpec(kind="point_cloud", extent=2.0, num_points=1, seed=0)
-    from curverope.camera import RigidTransform
-
-    values, valid = render_radial_map(scene, RigidTransform.identity(), CAM)
+    scene = SceneSpec(extent=2.0, num_points=1, seed=0)
+    values, valid = render_radial_map(scene, IDENTITY, CAM)
     assert not valid.all()
     assert np.isnan(values[~valid]).all()
 
 
 def test_two_planes_depth_split():
-    scene = SceneSpec(kind="two_planes", extent=2.0)
-    from curverope.camera import RigidTransform
-
-    values, valid = render_radial_map(scene, RigidTransform.identity(), CAM)
+    values, valid = _plane_frame("two_planes", 2.0)
     left = values[30, 10]
     right = values[30, 54]
     assert valid[30, 10] and valid[30, 54]
@@ -74,10 +68,8 @@ def test_two_planes_depth_split():
 def test_rendered_points_reproject_to_pixel():
     rng = np.random.default_rng(1)
     cam = UcmCamera(50.0, 52.0, 32.0, 32.0, 0.6, 64, 64)
-    scene = SceneSpec(kind="point_cloud", extent=2.0, num_points=200, seed=3)
-    spec = TrajectorySpec(frames=3, motion="orbit", amplitude=0.3, camera=cam)
-    poses = make_trajectory(spec)
-    for pose in poses:
+    scene = SceneSpec(extent=2.0, num_points=200, seed=3)
+    for pose in orbit_poses(3, 0.3):
         values, valid = render_radial_map(scene, pose, cam)
         ii, jj = np.nonzero(valid)
         sel = rng.choice(ii.size, size=min(200, ii.size), replace=False)
@@ -85,40 +77,36 @@ def test_rendered_points_reproject_to_pixel():
             i, j = ii[idx], jj[idx]
             pixel = np.array([j + 0.5, i + 0.5])
             d = unproject_points(cam, pixel)
-            px = project_points(cam, values[i, j] * d)
+            px = oracle_project(cam, values[i, j] * d)
             assert np.max(np.abs(px - pixel)) < 1e-6
 
 
 def test_rendered_values_positive_finite():
-    scene = SceneSpec(kind="two_planes", extent=2.0)
-    poses = make_trajectory(TrajectorySpec(frames=4, motion="dolly", amplitude=0.5, camera=CAM))
-    rmap = render_clip(scene, poses, CAM)
+    scene = SceneSpec(extent=2.0, num_points=300, seed=4)
+    rmap = render_clip(scene, make_trajectory(4, 0.5), CAM)
+    assert rmap.source_valid.any()
     vals = rmap.values[rmap.source_valid]
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
 
 def test_render_deterministic():
-    scene = SceneSpec(kind="point_cloud", extent=2.0, num_points=64, seed=9)
-    from curverope.camera import RigidTransform
-
-    a = render_radial_map(scene, RigidTransform.identity(), CAM)
-    b = render_radial_map(scene, RigidTransform.identity(), CAM)
+    scene = SceneSpec(extent=2.0, num_points=64, seed=9)
+    a = render_radial_map(scene, IDENTITY, CAM)
+    b = render_radial_map(scene, IDENTITY, CAM)
     assert np.array_equal(a[0], b[0], equal_nan=True)
     assert np.array_equal(a[1], b[1])
 
 
 def test_trajectory_first_frame_identity():
-    for motion in ("orbit", "dolly", "pan"):
-        poses = make_trajectory(TrajectorySpec(frames=4, motion=motion, amplitude=0.4, camera=CAM))
+    for build in (orbit_poses, make_trajectory, pan_poses):
+        poses = build(4, 0.4)
         assert np.allclose(poses[0].rotation, np.eye(3), atol=1e-12)
         assert np.allclose(poses[0].translation, 0, atol=1e-12)
         assert len(poses) == 4
 
 
 def test_orbit_looks_at_pivot():
-    from curverope.scene import ORBIT_PIVOT_DISTANCE
-
-    poses = make_trajectory(TrajectorySpec(frames=5, motion="orbit", amplitude=0.8, camera=CAM))
+    poses = orbit_poses(5, 0.8)
     pivot = np.array([0, 0, ORBIT_PIVOT_DISTANCE])
     for pose in poses:
         forward = pose.rotation[:, 2]
@@ -129,13 +117,9 @@ def test_orbit_looks_at_pivot():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SceneSpec(kind="mesh", extent=1.0)
+        SceneSpec(extent=-1.0)
     with pytest.raises(ValueError):
-        SceneSpec(kind="fronto_plane", extent=-1.0)
-    with pytest.raises(ValueError):
-        TrajectorySpec(frames=0, motion="pan", amplitude=0.1, camera=CAM)
-    with pytest.raises(ValueError):
-        TrajectorySpec(frames=2, motion="zoom", amplitude=0.1, camera=CAM)
+        make_trajectory(0, 0.1)
 
 
 def test_depth_signal_weight_hump():
@@ -170,10 +154,11 @@ def test_layer_features_shape_and_determinism():
 
 def test_layer_features_depth_weight_scales_signal(monkeypatch):
     t = _targets()
+    monkeypatch.setattr(scene_module, "_FEATURE_NOISE", 0.0)
     monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 0.0)
-    weak = make_layer_features(t, 0, 8, 32, seed=5, noise_scale=0.0)
+    weak = make_layer_features(t, 0, 8, 32, seed=5)
     monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 1.0)
-    strong = make_layer_features(t, 0, 8, 32, seed=5, noise_scale=0.0)
+    strong = make_layer_features(t, 0, 8, 32, seed=5)
     diff = strong - weak
     # the difference is exactly the rank-one depth term: nonzero only on valid tokens
     flat = diff.reshape(-1, 32)
@@ -189,35 +174,24 @@ def _dense_render(spec, pose, cam):
     dirs = unproject_points(cam, pixels) @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs.shape)
     eps = scene_module._HIT_EPS
-    best = np.full(dirs.shape[0], np.inf)
-    for z0, x_min, x_max, y_min, y_max in scene_module._scene_planes(spec):
-        dz = dirs[:, 2]
-        ok = np.abs(dz) > 1e-12
-        t = np.where(ok, (z0 - origins[:, 2]) / np.where(ok, dz, 1.0), np.inf)
-        hit_x = origins[:, 0] + t * dirs[:, 0]
-        hit_y = origins[:, 1] + t * dirs[:, 1]
-        inside = ok & (t > eps) & (hit_x >= x_min) & (hit_x <= x_max) & (hit_y >= y_min) & (hit_y <= y_max)
-        best = np.where(inside & (t < best), t, best)
     centers, radius = scene_module._scene_spheres(spec)
-    if centers.shape[0]:
-        oc = centers[None, :, :] - origins[:, None, :]
-        proj = np.einsum("nmk,nk->nm", oc, dirs)
-        disc = proj * proj - (np.einsum("nmk,nmk->nm", oc, oc) - radius * radius)
-        ok = disc >= 0
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        t = np.where(proj - root > eps, proj - root, proj + root)
-        best = np.minimum(best, np.where(ok & (t > eps), t, np.inf).min(axis=1))
+    oc = centers[None, :, :] - origins[:, None, :]
+    proj = np.einsum("nmk,nk->nm", oc, dirs)
+    disc = proj * proj - (np.einsum("nmk,nmk->nm", oc, oc) - radius * radius)
+    ok = disc >= 0
+    root = np.sqrt(np.where(ok, disc, 0.0))
+    t = np.where(proj - root > eps, proj - root, proj + root)
+    best = np.where(ok & (t > eps), t, np.inf).min(axis=1)
     valid = np.isfinite(best)
     shape = (cam.height, cam.width)
     return np.where(valid, best, np.nan).reshape(shape), valid.reshape(shape)
 
 
-@pytest.mark.parametrize("kind", ["point_cloud", "two_planes"])
-def test_render_matches_dense_reference_bit_for_bit(kind):
-    spec = SceneSpec(kind=kind, extent=2.0, num_points=300, seed=4)
+def test_render_matches_dense_reference_bit_for_bit():
+    spec = SceneSpec(extent=2.0, num_points=300, seed=4)
     # 50 x 38 pixels leave a partial last block of rays.
     for cam in (UcmCamera(50.0, 52.0, 32.0, 32.0, 0.6, 64, 64), UcmCamera(40.0, 41.0, 25.0, 19.0, 0.6, 50, 38)):
-        poses = make_trajectory(TrajectorySpec(frames=3, motion="orbit", amplitude=0.3, camera=cam))
+        poses = orbit_poses(3, 0.3)
         for pose in (poses[0], poses[2]):
             values, valid = render_radial_map(spec, pose, cam)
             want_values, want_valid = _dense_render(spec, pose, cam)
@@ -226,12 +200,11 @@ def test_render_matches_dense_reference_bit_for_bit(kind):
             assert values.tobytes() == want_values.tobytes()
 
 
-@pytest.mark.parametrize("kind", SCENE_KINDS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 5])
-def test_sparse_sphere_hits_match_the_dense_intersect(kind, seed):
+def test_sparse_sphere_hits_match_the_dense_intersect(seed):
     """Roots taken only where a ray meets a sphere give the hit distances of
     the dense per-pair evaluation bit for bit, misses (inf) included."""
-    spec = SceneSpec(kind=kind, extent=2.0, num_points=300, seed=seed)
+    spec = SceneSpec(extent=2.0, num_points=300, seed=seed)
     centers, _ = scene_module._scene_spheres(spec)
     hits = 0
     # The default train-head camera, and one whose 50 x 38 rays leave a
@@ -241,14 +214,14 @@ def test_sparse_sphere_hits_match_the_dense_intersect(kind, seed):
         pixels = np.stack([jj + 0.5, ii + 0.5], axis=-1).reshape(-1, 2)
         poses = [
             pose
-            for motion, amplitude in (("dolly", 0.4), ("orbit", 0.4), ("pan", np.pi))
-            for pose in make_trajectory(TrajectorySpec(frames=3, motion=motion, amplitude=amplitude, camera=cam))[1:]
+            for build, amplitude in ((make_trajectory, 0.4), (orbit_poses, 0.4), (pan_poses, np.pi))
+            for pose in build(3, amplitude)[1:]
         ]
         # Turned away from the spheres (pan by pi), a ray's line can meet a
         # sphere behind the camera; from inside a sphere only the far root
         # lies ahead.
         for pose in poses:
-            for origin in (pose.translation, centers[0] if len(centers) else pose.translation):
+            for origin in (pose.translation, centers[0]):
                 dirs = unproject_points(cam, pixels) @ pose.rotation.T
                 got = scene_module._intersect(spec, origin, dirs)
                 want = dense_intersect(spec, origin, dirs)
@@ -260,9 +233,9 @@ def test_sparse_sphere_hits_match_the_dense_intersect(kind, seed):
 def test_render_memory_is_bounded_by_the_ray_block():
     """One 64x64 frame against 300 spheres; a dense (pixels, spheres, 3)
     renderer peaks near 96 MiB of traced numpy memory."""
-    spec = SceneSpec(kind="point_cloud", extent=2.0, num_points=300, seed=0)
+    spec = SceneSpec(extent=2.0, num_points=300, seed=0)
     cam = UcmCamera(56.0, 56.0, 32.0, 32.0, 0.3, 64, 64)
-    pose = make_trajectory(TrajectorySpec(frames=2, motion="dolly", amplitude=0.4, camera=cam))[1]
+    pose = make_trajectory(2, 0.4)[1]
     tracemalloc.start()
     try:
         render_radial_map(spec, pose, cam)

@@ -9,7 +9,6 @@ from curverope.supervision import (
     near_distance_stat,
     normalize_and_pool,
     radial_loss,
-    timestep_gate,
     uncertainty_scale,
     validity_mask,
 )
@@ -253,18 +252,6 @@ def test_all_valid_targets_give_the_masked_path_bits():
     assert part.grad_mu[at].tobytes() == full.grad_mu.tobytes()
     assert part.grad_sigma[at].tobytes() == full.grad_sigma.tobytes()
     assert not part.grad_mu[~mask].any() and not part.grad_sigma[~mask].any()
-
-
-def test_timestep_gate():
-    assert timestep_gate(0.5)
-    assert timestep_gate(0.97)
-    assert not timestep_gate(0.99)
-    assert not timestep_gate(1.0)
-    assert timestep_gate(0.0)
-    with pytest.raises(ValueError):
-        timestep_gate(1.5)
-    with pytest.raises(ValueError):
-        timestep_gate(-0.1)
 
 
 def test_loss_gradcheck_catches_a_wrong_gradient(monkeypatch):

@@ -19,10 +19,10 @@ def _iid_targets(seed=7, frames=2, side=8):
     return TokenTargets(targets=vals, mask=np.ones_like(vals, bool), near_stat=1.0)
 
 
-def _layer_stack(targets, num_layers, d_model, **kwargs):
+def _layer_stack(targets, num_layers, d_model):
     """(L, N, d) features of every slot of an L-layer stack."""
     return np.stack([
-        make_layer_features(targets, layer, num_layers, d_model, seed=1, **kwargs).reshape(-1, d_model)
+        make_layer_features(targets, layer, num_layers, d_model, seed=1).reshape(-1, d_model)
         for layer in range(num_layers)
     ])
 
@@ -39,8 +39,9 @@ def test_signal_case_recovers_targets(monkeypatch):
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
     monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 1.0)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0, noise_scale=0.0)
-    _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.0)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0)
+    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 64), flat, 2000, seed=0)
     assert stats["loss_reduction"] >= 0.9
     assert stats["final_probe_error"] < 0.15 * stats["init_probe_error"]
     assert stats["final_probe_error"] < 0.08
@@ -50,30 +51,31 @@ def test_null_case_no_probe_improvement(monkeypatch):
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
     monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 0.0)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0, noise_scale=0.1)
-    _, stats = train_head_on_tokens(feats.reshape(-1, 64), flat, 2000, 0.01, seed=0)
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
+    feats = make_layer_features(targets, 5, 12, 64, seed=0)
+    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 64), flat, 2000, seed=0)
     reduction = 1.0 - stats["final_probe_error"] / stats["init_probe_error"]
     assert reduction < 0.05
 
 
-def test_training_deterministic():
+def test_training_deterministic(monkeypatch):
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).reshape(-1, 32)
-    p1, s1 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4)
-    p2, s2 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
+    [(p1, s1)] = train_head_on_tokens(feats, flat, 200, seed=4)
+    [(p2, s2)] = train_head_on_tokens(feats, flat, 200, seed=4)
     assert s1["final_loss"] == s2["final_loss"]
     for (_, a), (_, b) in zip(p1.field_arrays(), p2.field_arrays()):
         assert np.array_equal(a, b)
 
 
-def test_training_curve_recorded():
+def test_training_curve_recorded(monkeypatch):
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
     feats = make_layer_features(targets, 2, 6, 32, seed=1)
-    _, stats = train_head_on_tokens(
-        feats.reshape(-1, 32), flat, 100, 0.01, seed=0, record_every=25
-    )
+    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 32), flat, 100, seed=0, record_every=25)
     steps = [s for s, _ in stats["curve"]]
     assert steps == [0, 25, 50, 75, 99]
     assert stats["curve"][0][1] == stats["init_loss"]
@@ -81,9 +83,7 @@ def test_training_curve_recorded():
 
 def test_layer_probe_prefers_mid_stack():
     targets = _iid_targets(seed=9)
-    rows = run_layer_probe(
-        targets, num_layers=6, d_model=48, steps=800, lr=0.01, seed=0
-    )
+    rows = run_layer_probe(targets, num_layers=6, d_model=48, steps=800, seed=0)
     errs = [r.final_probe_error for r in rows]
     best = int(np.argmin(errs))
     assert best in (2, 3)
@@ -102,24 +102,24 @@ def test_probe_requires_valid_tokens():
     )
     for targets in (empty, pooled):
         with pytest.raises(ValueError, match="no valid tokens to probe"):
-            run_layer_probe(targets, num_layers=2, d_model=16, steps=10, lr=0.01, seed=0)
+            run_layer_probe(targets, num_layers=2, d_model=16, steps=10, seed=0)
 
 
 @pytest.mark.parametrize("steps", [0, -3])
 def test_rejects_step_counts_below_one(steps):
     with pytest.raises(ValueError, match="steps"):
-        train_head_on_tokens(np.zeros((4, 16)), np.ones(4), steps, 0.01, seed=0)
+        train_head_on_tokens(np.zeros((1, 4, 16)), np.ones(4), steps, seed=0)
 
 
 def test_probe_rejects_zero_layers():
     with pytest.raises(ValueError, match="num_layers"):
-        run_layer_probe(_iid_targets(), num_layers=0, d_model=16, steps=10, lr=0.01, seed=0)
+        run_layer_probe(_iid_targets(), num_layers=0, d_model=16, steps=10, seed=0)
 
 
 def test_rejects_nonpositive_targets():
-    batch = np.zeros((4, 16))
+    batch = np.zeros((1, 4, 16))
     with pytest.raises(ValueError):
-        train_head_on_tokens(batch, np.array([1.0, 2.0, 0.0, 3.0]), 10, 0.01, seed=0)
+        train_head_on_tokens(batch, np.array([1.0, 2.0, 0.0, 3.0]), 10, seed=0)
 
 
 def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
@@ -127,8 +127,9 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
     features normalised once; the parameter gradients it applies equal
     head_backward on a fresh head_forward of the raw training features bit
     for bit, for the stack and for each slot alone."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 6, 32, noise_scale=0.1)[1:4]
+    feats = _layer_stack(targets, 6, 32)[1:4]
     calls, normalised = [], []
     fused, layer_norm = trainer.head_backward, trainer.head_layer_norm
 
@@ -144,7 +145,7 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
 
     monkeypatch.setattr(trainer, "head_layer_norm", norm_spy)
     monkeypatch.setattr(trainer, "head_backward", spy)
-    train_head_on_tokens(feats, targets.targets.reshape(-1), 60, 0.01, seed=3)
+    train_head_on_tokens(feats, targets.targets.reshape(-1), 60, seed=3)
     assert len(calls) == 60 and len(normalised) == 1
     shapes = [a.shape for _, a in head_init(32, 3).field_arrays()]
     for params, gm, gs, g in calls[::10] + calls[-1:]:
@@ -161,10 +162,11 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
 def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
     """Normalising the training features once gives the same parameters and
     curve as a loop that runs head_forward on the raw features every step."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1, noise_scale=0.1).reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
     flat = targets.targets.reshape(-1)
-    hoisted, s1 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
+    [(hoisted, s1)] = train_head_on_tokens(feats, flat, 200, seed=4, record_every=10)
     per_step = []
 
     def forward_from_raw(params, x):
@@ -174,7 +176,7 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
     # The reference loop hands the raw features to head_forward each step.
     monkeypatch.setattr(trainer, "head_layer_norm", lambda x: (None, x))
     monkeypatch.setattr(trainer, "head_forward_normalized", forward_from_raw)
-    reference, s2 = train_head_on_tokens(feats, flat, 200, 0.01, seed=4, record_every=10)
+    [(reference, s2)] = train_head_on_tokens(feats, flat, 200, seed=4, record_every=10)
     assert len(per_step) == 200
     assert s1 == s2
     for (name, a), (_, b) in zip(hoisted.field_arrays(), reference.field_arrays()):
@@ -184,6 +186,8 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
 def test_gradient_norm_counters(monkeypatch):
     """max_grad_norm is each slot's largest pre-clip global norm;
     clipped_step_fraction counts the steps whose norm exceeded the clip norm."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
+    monkeypatch.setattr(trainer, "_LR", 1e-3)
     targets = _iid_targets()
     feats = _layer_stack(targets, 6, 32)[1:4]
     flat = targets.targets.reshape(-1)
@@ -199,7 +203,7 @@ def test_gradient_norm_counters(monkeypatch):
     for clip_norm, fraction in ((1e-9, 1.0), (1e9, 0.0)):
         norms.clear()
         monkeypatch.setattr(trainer, "_CLIP_NORM", clip_norm)
-        trained = train_head_on_tokens(feats, flat, 40, 1e-3, seed=0)
+        trained = train_head_on_tokens(feats, flat, 40, seed=0)
         assert len(norms) == 40
         for i, (_, stats) in enumerate(trained):
             assert stats["clipped_step_fraction"] == fraction
@@ -233,11 +237,12 @@ def _diverge_at_step_3(monkeypatch, slots):
 
 def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
     """The clamped head keeps real losses finite, so step 3's loss is made NaN."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(-1, 32)
+    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
     losses, norms = _diverge_at_step_3(monkeypatch, [0])
     with pytest.raises(DivergenceError) as info:
-        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
+        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, seed=0)
     err = info.value
     assert err.step == 3 and err.layer == 0 and len(norms) == 3
     assert err.last_finite_loss == losses[2][0]
@@ -248,11 +253,12 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
 def test_divergence_names_the_lowest_diverging_slot(monkeypatch):
     """Slots 1 and 3 of four diverge at step 3 while slots 0 and 2 stay
     finite: the error names slot 1 with slot 1's last loss and norm."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
     feats = _layer_stack(targets, 6, 32)[1:5]
     losses, norms = _diverge_at_step_3(monkeypatch, [1, 3])
     with pytest.raises(DivergenceError) as info:
-        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, 0.01, seed=0)
+        train_head_on_tokens(feats, targets.targets.reshape(-1), 10, seed=0)
     err = info.value
     assert err.step == 3 and err.layer == 1 and len(norms) == 3
     assert np.isfinite(losses[3][0]) and np.isfinite(losses[3][2])
@@ -264,19 +270,20 @@ def test_divergence_names_the_lowest_diverging_slot(monkeypatch):
 
 
 @pytest.mark.parametrize("num_layers", [1, 3, 5])
-def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layers):
+def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layers, monkeypatch):
     """Training an L-slot stack in lockstep gives every slot the parameter
     bytes, stats and curve of the single-head trainer run on that slot's
     features alone. 150 steps at lr 0.01 span the 30-step warmup, clipped
     and unclipped steps and a curve recorded every 40 steps plus the last."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, num_layers, 32, noise_scale=0.1)
+    feats = _layer_stack(targets, num_layers, 32)
     flat = targets.targets.reshape(-1)
-    trained = train_head_on_tokens(feats, flat, 150, 0.01, seed=4, record_every=40)
+    trained = train_head_on_tokens(feats, flat, 150, seed=4, record_every=40)
     assert len(trained) == num_layers
     fractions = set()
     for i, (params, stats) in enumerate(trained):
-        want_params, want_stats = reference_train_head_on_tokens(feats[i], flat, 150, 0.01, seed=4, record_every=40)
+        want_params, want_stats = reference_train_head_on_tokens(feats[i], flat, 150, trainer._LR, seed=4, record_every=40)
         stalls = stats["stalls"]
         assert {k: v for k, v in stats.items() if k != "stalls"} == want_stats
         assert [s for s, _ in stats["curve"]] == [0, 40, 80, 120, 149]
@@ -285,18 +292,14 @@ def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layer
         for (name, a), (_, b) in zip(params.field_arrays(), want_params.field_arrays()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (i, name)
     assert all(0.0 < f < 1.0 for f in fractions)
-    if num_layers == 1:
-        params, stats = train_head_on_tokens(feats[0], flat, 150, 0.01, seed=4, record_every=40)
-        assert stats == trained[0][1]
-        for (_, a), (_, b) in zip(params.field_arrays(), trained[0][0].field_arrays()):
-            assert a.tobytes() == b.tobytes()
 
 
 def test_stall_fractions_describe_the_final_step(monkeypatch):
     """stalls holds, per slot, the fraction of training tokens at the s floor,
     the s ceiling, the sigma cap and the mu clamp in the last step's forward."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 4, 32, noise_scale=0.1)
+    feats = _layer_stack(targets, 4, 32)
     caches = []
     forward = trainer.head_forward_normalized
 
@@ -306,7 +309,8 @@ def test_stall_fractions_describe_the_final_step(monkeypatch):
 
     monkeypatch.setattr(trainer, "head_forward_normalized", forward_spy)
     # A step size of 1 drives some tokens onto the clamps and the s floor.
-    trained = train_head_on_tokens(feats, targets.targets.reshape(-1), 30, 1.0, seed=2)
+    monkeypatch.setattr(trainer, "_LR", 1.0)
+    trained = train_head_on_tokens(feats, targets.targets.reshape(-1), 30, seed=2)
     last = caches[-1]
     _, floored, ceiled = uncertainty_scale(last["mu"], last["sigma"])
     masks = {"s_floor": floored, "s_ceiling": ceiled,

@@ -7,17 +7,23 @@ take_along_axis_coefficients, reference_mc_expected_phasor,
 dense_intersect and reference_train_head_on_tokens keep earlier forms of
 library code as the references that pin its results. segment_phasor
 is the kernel's one-segment view, for tests that feed it raw phase pairs.
+
+rope_rotation (standard RoPE, which the sigma = 0 reduction is checked
+against), pair_slice, attention_init, the orbit and pan poses and the
+plane-scene radial maps are test references and fixtures, kept out of
+the library on purpose: no subcommand runs them.
 """
 
 import math
 
 import numpy as np
 
-from curverope.camera import RigidTransform, UcmCamera
+from curverope.attention import AttentionParams
+from curverope.camera import RigidTransform, UcmCamera, unproject_points
 from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from curverope.phasor import _segment_terms
-from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_planes, _scene_spheres
-from curverope.supervision import TokenTargets, radial_loss
+from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_spheres
+from curverope.supervision import RadialMap, TokenTargets, radial_loss
 from curverope.trainer import _CLIP_NORM, _WARMUP_FRACTION, DivergenceError
 
 
@@ -233,42 +239,139 @@ def dense_intersect(spec, origin, dirs):
     library's sparse evaluation at the pairs whose discriminant is >= 0."""
     n = dirs.shape[0]
     best = np.full(n, np.inf)
-    for z0, x_min, x_max, y_min, y_max in _scene_planes(spec):
-        dz = dirs[:, 2]
-        ok = np.abs(dz) > 1e-12
-        t = np.where(ok, (z0 - origin[2]) / np.where(ok, dz, 1.0), np.inf)
-        hit_x = origin[0] + t * dirs[:, 0]
-        hit_y = origin[1] + t * dirs[:, 1]
-        inside = (
-            ok
-            & (t > _HIT_EPS)
-            & (hit_x >= x_min)
-            & (hit_x <= x_max)
-            & (hit_y >= y_min)
-            & (hit_y <= y_max)
-        )
-        best = np.where(inside & (t < best), t, best)
     centers, radius = _scene_spheres(spec)
     m = centers.shape[0]
-    if m:
-        oc = centers - origin  # (m, 3): every ray shares the origin
-        cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
-        for start in range(0, n, _RAYS_PER_BLOCK):
-            rows = slice(start, start + _RAYS_PER_BLOCK)
-            d = dirs[rows]
-            # einsum over a broadcast view sums each product in the same
-            # order as over a dense (rays, spheres, 3) array, so hits stay
-            # bit-identical; a BLAS matmul rounds differently.
-            proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
-            disc = proj * proj - cc
-            ok = disc >= 0
-            root = np.sqrt(np.where(ok, disc, 0.0))
-            t_near = proj - root
-            t_far = proj + root
-            t = np.where(t_near > _HIT_EPS, t_near, t_far)
-            t = np.where(ok & (t > _HIT_EPS), t, np.inf)
-            best[rows] = np.minimum(best[rows], t.min(axis=1))
+    oc = centers - origin  # (m, 3): every ray shares the origin
+    cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
+    for start in range(0, n, _RAYS_PER_BLOCK):
+        rows = slice(start, start + _RAYS_PER_BLOCK)
+        d = dirs[rows]
+        # einsum over a broadcast view sums each product in the same
+        # order as over a dense (rays, spheres, 3) array, so hits stay
+        # bit-identical; a BLAS matmul rounds differently.
+        proj = np.einsum("nmk,nk->nm", np.broadcast_to(oc, (d.shape[0], m, 3)), d)
+        disc = proj * proj - cc
+        ok = disc >= 0
+        root = np.sqrt(np.where(ok, disc, 0.0))
+        t_near = proj - root
+        t_far = proj + root
+        t = np.where(t_near > _HIT_EPS, t_near, t_far)
+        t = np.where(ok & (t > _HIT_EPS), t, np.inf)
+        best[rows] = np.minimum(best[rows], t.min(axis=1))
     return best
+
+
+def rope_rotation(plan, coords):
+    """Standard RoPE coefficients of coordinates (..., C), shape
+    (..., num_pairs, 2): the unit (cos, sin) pairs of the phases
+    frequencies[f] * coords[c], pair c * F + f in plan slot order.
+
+    Under a plan of n coordinates at the single frequency 1 the phases are
+    the coordinates themselves, so FrequencyPlan(n, [1.0]) turns any
+    (..., n) phase array into its unit phasors.
+    """
+    x = np.asarray(coords, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != plan.num_coordinates:
+        raise ValueError(f"expected {plan.num_coordinates} coordinates, got shape {x.shape}")
+    theta = (x[..., :, None] * plan.frequencies).reshape(*x.shape[:-1], plan.num_pairs)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
+def pair_slice(plan, coordinate):
+    """Channel pairs of a FrequencyPlan driven by one coordinate."""
+    n = plan.frequencies.size
+    return slice(coordinate * n, (coordinate + 1) * n)
+
+
+def attention_init(d_model, head_dim, seed):
+    """Seeded attention projections with a zero output projection."""
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(d_model)
+    return AttentionParams(
+        wq=rng.uniform(-bound, bound, size=(d_model, head_dim)),
+        wk=rng.uniform(-bound, bound, size=(d_model, head_dim)),
+        wv=rng.uniform(-bound, bound, size=(d_model, head_dim)),
+        wo=np.zeros((head_dim, d_model)),
+    )
+
+
+def rot_y(phi):
+    """Rotation by phi about the camera's +Y (down) axis."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _ramp(frames):
+    return [0.0 if frames == 1 else f / (frames - 1) for f in range(frames)]
+
+
+def pan_poses(frames, amplitude):
+    """Camera-to-world poses that yaw from 0 to amplitude about the camera
+    centre; frame 0 is the identity pose."""
+    return [RigidTransform(rot_y(amplitude * t), np.zeros(3)) for t in _ramp(frames)]
+
+
+# Orbit poses pivot about a point this far ahead of the first camera.
+ORBIT_PIVOT_DISTANCE = 4.0
+
+
+def orbit_poses(frames, amplitude):
+    """Camera-to-world poses that orbit by angles 0 to amplitude about the
+    point ORBIT_PIVOT_DISTANCE ahead of frame 0, always facing it; frame 0
+    is the identity pose."""
+    pivot = np.array([0.0, 0.0, ORBIT_PIVOT_DISTANCE])
+    poses = []
+    for t in _ramp(frames):
+        phi = amplitude * t
+        pos = pivot - ORBIT_PIVOT_DISTANCE * np.array([np.sin(phi), 0.0, np.cos(phi)])
+        poses.append(RigidTransform(rot_y(phi), pos))
+    return poses
+
+
+def _scene_planes(kind, extent):
+    # (z, x_min, x_max, y_min, y_max) axis-aligned rectangles.
+    e = extent
+    if kind == "fronto_plane":
+        return [(e, -2 * e, 2 * e, -2 * e, 2 * e)]
+    if kind == "two_planes":
+        return [(e, -2 * e, 0.0, -2 * e, 2 * e), (2 * e, -4 * e, 4 * e, -4 * e, 4 * e)]
+    raise ValueError(f"unknown plane scene {kind!r}")
+
+
+def plane_clip(kind, extent, poses, cam):
+    """Radial map of a plane scene, one frame per pose, as an RDM1 fixture.
+
+    "fronto_plane" is one square plane at z = extent; "two_planes" is the
+    x <= 0 half of a plane at z = extent in front of a wider plane at
+    z = 2 extent. Each pixel-centre ray is intersected analytically, and
+    pixels whose rays miss every plane are invalid (value NaN).
+    """
+    jj, ii = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    pixels = np.stack([jj + 0.5, ii + 0.5], axis=-1).reshape(-1, 2)
+    values, valid = [], []
+    for pose in poses:
+        dirs = unproject_points(cam, pixels) @ pose.rotation.T
+        origin = pose.translation
+        best = np.full(dirs.shape[0], np.inf)
+        for z0, x_min, x_max, y_min, y_max in _scene_planes(kind, extent):
+            dz = dirs[:, 2]
+            ok = np.abs(dz) > 1e-12
+            t = np.where(ok, (z0 - origin[2]) / np.where(ok, dz, 1.0), np.inf)
+            hit_x = origin[0] + t * dirs[:, 0]
+            hit_y = origin[1] + t * dirs[:, 1]
+            inside = (
+                ok
+                & (t > _HIT_EPS)
+                & (hit_x >= x_min)
+                & (hit_x <= x_max)
+                & (hit_y >= y_min)
+                & (hit_y <= y_max)
+            )
+            best = np.where(inside & (t < best), t, best)
+        hit = np.isfinite(best)
+        values.append(np.where(hit, best, np.nan).reshape(cam.height, cam.width))
+        valid.append(hit.reshape(cam.height, cam.width))
+    return RadialMap(values=np.stack(values), source_valid=np.stack(valid))
 
 
 # reference_train_head_on_tokens is the single-head trainer as it was before

@@ -14,7 +14,7 @@ import numpy as np
 
 from .head import head_backward, head_feature_gradient, head_forward, head_init
 from .phasor import LOG_RANGE_BOUND
-from .supervision import S_CEILING, S_FLOOR_VAR, TokenTargets, radial_loss
+from .supervision import S_CEILING, S_FLOOR_VAR, radial_loss
 
 __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 
@@ -117,11 +117,9 @@ def run_head_gradcheck(samples: int, seed: int, d_model: int = 64) -> dict:
         pairs = []
         for name, analytic in grads.field_arrays():
             base = getattr(params, name)
-            # Each block of perturbed copies is stacked on a leading axis;
-            # 1-D fields get a singleton token axis to broadcast over.
-            shape = (1,) + base.shape if base.ndim == 1 else base.shape
+            # Each block of perturbed copies is stacked on a leading axis.
             fd = _finite_differences(
-                lambda block: objective(replace(params, **{name: block.reshape(-1, *shape)}), x),
+                lambda block: objective(replace(params, **{name: block.reshape(-1, *base.shape)}), x),
                 base,
             )
             pairs.append((analytic.reshape(-1), fd))
@@ -155,16 +153,14 @@ def run_loss_gradcheck(samples: int, seed: int) -> dict:
         if not smooth:
             return None
 
-        targets = TokenTargets(
-            targets=np.full((1, 1, 1), target), mask=np.ones((1, 1, 1), bool), near_stat=1.0
-        )
-        res = radial_loss(np.full((1, 1, 1), mu), np.full((1, 1, 1), sigma), targets)
-        analytic = np.array([res.grad_mu[0, 0, 0], res.grad_sigma[0, 0, 0]])
+        targets = np.array([target])
+        res = radial_loss(np.array([mu]), np.array([sigma]), targets)
+        analytic = np.array([res.grad_mu[0], res.grad_sigma[0]])
 
         def losses(block):
             """One loss per (mu, sigma) row, the rows as slots of one stacked
             call, each a contiguous array as the single-token call's are."""
-            m, g = block.T.copy().reshape(2, -1, 1, 1, 1)
+            m, g = block.T.copy().reshape(2, -1, 1)
             return radial_loss(m, g, targets).loss
 
         return [(analytic, _finite_differences(losses, np.array([mu, sigma])))]

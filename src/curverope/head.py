@@ -87,17 +87,19 @@ def head_layer_norm(x: np.ndarray):
 
 
 def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
-    """Forward pass from standardised features ``xhat`` (see ``head_layer_norm``).
+    """Forward pass from standardised features ``xhat`` (..., N, d_model)
+    (see ``head_layer_norm``).
 
     Returns the intermediates the parameter gradients need; the outputs are
-    ``cache["mu"]`` and ``cache["sigma"]``. Parameter arrays may carry extra
-    leading axes, which broadcast against ``xhat``.
+    ``cache["mu"]`` and ``cache["sigma"]``, (..., N). Parameter arrays may
+    carry extra leading axes, a stack of heads that broadcasts against the
+    leading axes of ``xhat``; the 1-D fields get their token axis here.
     """
-    y = xhat * params.norm_scale + params.norm_bias
-    u = y @ params.w1 + params.b1
+    y = xhat * params.norm_scale[..., None, :] + params.norm_bias[..., None, :]
+    u = y @ params.w1 + params.b1[..., None, :]
     sig = _sigmoid(u)
     h = u * sig
-    raw = h @ params.w2 + params.b2
+    raw = h @ params.w2 + params.b2[..., None, :]
     mu_raw = raw[..., 0]
     sigma_raw = raw[..., 1]
     mu, sigma = clamp_interval(mu_raw, sigma_raw)
@@ -110,7 +112,7 @@ def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
 
 
 def head_forward(params: HeadParams, x: np.ndarray) -> dict:
-    """Forward pass over finite features ``x`` (..., d_model).
+    """Forward pass over finite features ``x`` (..., N, d_model).
 
     The cache of ``head_forward_normalized`` plus ``std``, which the
     feature gradient needs. The width is checked against
@@ -118,8 +120,8 @@ def head_forward(params: HeadParams, x: np.ndarray) -> dict:
     """
     x = np.asarray(x, dtype=float)
     d_model = params.norm_scale.shape[-1]
-    if x.ndim < 1 or x.shape[-1] != d_model:
-        raise ValueError(f"feature shape {x.shape} does not match d_model={d_model}")
+    if x.ndim < 2 or x.shape[-1] != d_model:
+        raise ValueError(f"feature shape {x.shape} is not (..., N, {d_model})")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     std, xhat = head_layer_norm(x)
@@ -180,9 +182,9 @@ def head_backward(
 def head_feature_gradient(
     params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
 ) -> np.ndarray:
-    """Per-token input-feature gradient (N, d_model) from a ``head_forward`` cache."""
+    """Per-token input-feature gradient (..., N, d_model) from a ``head_forward`` cache."""
     _, g_u = _upstream(params, c, gm, gs)
-    g_xhat = (g_u @ params.w1.mT) * params.norm_scale
+    g_xhat = (g_u @ params.w1.mT) * params.norm_scale[..., None, :]
     m1 = g_xhat.mean(axis=-1, keepdims=True)
     m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)
     return (g_xhat - m1 - c["xhat"] * m2) / c["std"]

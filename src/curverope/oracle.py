@@ -73,6 +73,16 @@ def _small_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
+def _random_camera(rng: np.random.Generator) -> UcmCamera:
+    """A 128 x 128 camera with random focal lengths, principal-point offset and xi."""
+    size = 128
+    return UcmCamera(
+        fx=rng.uniform(60, 120), fy=rng.uniform(60, 120),
+        cx=size / 2 + rng.uniform(-4, 4), cy=size / 2 + rng.uniform(-4, 4),
+        xi=rng.uniform(0, 1), width=size, height=size,
+    )
+
+
 def random_setup(rng: np.random.Generator) -> PhasorSetup:
     """Draw a geometrically benign configuration.
 
@@ -83,17 +93,9 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
     edge of that domain.
     """
     while True:
-        w = h = 128
-        cam_s = UcmCamera(
-            fx=rng.uniform(60, 120), fy=rng.uniform(60, 120),
-            cx=w / 2 + rng.uniform(-4, 4), cy=h / 2 + rng.uniform(-4, 4),
-            xi=rng.uniform(0, 1), width=w, height=h,
-        )
-        cam_q = UcmCamera(
-            fx=rng.uniform(60, 120), fy=rng.uniform(60, 120),
-            cx=w / 2 + rng.uniform(-4, 4), cy=h / 2 + rng.uniform(-4, 4),
-            xi=rng.uniform(0, 1), width=w, height=h,
-        )
+        cam_s = _random_camera(rng)
+        cam_q = _random_camera(rng)
+        w, h = cam_s.width, cam_s.height
         pixel = np.array(
             [w / 2 + rng.uniform(-0.3, 0.3) * w, h / 2 + rng.uniform(-0.3, 0.3) * h]
         )

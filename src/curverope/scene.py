@@ -139,20 +139,20 @@ def depth_signal_weight(layer_index: int, num_layers: int) -> float:
 
 def make_layer_features(
     targets: TokenTargets,
-    layer_index: int,
     num_layers: int,
     d_model: int,
     seed: int,
 ) -> np.ndarray:
-    """Token features (frames, patches, d_model) carrying a layer-dependent amount of depth signal.
+    """Token features (num_layers, N, d_model) of every layer slot, for the
+    N = frames * patches tokens in grid order, each slot carrying a
+    layer-dependent amount of depth signal.
 
     Features are a frozen random affine mix of the standardized log radial
     target, positional sinusoids and per-layer noise. The depth-signal
-    weight is depth_signal_weight(layer_index, num_layers), a hump profile
-    so mid-stack layers expose the most recoverable signal; the mixing
-    directions are shared across layers.
+    weight of slot i is depth_signal_weight(i, num_layers), a hump profile
+    so mid-stack layers expose the most recoverable signal; the signal,
+    the positional term and the mixing directions are shared across layers.
     """
-    w = depth_signal_weight(layer_index, num_layers)
     f, ht, wt = targets.targets.shape
     n = f * ht * wt
     flat_mask = targets.mask.reshape(n)
@@ -181,7 +181,8 @@ def make_layer_features(
     u = mix_rng.standard_normal(d_model)
     u /= np.linalg.norm(u)
     b = mix_rng.normal(0.0, 0.15, size=(pos.shape[1], d_model))
-    noise_rng = np.random.default_rng([seed, layer_index])
-    eps = noise_rng.standard_normal((n, d_model))
-    feats = w * signal[:, None] * u[None, :] + pos @ b + _FEATURE_NOISE * eps
-    return feats.reshape(f, ht * wt, d_model)
+    w = np.array([depth_signal_weight(layer, num_layers) for layer in range(num_layers)])
+    eps = np.stack([
+        np.random.default_rng([seed, layer]).standard_normal((n, d_model)) for layer in range(num_layers)
+    ])
+    return (w[:, None] * signal)[:, :, None] * u + pos @ b + _FEATURE_NOISE * eps

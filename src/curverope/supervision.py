@@ -9,7 +9,7 @@ statistic and mean-pooled onto the token grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +65,21 @@ class RadialMap:
 
 @dataclass(frozen=True)
 class TokenTargets:
-    """Normalized radial targets pooled to the token grid.
-
-    ``num_valid`` counts the masked-in targets.
-    """
+    """Normalized radial targets pooled to the token grid; ``mask`` marks
+    the valid tokens, the only ones whose targets count."""
 
     targets: np.ndarray
     mask: np.ndarray
-    near_stat: float
-    num_valid: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.targets, dtype=float)
         m = np.asarray(self.mask, dtype=bool)
         if t.shape != m.shape:
             raise ValueError("target and mask shapes must match")
-        if self.near_stat < NEAR_STAT_FLOOR:
-            raise ValueError(f"near_stat must be >= {NEAR_STAT_FLOOR}, got {self.near_stat}")
         if np.any(m & ~(np.isfinite(t) & (t > 0))):
             raise ValueError("masked-in targets must be finite and positive")
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "mask", m)
-        object.__setattr__(self, "num_valid", int(np.count_nonzero(m)))
 
 
 @dataclass
@@ -96,8 +89,6 @@ class RadialLossResult:
     loss: float | np.ndarray
     grad_mu: np.ndarray
     grad_sigma: np.ndarray
-    num_valid: int
-    empty: bool
 
 
 def validity_mask(radial_map: RadialMap) -> np.ndarray:
@@ -131,8 +122,8 @@ def normalize_and_pool(
     """
     f, h, w = radial_map.values.shape
     ht, wt = token_grid(h, w, patch_size)
-    if near_stat < NEAR_STAT_FLOOR:
-        raise ValueError(f"near_stat must be >= {NEAR_STAT_FLOOR}")
+    if not (np.isfinite(near_stat) and near_stat >= NEAR_STAT_FLOOR):
+        raise ValueError(f"near_stat must be finite and >= {NEAR_STAT_FLOOR}, got {near_stat}")
     m = np.asarray(mask, dtype=bool)
     if m.shape != radial_map.values.shape:
         raise ValueError("mask shape must match the radial map")
@@ -142,7 +133,7 @@ def normalize_and_pool(
     token_mask = 2 * counts >= patch_size * patch_size
     token_mask &= counts > 0
     targets = np.where(token_mask, vals / (np.maximum(counts, 1) * near_stat), 0.0)
-    return TokenTargets(targets=targets, mask=token_mask, near_stat=float(near_stat))
+    return TokenTargets(targets=targets, mask=token_mask)
 
 
 def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
@@ -161,43 +152,32 @@ def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
     return np.minimum(root, S_CEILING), floored, ceiled
 
 
-def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> RadialLossResult:
-    """Mean over valid tokens of |exp(mu) - target| / s + alpha * log s
-    (alpha = 1), with exact gradients for mu and sigma per token.
+def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> RadialLossResult:
+    """Mean over the N valid targets (N,) of |exp(mu) - target| / s +
+    alpha * log s (alpha = 1), with exact gradients for mu and sigma per token.
 
-    ``mu`` and ``sigma`` have the target grid's shape, or that shape behind
-    one leading stack axis, which gives one loss per slot. The absolute
-    value takes subgradient 0 at ties; the floor and ceiling of s are flat
-    regions. An empty valid set yields loss 0, zero gradients and the empty
-    flag.
+    ``mu`` and ``sigma`` are (N,), or (L, N) for L stacked slots, which gives
+    one loss per slot. The absolute value takes subgradient 0 at ties; the
+    floor and ceiling of s are flat regions.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    lead = mu.shape[: mu.ndim - targets.targets.ndim]
-    if len(lead) > 1 or mu.shape[len(lead):] != targets.targets.shape or sigma.shape != mu.shape:
-        raise ValueError("interval grids must match the target grid")
-    mask = targets.mask
-    n = targets.num_valid
-    if n == 0:
-        loss = np.zeros(lead) if lead else 0.0
-        return RadialLossResult(loss, np.zeros_like(mu), np.zeros_like(mu), 0, True)
-    # With every target valid, the masked passes select every token in order.
-    every = n == mask.size
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1 or targets.size == 0:
+        raise ValueError(f"need a non-empty (N,) array of valid targets, got shape {targets.shape}")
+    if mu.ndim not in (1, 2) or mu.shape[-1:] != targets.shape or sigma.shape != mu.shape:
+        raise ValueError("intervals must be (N,) or (L, N) for N targets")
+    n = targets.size
 
     r = np.exp(mu)
-    diff = r - targets.targets
+    diff = r - targets
     adiff = np.abs(diff)
     sgn = np.sign(diff)
     s, floored, ceiled = uncertainty_scale(mu, sigma)
     active = ~(floored | ceiled)
 
-    per_token = adiff / s + _LOSS_ALPHA * np.log(s)
-    # Each slot's valid terms stay contiguous, so each sums as one row.
-    valid = per_token.reshape(lead + (-1,))
-    if not every:
-        valid = np.compress(mask.reshape(-1), valid, axis=-1)
-    loss = valid.sum(axis=-1) / n
-    if not lead:
+    loss = (adiff / s + _LOSS_ALPHA * np.log(s)).sum(axis=-1) / n
+    if mu.ndim == 1:
         loss = float(loss)
 
     # Active region: s = exp(mu) sinh|sigma| / sqrt(3), so ds/dmu = s and
@@ -206,10 +186,4 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: TokenTargets) -> Rad
     g_mu = sgn * r / s + np.where(active, dl_ds * s, 0.0)
     ds_dsigma = r * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
     g_sigma = np.where(active, dl_ds * ds_dsigma, 0.0)
-
-    if every:
-        return RadialLossResult(loss, g_mu / n, g_sigma / n, n, False)
-    g_mu = np.where(mask, g_mu / n, 0.0)
-    g_sigma = np.where(mask, g_sigma / n, 0.0)
-    return RadialLossResult(loss, g_mu, g_sigma, n, False)
-
+    return RadialLossResult(loss, g_mu / n, g_sigma / n)

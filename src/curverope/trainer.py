@@ -87,24 +87,15 @@ class LayerProbeResult:
     stalls: dict
 
 
-def _flat_targets(targets: TokenTargets):
-    n = targets.targets.size
-    return targets.targets.reshape(n), targets.mask.reshape(n)
-
-
-def _views(flat: np.ndarray, shapes: list, bounds, token_axis: bool) -> HeadParams:
+def _views(flat: np.ndarray, shapes: list, bounds) -> HeadParams:
     """``HeadParams`` of views into the rows of ``flat`` (L, P), in field order.
 
-    Field i is ``flat[:, bounds[i]:bounds[i + 1]]`` shaped (L, *shapes[i]);
-    with ``token_axis`` a 1-D field is (L, 1, n), so it broadcasts over the
-    tokens of a forward pass.
+    Field i is ``flat[:, bounds[i]:bounds[i + 1]]`` shaped (L, *shapes[i]).
     """
-    arrays = []
-    for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes):
-        if token_axis and len(shape) == 1:
-            shape = (1,) + shape
-        arrays.append(flat[:, lo:hi].reshape(flat.shape[0], *shape))
-    return HeadParams(*arrays)
+    return HeadParams(*(
+        flat[:, lo:hi].reshape(flat.shape[0], *shape)
+        for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)
+    ))
 
 
 def train_head_on_tokens(
@@ -131,8 +122,8 @@ def train_head_on_tokens(
         raise ValueError("need (L, N, d) features and N targets")
     if not np.all(np.isfinite(feats)):
         raise ValueError("features must be finite")
-    if not np.all(vals > 0):
-        raise ValueError("targets must be positive normalized radial distances")
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError("targets must be finite, positive normalized radial distances")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     slots, n, d_model = feats.shape
@@ -147,8 +138,7 @@ def train_head_on_tokens(
     center = np.exp(np.median(np.log(vals[train_idx])))
     vals = vals / center
 
-    t = vals[train_idx]
-    train_targets = TokenTargets(targets=t, mask=np.ones(t.size, dtype=bool), near_stat=1.0)
+    train_vals = vals[train_idx]
 
     def probe_error(params):
         if not n_hold:
@@ -163,8 +153,8 @@ def train_head_on_tokens(
     bounds = np.cumsum([0] + [a.size for a in init])
     flat = np.tile(np.concatenate([a.reshape(-1) for a in init]), (slots, 1))
     grad_flat = np.empty_like(flat)
-    params = _views(flat, shapes, bounds, token_axis=True)
-    grads = _views(grad_flat, shapes, bounds, token_axis=False)
+    params = _views(flat, shapes, bounds)
+    grads = _views(grad_flat, shapes, bounds)
 
     warmup = int(round(_WARMUP_FRACTION * steps))
     init_probe = probe_error(params)
@@ -179,7 +169,7 @@ def train_head_on_tokens(
     _, train_xhat = head_layer_norm(feats[:, train_idx])
     for step in range(steps):
         cache = head_forward_normalized(params, train_xhat)
-        res = radial_loss(cache["mu"], cache["sigma"], train_targets)
+        res = radial_loss(cache["mu"], cache["sigma"], train_vals)
         finite = np.isfinite(res.loss)
         if not finite.all():
             layer = int(np.argmin(finite))
@@ -222,11 +212,10 @@ def train_head_on_tokens(
         "sigma_cap": np.count_nonzero(~cache["sigma_active"], axis=-1),
         "mu_clamp": np.count_nonzero(~cache["mu_active"], axis=-1),
     }
-    final = _views(flat, shapes, bounds, token_axis=False)
     results = []
     for i in range(slots):
         first, last = float(init_loss[i]), float(loss[i])
-        head = HeadParams(*(a[i].copy() for _, a in final.field_arrays()))
+        head = HeadParams(*(a[i].copy() for _, a in params.field_arrays()))
         stats = {
             "init_loss": first,
             "final_loss": last,
@@ -256,15 +245,15 @@ def run_layer_probe(
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     if d_model < 1:
         raise ValueError(f"d_model must be >= 1, got {d_model}")
-    flat_vals, flat_mask = _flat_targets(targets)
-    if not flat_mask.any():
+    mask = targets.mask.reshape(-1)
+    if not mask.any():
         raise ValueError("no valid tokens to probe")
-    feats = np.stack([
-        make_layer_features(targets, layer, num_layers, d_model, seed).reshape(-1, d_model)[flat_mask]
-        for layer in range(num_layers)
-    ])
+    # Only the valid tokens count: the features and targets of the others
+    # are dropped here, before training sees them.
     trained = train_head_on_tokens(
-        feats, flat_vals[flat_mask], steps=steps, seed=seed, record_every=record_every
+        make_layer_features(targets, num_layers, d_model, seed)[:, mask],
+        targets.targets.reshape(-1)[mask],
+        steps=steps, seed=seed, record_every=record_every,
     )
     return [
         LayerProbeResult(

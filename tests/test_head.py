@@ -25,9 +25,9 @@ def test_init_outputs_broad_interval():
     for d in (32, 64, 128):
         params = head_init(d, seed=3)
         for _ in range(20):
-            c = head_forward(params, rng.normal(size=d) * rng.uniform(0.1, 50))
-            assert c["mu"] == 0.0
-            assert c["sigma"] == 3.0
+            c = head_forward(params, rng.normal(size=(1, d)) * rng.uniform(0.1, 50))
+            assert c["mu"][0] == 0.0
+            assert c["sigma"][0] == 3.0
 
 
 def test_init_deterministic():
@@ -47,16 +47,16 @@ def _bias_only_params(d, mu_raw, sigma_raw):
 
 def test_clamp_saturates_mu():
     params = _bias_only_params(16, 5.0, 0.4)
-    c = head_forward(params, np.zeros(16))
-    assert c["mu"] == 3.0
-    assert c["sigma"] == 0.0
+    c = head_forward(params, np.zeros((1, 16)))
+    assert c["mu"][0] == 3.0
+    assert c["sigma"][0] == 0.0
 
 
 def test_clamp_caps_sigma():
     params = _bias_only_params(16, 1.0, 10.0)
-    c = head_forward(params, np.zeros(16))
-    assert c["mu"] == 1.0
-    assert abs(c["sigma"]) == 2.0
+    c = head_forward(params, np.zeros((1, 16)))
+    assert c["mu"][0] == 1.0
+    assert abs(c["sigma"][0]) == 2.0
 
 
 def test_interval_bounds_always_hold():
@@ -186,15 +186,18 @@ def test_gradcheck_memory_is_linear_in_parameter_count():
 def test_forward_dimension_mismatch():
     params = head_init(32, seed=0)
     with pytest.raises(ValueError):
-        head_forward(params, np.zeros(16))
-    with pytest.raises(ValueError):
-        head_forward(params, np.full(32, np.nan))
+        head_forward(params, np.zeros((1, 16)))
+    with pytest.raises(ValueError, match="finite"):
+        head_forward(params, np.full((1, 32), np.nan))
+    # Features carry a token axis: one token is (1, d_model).
+    with pytest.raises(ValueError, match="N, 32"):
+        head_forward(params, np.zeros(32))
 
 
 def test_forward_deterministic():
     params = head_init(48, seed=9)
     params.w2 = np.random.default_rng(4).normal(0, 0.2, size=params.w2.shape)
-    x = np.random.default_rng(5).normal(size=48)
+    x = np.random.default_rng(5).normal(size=(1, 48))
     a = head_forward(params, x)
     b = head_forward(params, x)
     assert a["mu"] == b["mu"] and a["sigma"] == b["sigma"]
@@ -202,14 +205,15 @@ def test_forward_deterministic():
 
 def test_forward_accepts_stacked_parameter_copies():
     """Copies stacked on a leading axis (as the gradient check builds them)
-    pass the width check and each gives its own forward pass."""
+    pass the width check and each gives its own forward pass; the head
+    broadcasts a stacked 1-D field over the tokens itself."""
     params = head_init(16, seed=1)
     params.w2 = np.random.default_rng(6).normal(0, 0.2, size=params.w2.shape)
     x = np.random.default_rng(7).normal(size=(1, 16))
-    scales = 1.0 + 0.1 * np.arange(3)[:, None, None] * np.ones((3, 1, 16))
+    scales = 1.0 + 0.1 * np.arange(3)[:, None] * np.ones((3, 16))
     stacked = head_forward(HeadParams(scales, *(a for _, a in params.field_arrays()[1:])), x)
     for i in range(3):
-        params.norm_scale = scales[i, 0]
+        params.norm_scale = scales[i]
         np.testing.assert_array_equal(stacked["mu"][i], head_forward(params, x)["mu"])
 
 

@@ -139,26 +139,35 @@ def _targets():
     vals = np.exp(rng.uniform(-0.5, 0.5, (2, 4, 4)))
     mask = np.ones_like(vals, bool)
     mask[0, 0, 0] = False
-    return TokenTargets(targets=np.where(mask, vals, 0.0), mask=mask, near_stat=1.0)
+    return TokenTargets(targets=np.where(mask, vals, 0.0), mask=mask)
 
 
 def test_layer_features_shape_and_determinism():
     t = _targets()
-    a = make_layer_features(t, 3, 8, 32, seed=5)
-    b = make_layer_features(t, 3, 8, 32, seed=5)
-    assert a.shape == (2, 16, 32)
+    a = make_layer_features(t, 8, 32, seed=5)
+    b = make_layer_features(t, 8, 32, seed=5)
+    assert a.shape == (8, 32, 32)
     assert np.array_equal(a, b)
-    c = make_layer_features(t, 4, 8, 32, seed=5)
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[3], a[4])
+
+
+def test_layer_features_slots_are_independent(monkeypatch):
+    """A slot's features depend on its index, its depth weight and the seed
+    only: with the weight fixed, the first slots of a deeper stack are the
+    slots of a shallower one, bit for bit."""
+    t = _targets()
+    monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 0.5)
+    deep = make_layer_features(t, 8, 32, seed=5)
+    assert deep[:3].tobytes() == make_layer_features(t, 3, 32, seed=5).tobytes()
 
 
 def test_layer_features_depth_weight_scales_signal(monkeypatch):
     t = _targets()
     monkeypatch.setattr(scene_module, "_FEATURE_NOISE", 0.0)
     monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 0.0)
-    weak = make_layer_features(t, 0, 8, 32, seed=5)
+    weak = make_layer_features(t, 8, 32, seed=5)[0]
     monkeypatch.setattr(scene_module, "depth_signal_weight", lambda layer, num_layers: 1.0)
-    strong = make_layer_features(t, 0, 8, 32, seed=5)
+    strong = make_layer_features(t, 8, 32, seed=5)[0]
     diff = strong - weak
     # the difference is exactly the rank-one depth term: nonzero only on valid tokens
     flat = diff.reshape(-1, 32)

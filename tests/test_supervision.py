@@ -5,7 +5,6 @@ from curverope import checks
 from curverope.phasor import clamp_interval
 from curverope.supervision import (
     RadialMap,
-    TokenTargets,
     near_distance_stat,
     normalize_and_pool,
     radial_loss,
@@ -95,6 +94,15 @@ def test_pool_checkerboard_half_valid():
     assert np.allclose(t.targets, 2.0)
 
 
+@pytest.mark.parametrize("near", [np.nan, np.inf, 0.05])
+def test_pool_rejects_a_bad_near_stat(near):
+    """A near statistic that is not finite and >= 0.1 is named as such,
+    not reported as a bad target."""
+    rmap = _single_map(np.full((4, 4), 8.0))
+    with pytest.raises(ValueError, match="near_stat must be finite and >= 0.1"):
+        normalize_and_pool(rmap, validity_mask(rmap), near, 2)
+
+
 def test_pool_indivisible_dims():
     rmap = _single_map(np.full((5, 4), 1.0))
     with pytest.raises(ValueError):
@@ -140,16 +148,13 @@ def test_uncertainty_scale_bounded():
 
 
 def _one_token(mu, sigma, target):
-    targets = TokenTargets(
-        targets=np.full((1, 1, 1), target), mask=np.ones((1, 1, 1), bool), near_stat=1.0
-    )
-    return radial_loss(np.full((1, 1, 1), mu), np.full((1, 1, 1), sigma), targets)
+    return radial_loss(np.array([mu]), np.array([sigma]), np.array([target]))
 
 
 def test_loss_perfect_prediction():
     res = _one_token(0.0, 0.0, 1.0)
     assert abs(res.loss - np.log(1e-3)) < 1e-12
-    assert res.grad_mu[0, 0, 0] == 0.0
+    assert res.grad_mu[0] == 0.0
 
 
 def test_loss_unit_error_at_floor():
@@ -157,25 +162,14 @@ def test_loss_unit_error_at_floor():
     assert abs(res.loss - (1000.0 + np.log(1e-3))) < 1e-9
 
 
-def test_loss_empty_set():
-    targets = TokenTargets(
-        targets=np.zeros((1, 2, 2)), mask=np.zeros((1, 2, 2), bool), near_stat=1.0
-    )
-    res = radial_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), targets)
-    assert res.empty and res.loss == 0.0
-    assert np.all(res.grad_mu == 0) and np.all(res.grad_sigma == 0)
-
-
 def test_loss_permutation_invariance():
     rng = np.random.default_rng(3)
-    mu = rng.uniform(-1, 1, (1, 1, 16))
-    sigma = rng.uniform(0.1, 2, (1, 1, 16))
-    t = np.exp(rng.uniform(-1, 1, (1, 1, 16)))
-    targets = TokenTargets(targets=t, mask=np.ones_like(t, bool), near_stat=1.0)
-    base = radial_loss(mu, sigma, targets).loss
+    mu = rng.uniform(-1, 1, 16)
+    sigma = rng.uniform(0.1, 2, 16)
+    t = np.exp(rng.uniform(-1, 1, 16))
+    base = radial_loss(mu, sigma, t).loss
     perm = rng.permutation(16)
-    targets_p = TokenTargets(targets=t[:, :, perm], mask=np.ones_like(t, bool), near_stat=1.0)
-    assert abs(radial_loss(mu[:, :, perm], sigma[:, :, perm], targets_p).loss - base) < 1e-12
+    assert abs(radial_loss(mu[perm], sigma[perm], t[perm]).loss - base) < 1e-12
 
 
 def test_loss_monotone_in_error():
@@ -200,58 +194,41 @@ def test_loss_gradients_match_finite_differences():
         fd_mu = (_one_token(mu + step, sigma, target).loss - _one_token(mu - step, sigma, target).loss) / (2 * step)
         fd_sig = (_one_token(mu, sigma + step, target).loss - _one_token(mu, sigma - step, target).loss) / (2 * step)
         scale = max(abs(fd_mu), abs(fd_sig), 1e-8)
-        assert abs(res.grad_mu[0, 0, 0] - fd_mu) / scale < 1e-4
-        assert abs(res.grad_sigma[0, 0, 0] - fd_sig) / scale < 1e-4
+        assert abs(res.grad_mu[0] - fd_mu) / scale < 1e-4
+        assert abs(res.grad_sigma[0] - fd_sig) / scale < 1e-4
 
 
 def test_loss_grid_mismatch():
-    targets = TokenTargets(
-        targets=np.ones((1, 2, 2)), mask=np.ones((1, 2, 2), bool), near_stat=1.0
-    )
+    """The loss takes a non-empty (N,) target array and (N,) or (L, N)
+    intervals; anything else is an error, an empty target set included."""
     with pytest.raises(ValueError):
-        radial_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), targets)
+        radial_loss(np.zeros(3), np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError):
+        radial_loss(np.zeros((1, 4)), np.zeros((1, 4)), np.ones((1, 4)))
+    with pytest.raises(ValueError):
+        radial_loss(np.zeros(4), np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError, match="non-empty"):
+        radial_loss(np.zeros(0), np.zeros(0), np.ones(0))
 
 
 def test_stacked_loss_gives_each_slot_its_own_bits():
     """A leading stack axis gives one loss per slot; each slot's loss and
-    gradients equal an unstacked call bit for bit, with a partial mask too."""
+    gradients equal an unstacked call bit for bit."""
     rng = np.random.default_rng(5)
-    t = np.exp(rng.uniform(-1, 1, (2, 3, 50)))
+    t = np.exp(rng.uniform(-1, 1, (2, 3, 50))).reshape(-1)
     mu = rng.uniform(-1.5, 1.5, (4, 2, 3, 50))
     sigma = rng.uniform(-2.0, 2.0, (4, 2, 3, 50))
     sigma[:, 0, 0, :5] = 0.0  # s at its floor
-    for mask in (np.ones(t.shape, bool), rng.random(t.shape) > 0.4):
-        targets = TokenTargets(targets=np.where(mask, t, 0.0), mask=mask, near_stat=1.0)
-        stacked = radial_loss(mu, sigma, targets)
-        assert stacked.loss.shape == (4,) and stacked.num_valid == np.count_nonzero(mask)
-        for i in range(4):
-            alone = radial_loss(mu[i], sigma[i], targets)
-            assert isinstance(alone.loss, float) and stacked.loss[i] == alone.loss
-            assert stacked.grad_mu[i].tobytes() == alone.grad_mu.tobytes()
-            assert stacked.grad_sigma[i].tobytes() == alone.grad_sigma.tobytes()
+    mu, sigma = mu.reshape(4, -1), sigma.reshape(4, -1)
+    stacked = radial_loss(mu, sigma, t)
+    assert stacked.loss.shape == (4,)
+    for i in range(4):
+        alone = radial_loss(mu[i], sigma[i], t)
+        assert isinstance(alone.loss, float) and stacked.loss[i] == alone.loss
+        assert stacked.grad_mu[i].tobytes() == alone.grad_mu.tobytes()
+        assert stacked.grad_sigma[i].tobytes() == alone.grad_sigma.tobytes()
     with pytest.raises(ValueError):
-        radial_loss(mu[None], sigma[None], targets)
-
-
-def test_all_valid_targets_give_the_masked_path_bits():
-    """With every target valid the loss skips its masked passes; the loss and
-    gradients equal those of the same tokens placed among masked-out ones."""
-    rng = np.random.default_rng(6)
-    n, padded = 300, 500
-    t = np.exp(rng.uniform(-1, 1, n))
-    mu, sigma = rng.uniform(-1.5, 1.5, (2, n))
-    full = radial_loss(mu, sigma, TokenTargets(targets=t, mask=np.ones(n, bool), near_stat=1.0))
-    at = np.sort(rng.choice(padded, n, replace=False))
-    mask = np.zeros(padded, bool)
-    mask[at] = True
-    grids = [np.zeros(padded), *rng.uniform(-1.5, 1.5, (2, padded))]
-    for grid, values in zip(grids, (t, mu, sigma)):
-        grid[at] = values
-    part = radial_loss(grids[1], grids[2], TokenTargets(targets=grids[0], mask=mask, near_stat=1.0))
-    assert part.loss == full.loss and part.num_valid == full.num_valid == n
-    assert part.grad_mu[at].tobytes() == full.grad_mu.tobytes()
-    assert part.grad_sigma[at].tobytes() == full.grad_sigma.tobytes()
-    assert not part.grad_mu[~mask].any() and not part.grad_sigma[~mask].any()
+        radial_loss(mu[None], sigma[None], t)
 
 
 def test_loss_gradcheck_catches_a_wrong_gradient(monkeypatch):

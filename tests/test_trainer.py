@@ -16,15 +16,7 @@ def _iid_targets(seed=7, frames=2, side=8):
     """Spatially incoherent targets: positional features carry no depth."""
     rng = np.random.default_rng(seed)
     vals = np.exp(rng.uniform(-0.8, 0.8, (frames, side, side)))
-    return TokenTargets(targets=vals, mask=np.ones_like(vals, bool), near_stat=1.0)
-
-
-def _layer_stack(targets, num_layers, d_model):
-    """(L, N, d) features of every slot of an L-layer stack."""
-    return np.stack([
-        make_layer_features(targets, layer, num_layers, d_model, seed=1).reshape(-1, d_model)
-        for layer in range(num_layers)
-    ])
+    return TokenTargets(targets=vals, mask=np.ones_like(vals, bool))
 
 
 def _norm(fields):
@@ -40,8 +32,8 @@ def test_signal_case_recovers_targets(monkeypatch):
     flat = targets.targets.reshape(-1)
     monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 1.0)
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.0)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0)
-    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 64), flat, 2000, seed=0)
+    feats = make_layer_features(targets, 12, 64, seed=0)[5:6]
+    [(_, stats)] = train_head_on_tokens(feats, flat, 2000, seed=0)
     assert stats["loss_reduction"] >= 0.9
     assert stats["final_probe_error"] < 0.15 * stats["init_probe_error"]
     assert stats["final_probe_error"] < 0.08
@@ -52,8 +44,8 @@ def test_null_case_no_probe_improvement(monkeypatch):
     flat = targets.targets.reshape(-1)
     monkeypatch.setattr(scene, "depth_signal_weight", lambda layer, num_layers: 0.0)
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
-    feats = make_layer_features(targets, 5, 12, 64, seed=0)
-    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 64), flat, 2000, seed=0)
+    feats = make_layer_features(targets, 12, 64, seed=0)[5:6]
+    [(_, stats)] = train_head_on_tokens(feats, flat, 2000, seed=0)
     reduction = 1.0 - stats["final_probe_error"] / stats["init_probe_error"]
     assert reduction < 0.05
 
@@ -62,7 +54,7 @@ def test_training_deterministic(monkeypatch):
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
+    feats = make_layer_features(targets, 6, 32, seed=1)[2:3]
     [(p1, s1)] = train_head_on_tokens(feats, flat, 200, seed=4)
     [(p2, s2)] = train_head_on_tokens(feats, flat, 200, seed=4)
     assert s1["final_loss"] == s2["final_loss"]
@@ -74,8 +66,8 @@ def test_training_curve_recorded(monkeypatch):
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
     flat = targets.targets.reshape(-1)
-    feats = make_layer_features(targets, 2, 6, 32, seed=1)
-    [(_, stats)] = train_head_on_tokens(feats.reshape(1, -1, 32), flat, 100, seed=0, record_every=25)
+    feats = make_layer_features(targets, 6, 32, seed=1)[2:3]
+    [(_, stats)] = train_head_on_tokens(feats, flat, 100, seed=0, record_every=25)
     steps = [s for s, _ in stats["curve"]]
     assert steps == [0, 25, 50, 75, 99]
     assert stats["curve"][0][1] == stats["init_loss"]
@@ -91,9 +83,7 @@ def test_layer_probe_prefers_mid_stack():
 
 
 def test_probe_requires_valid_tokens():
-    empty = TokenTargets(
-        targets=np.zeros((1, 2, 2)), mask=np.zeros((1, 2, 2), bool), near_stat=1.0
-    )
+    empty = TokenTargets(targets=np.zeros((1, 2, 2)), mask=np.zeros((1, 2, 2), bool))
     # Targets pooled from a map whose every pixel is invalid.
     values = np.full((2, 16, 16), np.nan)
     pooled = normalize_and_pool(
@@ -122,6 +112,33 @@ def test_rejects_nonpositive_targets():
         train_head_on_tokens(batch, np.array([1.0, 2.0, 0.0, 3.0]), 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_rejects_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="finite"):
+        train_head_on_tokens(np.zeros((1, 4, 16)), np.array([1.0, bad, 2.0, 3.0]), 10, seed=0)
+
+
+def test_probe_ignores_masked_out_targets():
+    """Only the valid tokens count: targets that differ only where the mask
+    is off give the same probe, bit for bit."""
+    rng = np.random.default_rng(6)
+    vals = np.exp(rng.uniform(-0.8, 0.8, (2, 6, 6)))
+    mask = rng.random(vals.shape) > 0.3
+    runs = [
+        run_layer_probe(
+            TokenTargets(targets=np.where(mask, vals, fill), mask=mask),
+            num_layers=3, d_model=16, steps=60, seed=2, record_every=20,
+        )
+        for fill in (0.0, 1e30)
+    ]
+    for a, b in zip(*runs):
+        assert {k: v for k, v in vars(a).items() if k != "params"} == {
+            k: v for k, v in vars(b).items() if k != "params"
+        }
+        for (name, x), (_, y) in zip(a.params.field_arrays(), b.params.field_arrays()):
+            assert x.tobytes() == y.tobytes(), name
+
+
 def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
     """Each stacked step's backward reuses its forward cache over the
     features normalised once; the parameter gradients it applies equal
@@ -129,7 +146,7 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
     for bit, for the stack and for each slot alone."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 6, 32)[1:4]
+    feats = make_layer_features(targets, 6, 32, seed=1)[1:4]
     calls, normalised = [], []
     fused, layer_norm = trainer.head_backward, trainer.head_layer_norm
 
@@ -164,7 +181,7 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
     curve as a loop that runs head_forward on the raw features every step."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
+    feats = make_layer_features(targets, 6, 32, seed=1)[2:3]
     flat = targets.targets.reshape(-1)
     [(hoisted, s1)] = train_head_on_tokens(feats, flat, 200, seed=4, record_every=10)
     per_step = []
@@ -189,7 +206,7 @@ def test_gradient_norm_counters(monkeypatch):
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     monkeypatch.setattr(trainer, "_LR", 1e-3)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 6, 32)[1:4]
+    feats = make_layer_features(targets, 6, 32, seed=1)[1:4]
     flat = targets.targets.reshape(-1)
     exact_backward = trainer.head_backward
     norms = []
@@ -239,7 +256,7 @@ def test_divergence_reports_last_finite_loss_and_gradient_norm(monkeypatch):
     """The clamped head keeps real losses finite, so step 3's loss is made NaN."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = make_layer_features(targets, 2, 6, 32, seed=1).reshape(1, -1, 32)
+    feats = make_layer_features(targets, 6, 32, seed=1)[2:3]
     losses, norms = _diverge_at_step_3(monkeypatch, [0])
     with pytest.raises(DivergenceError) as info:
         train_head_on_tokens(feats, targets.targets.reshape(-1), 10, seed=0)
@@ -255,7 +272,7 @@ def test_divergence_names_the_lowest_diverging_slot(monkeypatch):
     finite: the error names slot 1 with slot 1's last loss and norm."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 6, 32)[1:5]
+    feats = make_layer_features(targets, 6, 32, seed=1)[1:5]
     losses, norms = _diverge_at_step_3(monkeypatch, [1, 3])
     with pytest.raises(DivergenceError) as info:
         train_head_on_tokens(feats, targets.targets.reshape(-1), 10, seed=0)
@@ -277,7 +294,7 @@ def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layer
     and unclipped steps and a curve recorded every 40 steps plus the last."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, num_layers, 32)
+    feats = make_layer_features(targets, num_layers, 32, seed=1)
     flat = targets.targets.reshape(-1)
     trained = train_head_on_tokens(feats, flat, 150, seed=4, record_every=40)
     assert len(trained) == num_layers
@@ -299,7 +316,7 @@ def test_stall_fractions_describe_the_final_step(monkeypatch):
     the s ceiling, the sigma cap and the mu clamp in the last step's forward."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
     targets = _iid_targets()
-    feats = _layer_stack(targets, 4, 32)
+    feats = make_layer_features(targets, 4, 32, seed=1)
     caches = []
     forward = trainer.head_forward_normalized
 

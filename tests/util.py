@@ -23,7 +23,7 @@ from curverope.camera import RigidTransform, UcmCamera, unproject_points
 from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from curverope.phasor import _segment_terms
 from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_spheres
-from curverope.supervision import RadialMap, TokenTargets, radial_loss
+from curverope.supervision import RadialMap, radial_loss
 from curverope.trainer import _CLIP_NORM, _WARMUP_FRACTION, DivergenceError
 
 
@@ -416,10 +416,7 @@ def reference_train_head_on_tokens(
     center = np.exp(np.median(np.log(vals[train_idx])))
     vals = vals / center
 
-    t = vals[train_idx]
-    train_targets = TokenTargets(
-        targets=t.reshape(1, 1, -1), mask=np.ones((1, 1, t.size), dtype=bool), near_stat=1.0
-    )
+    train_vals = vals[train_idx]
     train_feats = feats[train_idx]
 
     def probe_error(params):
@@ -442,9 +439,7 @@ def reference_train_head_on_tokens(
     _, train_xhat = head_layer_norm(train_feats)
     for step in range(steps):
         cache = head_forward_normalized(params, train_xhat)
-        res = radial_loss(
-            cache["mu"].reshape(1, 1, -1), cache["sigma"].reshape(1, 1, -1), train_targets
-        )
+        res = radial_loss(cache["mu"], cache["sigma"], train_vals)
         if not np.isfinite(res.loss):
             raise DivergenceError(step, res.loss, loss, total)
         loss = res.loss
@@ -452,10 +447,10 @@ def reference_train_head_on_tokens(
             init_loss = loss
         if record_every and (step % record_every == 0 or step == steps - 1):
             curve.append((step, float(loss)))
-        grad_mu = res.grad_mu.reshape(-1)
+        grad_mu = res.grad_mu
         if step < warmup:
             grad_mu = np.zeros_like(grad_mu)
-        g = head_backward(params, cache, grad_mu, res.grad_sigma.reshape(-1))
+        g = head_backward(params, cache, grad_mu, res.grad_sigma)
         total = float(np.sqrt(sum(float((a * a).sum()) for _, a in g.field_arrays())))
         max_total = max(max_total, total)
         if total <= _CLIP_NORM:

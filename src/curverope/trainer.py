@@ -105,7 +105,7 @@ def train_head_on_tokens(
     seed: int,
     record_every: int = 0,
 ):
-    """Train one head per slot of (L, N, d) features against N positive
+    """Train one head per slot of (L, N, d) features against N finite, positive
     normalized targets, all slots in lockstep.
 
     Returns one (params, stats) pair per slot. The stats hold the

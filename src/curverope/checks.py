@@ -22,9 +22,13 @@ __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 # Step of every central difference.
 _STEP = 1e-5
 # Perturbed copies are built and evaluated in row blocks of at most this
-# many float64 entries (16 MiB), so memory stays linear in the parameter
-# count; at the default d_model = 64 all of w1's probes fit in one block.
-_PROBE_BLOCK_ENTRIES = 2**21
+# many float64 entries (1 MiB), so memory stays linear in the parameter
+# count; at the default d_model = 64, w1's 2,048 probes split into 16
+# blocks of 128 rows. The report is the same at every block size; in a
+# sweep of 2^15 .. 2^21 (BENCH_gradcheck_blocks.json) the head check takes
+# about 1.2x as long at 2^16 and 1.7x at 2^15, and 5-16% less at 2^21 for
+# an 8x larger traced peak.
+_PROBE_BLOCK_ENTRIES = 2**17
 # Head samples whose mu or sigma lies this close to a clamp edge or to
 # sigma = 0 are excluded.
 _BOUNDARY_MARGIN = 1e-3

@@ -171,8 +171,22 @@ def test_gradcheck_probe_blocks_bound_memory(monkeypatch):
     assert small == checks.run_head_gradcheck(samples=2, d_model=16, seed=5)
 
 
+def test_gradcheck_memory_is_bounded_by_the_probe_block():
+    """One sample at the default d_model = 64 peaks near 2.1 MiB of traced
+    numpy memory; with all of w1's 2,048 probes in one 16 MiB block it
+    peaked near 17.6 MiB."""
+    tracemalloc.start()
+    try:
+        report = checks.run_head_gradcheck(samples=1, seed=301)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"], report
+    assert peak < 4 * 2**20, peak
+
+
 def test_gradcheck_memory_is_linear_in_parameter_count():
-    """At d_model=128 all of w1's probes at once would take 256 MiB; blocks keep it near 16."""
+    """At d_model=128 all of w1's probes at once would take 256 MiB; blocks keep it near 2."""
     tracemalloc.start()
     try:
         report = checks.run_head_gradcheck(samples=1, d_model=128, seed=3)

@@ -67,11 +67,32 @@ def head_init(d_model: int, seed: int) -> HeadParams:
     )
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    # exp(-|u|) never overflows; each branch is the stable form for its sign.
-    e = np.exp(-np.abs(u))
-    d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+def _into(w: dict, name: str, ufunc, *args) -> np.ndarray:
+    """``ufunc(*args)`` written into ``w[name]``, which the first call allocates."""
+    result = w[name] = ufunc(*args, out=w.get(name))
+    return result
+
+
+def _add_over_tokens(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``a + bias`` with the token axis -2 given to ``bias``, in place unless
+    stacked copies of ``bias`` alone broadcast the sum to a larger shape."""
+    b = bias[..., None, :]
+    if np.broadcast(a, b).shape == a.shape:
+        return np.add(a, b, out=a)
+    return a + b
+
+
+def _sigmoid(u: np.ndarray, w: dict) -> np.ndarray:
+    # exp(-|u|) never overflows. The stable form is 1 / (1 + e) for u >= 0
+    # and e / (1 + e) below, with e = exp(-|u|) <= 1, so its numerator is
+    # max(e, u >= 0) and one quotient gives both branches. e and then the
+    # quotient are written into the same array.
+    sig = _into(w, "sig", np.abs, u)
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    d = _into(w, "sig_d", np.add, 1.0, sig)
+    np.maximum(sig, u >= 0, out=sig)
+    return np.divide(sig, d, out=sig)
 
 
 def head_layer_norm(x: np.ndarray):
@@ -86,7 +107,7 @@ def head_layer_norm(x: np.ndarray):
     return std, (x - mean) / std
 
 
-def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
+def head_forward_normalized(params: HeadParams, xhat: np.ndarray, work: dict | None = None) -> dict:
     """Forward pass from standardised features ``xhat`` (..., N, d_model)
     (see ``head_layer_norm``).
 
@@ -94,12 +115,18 @@ def head_forward_normalized(params: HeadParams, xhat: np.ndarray) -> dict:
     ``cache["mu"]`` and ``cache["sigma"]``, (..., N). Parameter arrays may
     carry extra leading axes, a stack of heads that broadcasts against the
     leading axes of ``xhat``; the 1-D fields get their token axis here.
+
+    ``work`` is an optional dict that the caller keeps across calls of the
+    same shapes: the (..., N, d_model), (..., N, hidden) and (..., N, 2)
+    intermediates are then written into arrays kept there, allocated on the
+    first call, and the cache holds until the next call with that dict.
     """
-    y = xhat * params.norm_scale[..., None, :] + params.norm_bias[..., None, :]
-    u = y @ params.w1 + params.b1[..., None, :]
-    sig = _sigmoid(u)
-    h = u * sig
-    raw = h @ params.w2 + params.b2[..., None, :]
+    w = {} if work is None else work
+    y = _add_over_tokens(_into(w, "y", np.multiply, xhat, params.norm_scale[..., None, :]), params.norm_bias)
+    u = _add_over_tokens(_into(w, "u", np.matmul, y, params.w1), params.b1)
+    sig = _sigmoid(u, w)
+    h = _into(w, "h", np.multiply, u, sig)
+    raw = _add_over_tokens(_into(w, "raw", np.matmul, h, params.w2), params.b2)
     mu_raw = raw[..., 0]
     sigma_raw = raw[..., 1]
     mu, sigma = clamp_interval(mu_raw, sigma_raw)
@@ -130,8 +157,9 @@ def head_forward(params: HeadParams, x: np.ndarray) -> dict:
     return cache
 
 
-def _upstream(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
-    """Gradients at raw = h @ w2 + b2 and at u = y @ w1 + b1.
+def _upstream(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray, w: dict):
+    """Gradients at raw = h @ w2 + b2 and at u = y @ w1 + b1, written into
+    the arrays of the work dict ``w`` where it holds them.
 
     Clamped regions use subgradient 0; in the sigma-capped region the cap
     3 - |mu| routes part of the sigma gradient into mu.
@@ -146,15 +174,28 @@ def _upstream(params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray):
         c["sigma_active"], 0.0, -np.sign(c["sigma_raw"]) * np.sign(c["mu"])
     )
     g_mu = gm + gs * cap_to_mu
-    g_raw = np.empty(g_mu.shape + (2,))
+    g_raw = w.get("g_raw")
+    if g_raw is None:
+        g_raw = w["g_raw"] = np.empty(g_mu.shape + (2,))
     g_raw[..., 0] = np.where(c["mu_active"], g_mu, 0.0)
     g_raw[..., 1] = g_sigma_raw
-    dsilu = c["sig"] * (1.0 + c["u"] * (1.0 - c["sig"]))
-    return g_raw, (g_raw @ params.w2.mT) * dsilu
+    # dsilu = sig * (1 + u * (1 - sig)), the SiLU derivative.
+    sig = c["sig"]
+    dsilu = _into(w, "dsilu", np.subtract, 1.0, sig)
+    np.multiply(c["u"], dsilu, out=dsilu)
+    np.add(1.0, dsilu, out=dsilu)
+    np.multiply(sig, dsilu, out=dsilu)
+    g_u = _into(w, "g_u", np.matmul, g_raw, params.w2.mT)
+    return g_raw, np.multiply(g_u, dsilu, out=g_u)
 
 
 def head_backward(
-    params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray, out: HeadParams | None = None
+    params: HeadParams,
+    c: dict,
+    gm: np.ndarray,
+    gs: np.ndarray,
+    out: HeadParams | None = None,
+    work: dict | None = None,
 ) -> HeadParams:
     """Exact parameter gradients, summed over the token axis -2 of a cache.
 
@@ -164,18 +205,25 @@ def head_backward(
     gradients of the field shapes; a stack of L heads, (L, N, d_model) with
     parameters (L, ...), gives (L, *field shape). Given ``out``, a
     ``HeadParams`` of arrays of those shapes, the gradients are written into
-    its arrays, which the returned fields then are.
+    its arrays, which the returned fields then are. ``work`` is a dict of
+    reused per-token arrays, as for ``head_forward_normalized``; it may be
+    the forward pass's own dict.
     """
-    g_raw, g_u = _upstream(params, c, gm, gs)
-    g_y = g_u @ params.w1.mT
+    w = {} if work is None else work
+    g_raw, g_u = _upstream(params, c, gm, gs, w)
+    g_y = _into(w, "g_y", np.matmul, g_u, params.w1.mT)
     o = vars(out) if out is not None else {}
+    add = np.add.reduce
+    norm_bias = add(g_y, axis=-2, out=o.get("norm_bias"))
+    # After its sum, g_y takes its product with xhat in place.
+    norm_scale = add(np.multiply(g_y, c["xhat"], out=g_y), axis=-2, out=o.get("norm_scale"))
     return HeadParams(
-        norm_scale=np.sum(g_y * c["xhat"], axis=-2, out=o.get("norm_scale")),
-        norm_bias=np.sum(g_y, axis=-2, out=o.get("norm_bias")),
+        norm_scale=norm_scale,
+        norm_bias=norm_bias,
         w1=np.matmul(c["y"].mT, g_u, out=o.get("w1")),
-        b1=np.sum(g_u, axis=-2, out=o.get("b1")),
+        b1=add(g_u, axis=-2, out=o.get("b1")),
         w2=np.matmul(c["h"].mT, g_raw, out=o.get("w2")),
-        b2=np.sum(g_raw, axis=-2, out=o.get("b2")),
+        b2=add(g_raw, axis=-2, out=o.get("b2")),
     )
 
 
@@ -183,7 +231,7 @@ def head_feature_gradient(
     params: HeadParams, c: dict, gm: np.ndarray, gs: np.ndarray
 ) -> np.ndarray:
     """Per-token input-feature gradient (..., N, d_model) from a ``head_forward`` cache."""
-    _, g_u = _upstream(params, c, gm, gs)
+    _, g_u = _upstream(params, c, gm, gs, {})
     g_xhat = (g_u @ params.w1.mT) * params.norm_scale[..., None, :]
     m1 = g_xhat.mean(axis=-1, keepdims=True)
     m2 = (g_xhat * c["xhat"]).mean(axis=-1, keepdims=True)

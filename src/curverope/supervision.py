@@ -36,8 +36,6 @@ _R_MAX = 20.0
 # gives s = sqrt(1e-6), which is exactly 1e-3 in float64.
 S_FLOOR_VAR = 1e-6
 S_CEILING = 10.0
-# Weight of the log s term of the radial loss.
-_LOSS_ALPHA = 1.0
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -143,7 +141,11 @@ def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
     [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, S_FLOOR_VAR)
     and capped at S_CEILING. Returns (s, floored, ceiled).
     """
-    a = np.abs(sigma)
+    return _scale(mu, np.abs(sigma))
+
+
+def _scale(mu: np.ndarray, a: np.ndarray):
+    """``uncertainty_scale`` from the half-width ``a`` = |sigma|."""
     spread = np.exp(mu + a) - np.exp(mu - a)
     var = spread * spread / 12.0
     floored = var <= S_FLOOR_VAR
@@ -154,7 +156,8 @@ def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
 
 def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> RadialLossResult:
     """Mean over the N valid targets (N,) of |exp(mu) - target| / s +
-    alpha * log s (alpha = 1), with exact gradients for mu and sigma per token.
+    alpha * log s with alpha = 1, with exact gradients for mu and sigma per
+    token.
 
     ``mu`` and ``sigma`` are (N,), or (L, N) for L stacked slots, which gives
     one loss per slot. The absolute value takes subgradient 0 at ties; the
@@ -172,18 +175,18 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> Radia
     r = np.exp(mu)
     diff = r - targets
     adiff = np.abs(diff)
-    sgn = np.sign(diff)
-    s, floored, ceiled = uncertainty_scale(mu, sigma)
+    a = np.abs(sigma)
+    s, floored, ceiled = _scale(mu, a)
     active = ~(floored | ceiled)
 
-    loss = (adiff / s + _LOSS_ALPHA * np.log(s)).sum(axis=-1) / n
+    loss = np.add.reduce(adiff / s + np.log(s), axis=-1) / n
     if mu.ndim == 1:
         loss = float(loss)
 
     # Active region: s = exp(mu) sinh|sigma| / sqrt(3), so ds/dmu = s and
     # ds/dsigma = exp(mu) cosh|sigma| / sqrt(3) * sign(sigma).
-    dl_ds = _LOSS_ALPHA / s - adiff / (s * s)
-    g_mu = sgn * r / s + np.where(active, dl_ds * s, 0.0)
-    ds_dsigma = r * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
+    dl_ds = 1.0 / s - adiff / (s * s)
+    g_mu = np.sign(diff) * r / s + np.where(active, dl_ds * s, 0.0)
+    ds_dsigma = r * np.cosh(a) / _SQRT3 * np.sign(sigma)
     g_sigma = np.where(active, dl_ds * ds_dsigma, 0.0)
     return RadialLossResult(loss, g_mu / n, g_sigma / n)

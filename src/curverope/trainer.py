@@ -21,6 +21,16 @@ the backward writes into a second (L, P) buffer, so the clip norm and the
 update are a few whole-buffer passes. Every value takes the operations it
 would take in a loop over the slots, so each slot's parameters, losses
 and counters are bit-identical to training it alone.
+
+A run allocates its large arrays once and each step writes into them.
+Besides the two (L, P) buffers (the gradients are scaled in place into
+the update), the run owns one work dict, which it hands to
+``head_forward_normalized`` and ``head_backward``: the head keeps its
+(L, N, d_model), (L, N, hidden) and (L, N, 2) intermediates there,
+allocated by the first step, so a step's forward cache holds until the
+next step's forward pass. Nothing is kept from one run to the next. The
+radial loss and the gradient norm work on (L, N) and (L, P) arrays, a few
+KiB at the bench's sizes, and allocate them.
 """
 
 from __future__ import annotations
@@ -167,8 +177,9 @@ def train_head_on_tokens(
     # The features were checked once above and are normalised once here;
     # each step runs one forward pass and reuses its cache for the backward.
     _, train_xhat = head_layer_norm(feats[:, train_idx])
+    work = {}
     for step in range(steps):
-        cache = head_forward_normalized(params, train_xhat)
+        cache = head_forward_normalized(params, train_xhat, work)
         res = radial_loss(cache["mu"], cache["sigma"], train_vals)
         finite = np.isfinite(res.loss)
         if not finite.all():
@@ -188,23 +199,24 @@ def train_head_on_tokens(
         grad_mu = res.grad_mu
         if step < warmup:
             grad_mu = np.zeros_like(grad_mu)
-        head_backward(params, cache, grad_mu, res.grad_sigma, out=grads)
+        head_backward(params, cache, grad_mu, res.grad_sigma, out=grads, work=work)
         # Each field's sum of squares, added in field order as a Python sum
         # over the fields adds them, so each slot's norm keeps its bits.
         sq = grad_flat * grad_flat
-        total = sq[:, bounds[0]:bounds[1]].sum(axis=-1)
+        total = np.add.reduce(sq[:, bounds[0]:bounds[1]], axis=-1)
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            total = total + sq[:, lo:hi].sum(axis=-1)
-        total = np.sqrt(total)
+            total += np.add.reduce(sq[:, lo:hi], axis=-1)
+        np.sqrt(total, out=total)
         # fmax, like max(), keeps the running maximum past a NaN norm; a NaN
         # norm fails the clip test and counts as clipped, as it did per slot.
-        max_total = np.fmax(max_total, total)
+        np.fmax(max_total, total, out=max_total)
         over = ~(total <= _CLIP_NORM)
         clipped += over
         # _LR within the clip norm, else (_LR * _CLIP_NORM) / total.
         scale = np.divide(_LR * _CLIP_NORM, total, out=np.full(slots, float(_LR)), where=over)
-        flat -= scale[:, None] * grad_flat
-    final_probe = probe_error(params)
+        # The gradients are spent after this step: they take the scale in place.
+        grad_flat *= scale[:, None]
+        flat -= grad_flat
     _, floored, ceiled = uncertainty_scale(cache["mu"], cache["sigma"])
     stall_counts = {
         "s_floor": np.count_nonzero(floored, axis=-1),
@@ -212,6 +224,9 @@ def train_head_on_tokens(
         "sigma_cap": np.count_nonzero(~cache["sigma_active"], axis=-1),
         "mu_clamp": np.count_nonzero(~cache["mu_active"], axis=-1),
     }
+    # The step arrays are spent; they are freed before the probe's forward.
+    del cache, work
+    final_probe = probe_error(params)
     results = []
     for i in range(slots):
         first, last = float(init_loss[i]), float(loss[i])

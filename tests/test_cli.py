@@ -582,6 +582,29 @@ def test_argparse_unknown_flag_exits_2(tmp_path):
     assert e.value.code == 2
 
 
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path):
+    """main builds its parser once per process. A parse error after a good
+    call still exits 2, and an option given to one call does not carry over
+    to the next: the same config gives the same bytes with and without an
+    earlier --seed call."""
+    from curverope import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    cfg = _write_config(tmp_path, seed=3)
+    assert main(["mix-sim", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["mix-sim", "--config", cfg, "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["mix-sim", "--wat"])
+    assert e.value.code == 2
+    assert main(["mix-sim", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert cli._build_parser().parse_args(["mix-sim"]).seed is None
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes(), name
+        assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_config_hash_consistent_across_outputs(tmp_path):
     traj, _, _ = _make_trajectory_file(tmp_path)
     cfg = _write_config(tmp_path, trajectory=traj)

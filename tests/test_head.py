@@ -9,9 +9,12 @@ from curverope.head import (
     head_backward,
     head_feature_gradient,
     head_forward,
+    head_forward_normalized,
     head_init,
+    head_layer_norm,
     hidden_width,
 )
+from curverope.supervision import radial_loss
 
 
 def test_hidden_width_rule():
@@ -244,3 +247,52 @@ def _backward_one(params, feature, gmu, gsig):
     """Parameter gradients of one token's forward pass."""
     x = feature[None, :]
     return head_backward(params, head_forward(params, x), np.array([gmu]), np.array([gsig]))
+
+
+def test_work_arrays_match_the_allocating_calls_bit_for_bit():
+    """A forward, loss and backward that write their per-token arrays into
+    one kept work dict give the bytes of the allocating calls, on the first
+    call and on a later call with other parameters, whose arrays overwrite
+    the first call's in place."""
+    rng = np.random.default_rng(8)
+    slots, n, d = 3, 50, 32
+    xhat = head_layer_norm(rng.normal(size=(slots, n, d)))[1]
+    targets = np.exp(rng.uniform(-1.0, 1.0, n))
+    work, kept = {}, None
+    for call in range(2):
+        base = head_init(d, seed=call)
+        # Wide final layers put tokens in every clamp region.
+        params = HeadParams(*(
+            np.stack([a + rng.normal(0.0, 2.0, a.shape) for _ in range(slots)]) for _, a in base.field_arrays()
+        ))
+        fresh = head_forward_normalized(params, xhat)
+        reused = head_forward_normalized(params, xhat, work)
+        assert not fresh["mu_active"].all() and not fresh["sigma_active"].all()
+        for key, value in fresh.items():
+            assert reused[key].tobytes() == value.tobytes(), (call, key)
+        loss = radial_loss(fresh["mu"], fresh["sigma"], targets)
+        reused_loss = radial_loss(reused["mu"], reused["sigma"], targets)
+        assert reused_loss.loss.tobytes() == loss.loss.tobytes()
+        want = head_backward(params, fresh, loss.grad_mu, loss.grad_sigma)
+        got = head_backward(params, reused, reused_loss.grad_mu, reused_loss.grad_sigma, work=work)
+        for (name, a), (_, b) in zip(want.field_arrays(), got.field_arrays()):
+            assert a.tobytes() == b.tobytes(), (call, name)
+        # The second call writes into the arrays the first one allocated.
+        ids = {key: id(a) for key, a in work.items()}
+        assert kept is None or ids == kept
+        kept = ids
+
+
+def test_one_quotient_sigmoid_matches_the_two_branch_form():
+    """The SiLU gate divides max(e, u >= 0) by 1 + e, e = exp(-|u|): bit for
+    bit the stable two-branch form, at signed zeros, ties of e with 1, where
+    e underflows and at NaN."""
+    from curverope import head
+
+    rng = np.random.default_rng(3)
+    u = np.concatenate([
+        rng.normal(0.0, 4.0, 4000), [0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 800.0, -800.0, np.nan],
+    ])
+    e = np.exp(-np.abs(u))
+    want = np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert head._sigmoid(u, {}).tobytes() == want.tobytes()

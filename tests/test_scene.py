@@ -239,6 +239,23 @@ def test_sparse_sphere_hits_match_the_dense_intersect(seed):
     assert hits > 0
 
 
+def test_render_clip_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    """render_clip's values and validity flags are byte-identical for every
+    _RAYS_PER_BLOCK from 1 ray to a whole 64 x 64 frame, on train-head's
+    scene and dolly and on a 50 x 38 camera whose blocks of 7, 64 and 256
+    rays leave a partial last block."""
+    spec = SceneSpec(extent=2.0, num_points=300, seed=0)
+    poses = make_trajectory(3, 0.4)
+    for cam in (UcmCamera(56.0, 56.0, 32.0, 32.0, 0.3, 64, 64), UcmCamera(40.0, 41.0, 25.0, 19.0, 0.6, 50, 38)):
+        clips = {}
+        for rays in (1, 7, 64, 256, 4096):
+            monkeypatch.setattr(scene_module, "_RAYS_PER_BLOCK", rays)
+            rmap = render_clip(spec, poses, cam)
+            clips[rays] = (rmap.values.tobytes(), rmap.source_valid.tobytes())
+        assert rmap.source_valid.any() and not rmap.source_valid.all()
+        assert all(clip == clips[1] for clip in clips.values())
+
+
 def test_render_memory_is_bounded_by_the_ray_block():
     """One 64x64 frame against 300 spheres; a dense (pixels, spheres, 3)
     renderer peaks near 96 MiB of traced numpy memory."""

@@ -154,8 +154,8 @@ def test_fused_step_gradients_equal_fresh_head_backward(monkeypatch):
         normalised.append(x.copy())
         return layer_norm(x)
 
-    def spy(params, cache, gm, gs, out):
-        g = fused(params, cache, gm, gs, out=out)
+    def spy(params, cache, gm, gs, out, work):
+        g = fused(params, cache, gm, gs, out=out, work=work)
         frozen = HeadParams(*(a.copy() for _, a in params.field_arrays()))
         calls.append((frozen, gm.copy(), gs.copy(), HeadParams(*(a.copy() for _, a in g.field_arrays()))))
         return g
@@ -185,7 +185,7 @@ def test_hoisted_normalisation_matches_per_step_forward(monkeypatch):
     [(hoisted, s1)] = train_head_on_tokens(feats, flat, 200, seed=4, record_every=10)
     per_step = []
 
-    def forward_from_raw(params, x):
+    def forward_from_raw(params, x, work):
         per_step.append(x)
         return head_forward(params, x)
 
@@ -337,9 +337,12 @@ def test_stall_fractions_describe_the_final_step(monkeypatch):
     caches = []
     forward = trainer.head_forward_normalized
 
-    def forward_spy(params, xhat):
-        caches.append(forward(params, xhat))
-        return caches[-1]
+    def forward_spy(params, xhat, work):
+        cache = forward(params, xhat, work)
+        # The cache's arrays live in the trainer's work dict, which the
+        # next step overwrites, so the spy keeps copies.
+        caches.append({k: v.copy() for k, v in cache.items()})
+        return cache
 
     monkeypatch.setattr(trainer, "head_forward_normalized", forward_spy)
     trained = train_head_on_tokens(feats, targets.targets.reshape(-1), 30, seed=2)
@@ -358,3 +361,26 @@ def test_stall_fractions_describe_the_final_step(monkeypatch):
     # Training moved tokens between regions: the first step's counts differ.
     first = stall_masks(caches[0])
     assert any(np.count_nonzero(first[k]) != np.count_nonzero(m) for k, m in masks.items())
+
+
+def test_runs_of_other_shapes_leave_no_trace(monkeypatch):
+    """Each run allocates its own work arrays: runs of two stack shapes
+    (L, N), interleaved in one process, give each run's bytes as it gave
+    them first."""
+    monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
+    targets = _iid_targets()
+    flat = targets.targets.reshape(-1)
+    feats = make_layer_features(targets, 4, 32, seed=1)
+    shapes = {"a": (slice(0, 3), slice(None)), "b": (slice(1, 3), slice(0, 90))}
+
+    def run(key):
+        slots, tokens = shapes[key]
+        trained = train_head_on_tokens(feats[slots, tokens], flat[tokens], 60, seed=5, record_every=20)
+        return [
+            ([a.tobytes() for _, a in params.field_arrays()], stats) for params, stats in trained
+        ]
+
+    first = {key: run(key) for key in ("a", "b")}
+    assert len(first["a"]) == 3 and len(first["b"]) == 2
+    for key in ("b", "a", "b"):
+        assert run(key) == first[key], key

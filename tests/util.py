@@ -22,7 +22,7 @@ from curverope.attention import AttentionParams
 from curverope.camera import RigidTransform, UcmCamera, unproject_points
 from curverope.head import head_backward, head_forward, head_forward_normalized, head_init, head_layer_norm
 from curverope.phasor import _segment_terms
-from curverope.scene import _HIT_EPS, _RAYS_PER_BLOCK, _scene_spheres
+from curverope.scene import _HIT_EPS, _scene_spheres
 from curverope.supervision import RadialMap, radial_loss
 from curverope.trainer import _CLIP_NORM, _WARMUP_FRACTION, DivergenceError
 
@@ -233,6 +233,11 @@ def exact_expected_phasor(setup, dps=30):
     return out
 
 
+# Rays per block of dense_intersect, fixed here so that the reference does
+# not move with the library's own block size.
+DENSE_RAYS_PER_BLOCK = 256
+
+
 def dense_intersect(spec, origin, dirs):
     """scene._intersect with the roots, near/far choice and minimum taken
     over every (ray, sphere) pair of a block: the reference for the
@@ -243,8 +248,8 @@ def dense_intersect(spec, origin, dirs):
     m = centers.shape[0]
     oc = centers - origin  # (m, 3): every ray shares the origin
     cc = np.einsum("mk,mk->m", oc, oc) - radius * radius
-    for start in range(0, n, _RAYS_PER_BLOCK):
-        rows = slice(start, start + _RAYS_PER_BLOCK)
+    for start in range(0, n, DENSE_RAYS_PER_BLOCK):
+        rows = slice(start, start + DENSE_RAYS_PER_BLOCK)
         d = dirs[rows]
         # einsum over a broadcast view sums each product in the same
         # order as over a dense (rays, spheres, 3) array, so hits stay

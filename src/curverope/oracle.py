@@ -35,7 +35,10 @@ __all__ = [
 
 # Monte-Carlo samples drawn and transformed at a time (256 kB per float64
 # row): blocks this long make each ufunc call long enough that worker threads
-# overlap instead of queueing for the interpreter lock between calls.
+# overlap instead of queueing for the interpreter lock between calls. An
+# estimator holds 48 bytes per block sample (1.5 MiB): two float64 (3, block)
+# arrays, over which _mc_buffers lays every other array whose values are dead
+# by the time the one sharing its memory is written.
 _MC_BLOCK = 2**15
 # Samples summed at a time. Each chunk of a block is reduced on its own, in
 # order, so the sums do not depend on the block size.
@@ -123,14 +126,19 @@ def _check_samples(samples: int) -> None:
 
 
 def _mc_buffers(size: int) -> tuple:
-    """One estimator's working arrays, for blocks of up to size samples."""
-    return (
-        np.empty(size),
-        np.empty((3, size)),
-        np.empty((3, size)),
-        np.empty((3, size), dtype=np.float32),
-        np.empty((3, size), dtype=np.float32),
-    )
+    """One estimator's working arrays, for blocks of up to size samples:
+    (draws, work, theta, sin32, half32), laid over two float64 (3, size)
+    arrays, 48 bytes per sample.
+
+    The draws are theta's last row: a block's radii are last read when the
+    geometry forms z in work, before that row is first written, as the
+    squared norm. sin32 and half32 are the two halves of work viewed as
+    float32: work's last reader is the range reduction's turns, which runs
+    before the float64 offsets in theta are cast into sin32.
+    """
+    work, theta = np.empty((3, size)), np.empty((3, size))
+    sin32, half32 = work.view(np.float32).reshape(2, 3, size)
+    return theta[2], work, theta, sin32, half32
 
 
 def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,6 +199,7 @@ def _mc_estimate(setup: PhasorSetup, samples: int, rng: np.random.Generator, buf
         y += ty
         np.multiply(r, dz, out=z)
         z += tz
+        # norm may be r's memory (_mc_buffers): r is not read after this.
         np.multiply(x, x, out=norm)
         np.multiply(y, y, out=ub)
         norm += ub
@@ -235,6 +244,7 @@ def _mc_estimate(setup: PhasorSetup, samples: int, rng: np.random.Generator, buf
             np.rint(turns, out=turns)
             turns *= 2.0 * np.pi
             near -= turns
+        # sin32 and half32 may be work's memory: work is not read after this.
         sin_d, half = sin32[:, :n], half32[:, :n]
         np.copyto(sin_d, delta, casting="same_kind")
         np.multiply(sin_d, 0.5, out=half)

@@ -20,7 +20,6 @@ __all__ = [
     "RadialMap",
     "TokenTargets",
     "S_FLOOR_VAR",
-    "S_CEILING",
     "RadialLossResult",
     "validity_mask",
     "near_distance_stat",
@@ -32,10 +31,9 @@ __all__ = [
 NEAR_STAT_FLOOR = 0.1
 # Metric radial values above this are excluded, never clipped.
 _R_MAX = 20.0
-# Floor on the variance and ceiling on the uncertainty scale s; the floor
-# gives s = sqrt(1e-6), which is exactly 1e-3 in float64.
+# Floor on the variance of the uncertainty scale s; it gives s = sqrt(1e-6),
+# which is exactly 1e-3 in float64.
 S_FLOOR_VAR = 1e-6
-S_CEILING = 10.0
 _SQRT3 = np.sqrt(3.0)
 
 
@@ -138,8 +136,8 @@ def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
     """Uncertainty scale s per token plus flat-region flags.
 
     s is the standard deviation of a uniform distribution over
-    [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, S_FLOOR_VAR)
-    and capped at S_CEILING. Returns (s, floored, ceiled).
+    [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, S_FLOOR_VAR).
+    Returns (s, floored).
     """
     return _scale(mu, np.abs(sigma))
 
@@ -149,9 +147,7 @@ def _scale(mu: np.ndarray, a: np.ndarray):
     spread = np.exp(mu + a) - np.exp(mu - a)
     var = spread * spread / 12.0
     floored = var <= S_FLOOR_VAR
-    root = np.sqrt(np.maximum(var, S_FLOOR_VAR))
-    ceiled = root >= S_CEILING
-    return np.minimum(root, S_CEILING), floored, ceiled
+    return np.sqrt(np.maximum(var, S_FLOOR_VAR)), floored
 
 
 def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> RadialLossResult:
@@ -161,7 +157,7 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> Radia
 
     ``mu`` and ``sigma`` are (N,), or (L, N) for L stacked slots, which gives
     one loss per slot. The absolute value takes subgradient 0 at ties; the
-    floor and ceiling of s are flat regions.
+    floor of s is a flat region.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -176,8 +172,8 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> Radia
     diff = r - targets
     adiff = np.abs(diff)
     a = np.abs(sigma)
-    s, floored, ceiled = _scale(mu, a)
-    active = ~(floored | ceiled)
+    s, floored = _scale(mu, a)
+    active = ~floored
 
     loss = np.add.reduce(adiff / s + np.log(s), axis=-1) / n
     if mu.ndim == 1:

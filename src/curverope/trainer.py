@@ -122,8 +122,8 @@ def train_head_on_tokens(
     init/final training loss, init/final held-out probe error, the largest
     global gradient norm before clipping, the fraction of steps whose
     gradient was clipped, the fractions of training tokens stalled at the
-    final step (``stalls``: at the s floor, the s ceiling, the sigma cap
-    and the mu clamp) and, when record_every > 0, the training curve as
+    final step (``stalls``: at the s floor, the sigma cap and the mu
+    clamp) and, when record_every > 0, the training curve as
     (step, loss) pairs.
     """
     feats = np.asarray(features, dtype=float)
@@ -217,10 +217,9 @@ def train_head_on_tokens(
         # The gradients are spent after this step: they take the scale in place.
         grad_flat *= scale[:, None]
         flat -= grad_flat
-    _, floored, ceiled = uncertainty_scale(cache["mu"], cache["sigma"])
+    _, floored = uncertainty_scale(cache["mu"], cache["sigma"])
     stall_counts = {
         "s_floor": np.count_nonzero(floored, axis=-1),
-        "s_ceiling": np.count_nonzero(ceiled, axis=-1),
         "sigma_cap": np.count_nonzero(~cache["sigma_active"], axis=-1),
         "mu_clamp": np.count_nonzero(~cache["mu_active"], axis=-1),
     }

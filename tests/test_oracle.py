@@ -52,6 +52,54 @@ def test_mc_expected_phasor_bits_are_pinned(config):
     assert digest.hexdigest() == want
 
 
+def _base(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("size", [1, 5, oracle._MC_BLOCK])
+def test_mc_buffers_share_memory_only_where_the_values_are_dead(size):
+    """The five working arrays lie over two float64 (3, size) arrays, 48
+    bytes per sample: the draws in theta's last row, sin32 and half32 in
+    the two halves of work. No other pair of arrays overlaps."""
+    buffers = oracle._mc_buffers(size)
+    draws, work, theta, sin32, half32 = buffers
+    assert [a.shape for a in buffers] == [(size,)] + [(3, size)] * 4
+    assert [a.dtype for a in buffers] == [np.float64] * 3 + [np.float32] * 2
+    bases = {id(_base(a)): _base(a) for a in buffers}.values()
+    assert sum(b.nbytes for b in bases) == 48 * size
+    names = ("draws", "work", "theta", "sin32", "half32")
+    shared = {
+        (names[i], names[j])
+        for i, j in itertools.combinations(range(5), 2)
+        if np.shares_memory(buffers[i], buffers[j])
+    }
+    assert shared == {("draws", "theta"), ("work", "sin32"), ("work", "half32")}
+
+
+@pytest.mark.parametrize("config", sorted(_PINS))
+def test_shared_buffers_give_the_bits_of_separate_ones(config):
+    """_mc_estimate returns the same bits, and leaves the generator at the
+    same position, on _mc_buffers' overlapping arrays as on five separately
+    allocated arrays of the same shapes."""
+    setup = oracle.random_setup(np.random.default_rng([19, config]))
+    for samples in _PIN_SAMPLES:
+        size = min(oracle._MC_BLOCK, samples)
+        separate = (
+            np.empty(size),
+            np.empty((3, size)),
+            np.empty((3, size)),
+            np.empty((3, size), dtype=np.float32),
+            np.empty((3, size), dtype=np.float32),
+        )
+        results = []
+        for buffers in (oracle._mc_buffers(size), separate):
+            rng = np.random.default_rng([20, config])
+            results.append((oracle._mc_estimate(setup, samples, rng, buffers).tobytes(), rng.random()))
+        assert results[0] == results[1], samples
+
+
 def _serial_rows(num_configs, samples, k_values, seed):
     """run_oracle_check's rows from one loop over the public functions."""
     rows = []
@@ -145,15 +193,42 @@ def test_nonpositive_samples_raise_before_any_thread_starts(monkeypatch, samples
     assert threading.active_count() == before
 
 
-def test_mc_memory_is_bounded_by_the_sample_block():
-    """10^6 samples, drawn and summed in _MC_BLOCK blocks, peak near 2.6 MiB
-    of traced numpy memory; the draws alone of an estimator that holds all
-    its samples at once would take 7.6 MiB."""
-    setup = oracle.random_setup(np.random.default_rng([19, 1]))
+def _traced_peak(call) -> int:
+    """Peak bytes of traced (numpy included) memory while call runs."""
     tracemalloc.start()
     try:
-        oracle.mc_expected_phasor(setup, 10**6, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _one_estimate():
+    setup = oracle.random_setup(np.random.default_rng([19, 1]))
+    oracle.mc_expected_phasor(setup, 10**6, np.random.default_rng(0))
+
+
+def test_mc_memory_is_bounded_by_the_sample_block():
+    """10^6 samples, drawn and summed in _MC_BLOCK blocks, peak near 1.6 MiB
+    of traced numpy memory; the draws alone of an estimator that holds all
+    its samples at once would take 7.6 MiB."""
+    peak = _traced_peak(_one_estimate)
+    assert peak < 4 * 2**20, peak
+
+
+def test_one_estimate_holds_48_bytes_per_block_sample():
+    """One 10^6-sample estimate peaks near 1.6 MiB traced: its 1.5 MiB of
+    overlapping buffers; five separate arrays of 80 bytes per sample took
+    2.6 MiB."""
+    peak = _traced_peak(_one_estimate)
+    assert peak < 2 * 2**20, peak
+
+
+def test_a_two_worker_check_holds_two_buffer_sets(monkeypatch):
+    """Two workers at 10^6 samples peak near 3.2 MiB traced, two sets of
+    1.5 MiB buffers; five separate arrays per worker took 5.2 MiB. A small
+    check runs first, so imports and first-call set-up are not counted."""
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+    oracle.run_oracle_check(2, 10, [2, 5], 0)
+    peak = _traced_peak(lambda: oracle.run_oracle_check(2, 10**6, [2, 5], 0))
     assert peak < 4 * 2**20, peak

@@ -132,19 +132,20 @@ def test_pool_far_field_exclusion():
 
 
 def test_uncertainty_scale_values():
-    s, floored, ceiled = uncertainty_scale(np.array([0.0, 0.0, 3.0]), np.array([0.0, 3.0, 3.0]))
+    s, floored = uncertainty_scale(np.array([0.0, 0.0, 3.0]), np.array([0.0, 3.0, 3.0]))
     assert s[0] == 1e-3 and floored.tolist() == [True, False, False]
     want = np.sinh(3.0) / np.sqrt(3.0)
     assert abs(s[1] - want) < 1e-9
-    # ceiling engages only for intervals wider than the clamp admits
-    assert s[2] == 10.0 and ceiled.tolist() == [False, False, True]
+    # s has no ceiling: an interval wider than the clamp admits keeps its s
+    assert abs(s[2] / (np.exp(3.0) * np.sinh(3.0) / np.sqrt(3.0)) - 1.0) < 1e-12
 
 
 def test_uncertainty_scale_bounded():
     rng = np.random.default_rng(2)
     draws = np.array([(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(200)])
-    s, _, _ = uncertainty_scale(*clamp_interval(draws[:, 0], draws[:, 1]))
-    assert np.all((1e-3 <= s) & (s <= 10.0))
+    s, _ = uncertainty_scale(*clamp_interval(draws[:, 0], draws[:, 1]))
+    # the clamp keeps mu + |sigma| <= 3, so s < e^3 / sqrt(12) ~ 5.8
+    assert np.all((1e-3 <= s) & (s < np.exp(3.0) / np.sqrt(12.0)))
 
 
 def _one_token(mu, sigma, target):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curverope import scene, supervision, trainer
+from curverope import scene, trainer
 from curverope.head import HeadParams, head_backward, head_forward
 from curverope.scene import make_layer_features
 from curverope.supervision import RadialMap, TokenTargets, normalize_and_pool, uncertainty_scale
@@ -303,7 +303,7 @@ def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layer
         stalls = stats["stalls"]
         assert {k: v for k, v in stats.items() if k != "stalls"} == want_stats
         assert [s for s, _ in stats["curve"]] == [0, 40, 80, 120, 149]
-        assert set(stalls) == {"s_floor", "s_ceiling", "sigma_cap", "mu_clamp"}
+        assert set(stalls) == {"s_floor", "sigma_cap", "mu_clamp"}
         fractions.add(stats["clipped_step_fraction"])
         for (name, a), (_, b) in zip(params.field_arrays(), want_params.field_arrays()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (i, name)
@@ -312,17 +312,14 @@ def test_lockstep_training_matches_the_single_head_trainer_bit_for_bit(num_layer
 
 def test_stall_fractions_describe_the_final_step(monkeypatch):
     """stalls holds, per slot, the fraction of training tokens at the s floor,
-    the s ceiling, the sigma cap and the mu clamp in the last step's forward.
+    the sigma cap and the mu clamp in the last step's forward.
 
-    The heads start with outputs spread over all four regions and train at
+    The heads start with outputs spread over all three regions and train at
     the default step size, so every token ends at least 2e-3 from each
     region's edge and the counts are the same at every NumPy dispatch level
     (a step size of 1 makes the trajectory chaotic, and where it ends
-    depends on the last bits of the SIMD kernels). The clamp keeps the head's
-    s below e^3 / sqrt(12) ~ 5.8, so S_CEILING = 10 is never reached; the
-    ceiling is lowered to 2 here to put tokens on it."""
+    depends on the last bits of the SIMD kernels)."""
     monkeypatch.setattr(scene, "_FEATURE_NOISE", 0.1)
-    monkeypatch.setattr(supervision, "S_CEILING", 2.0)
     init = trainer.head_init
 
     def spread_init(d_model, seed):
@@ -348,9 +345,8 @@ def test_stall_fractions_describe_the_final_step(monkeypatch):
     trained = train_head_on_tokens(feats, targets.targets.reshape(-1), 30, seed=2)
 
     def stall_masks(cache):
-        _, floored, ceiled = uncertainty_scale(cache["mu"], cache["sigma"])
-        return {"s_floor": floored, "s_ceiling": ceiled,
-                "sigma_cap": ~cache["sigma_active"], "mu_clamp": ~cache["mu_active"]}
+        _, floored = uncertainty_scale(cache["mu"], cache["sigma"])
+        return {"s_floor": floored, "sigma_cap": ~cache["sigma_active"], "mu_clamp": ~cache["mu_active"]}
 
     masks = stall_masks(caches[-1])
     n_train = caches[-1]["mu"].shape[-1]

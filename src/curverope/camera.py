@@ -107,11 +107,6 @@ class RigidTransform:
         object.__setattr__(transform, "translation", translation)
         return transform
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3)."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
 
 def unproject_points(cam: UcmCamera, pixels: np.ndarray) -> np.ndarray:
     """Map pixel coordinates (..., 2) to unit ray directions (..., 3).

@@ -93,8 +93,9 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
     is visible to the query camera with margin, beta = z + xi |p| > 1e-3
     (the model's projection domain is beta > 0), so every point is valid
     for the analytic path and the Monte-Carlo route never crosses the
-    edge of that domain.
+    edge of that domain. The screen is the estimator's geometry, _phases.
     """
+    work, theta = np.empty((2, 3, _REFERENCE_K))
     while True:
         cam_s = _random_camera(rng)
         cam_q = _random_camera(rng)
@@ -113,11 +114,10 @@ def random_setup(rng: np.random.Generator) -> PhasorSetup:
         )
         interval = RadialInterval(rng.uniform(-0.5, 1.5), rng.uniform(0.1, 1.0))
         omega = float(np.exp(rng.uniform(np.log(0.02), np.log(2.0))))
+        setup = PhasorSetup(cam_q, transform, ray, interval, omega)
         radii = breakpoints(interval.mu, interval.sigma, _REFERENCE_K)
-        pts = transform.apply(radii[:, None] * ray.direction)
-        beta = pts[:, 2] + cam_q.xi * np.linalg.norm(pts, axis=1)
-        if np.min(beta) > 1e-3:
-            return PhasorSetup(cam_q, transform, ray, interval, omega)
+        if np.min(_phases(setup, radii, work, theta)[1]) > 1e-3:
+            return setup
 
 
 def _check_samples(samples: int) -> None:
@@ -130,15 +130,65 @@ def _mc_buffers(size: int) -> tuple:
     (draws, work, theta, sin32, half32), laid over two float64 (3, size)
     arrays, 48 bytes per sample.
 
-    The draws are theta's last row: a block's radii are last read when the
-    geometry forms z in work, before that row is first written, as the
-    squared norm. sin32 and half32 are the two halves of work viewed as
-    float32: work's last reader is the range reduction's turns, which runs
-    before the float64 offsets in theta are cast into sin32.
+    The draws are theta's last row, which _phases allows its radii to be.
+    sin32 and half32 are the two halves of work viewed as float32: work's
+    last reader is the range reduction's turns, which runs before the
+    float64 offsets in theta are cast into sin32.
     """
     work, theta = np.empty((3, size)), np.empty((3, size))
     sin32, half32 = work.view(np.float32).reshape(2, 3, size)
     return theta[2], work, theta, sin32, half32
+
+
+def _phases(setup: PhasorSetup, r: np.ndarray, work: np.ndarray, theta: np.ndarray) -> tuple:
+    """omega * (u_bounded, v_bounded, range) and beta = z + xi |p| at radii r.
+
+    The one geometry of the screen and the estimator: each radius is lifted,
+    moved into the query frame and projected on its own, in float64, in the
+    first len(r) columns of the (3, n) arrays work and theta. Returns views
+    of them: the (3, len(r)) phases in theta and beta in work's last row.
+    r may be theta's last row, as the estimator's draws are (_mc_buffers):
+    r is last read when z is formed, before that row is first written.
+    """
+    n = len(r)
+    # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
+    dx, dy, dz = setup.transform.rotation @ setup.ray.direction
+    tx, ty, tz = setup.transform.translation
+    cam = setup.cam_q
+    sx, sy = cam.fx / cam.width, cam.fy / cam.height
+    x, y, z = work[:, :n]
+    th = theta[:, :n]
+    ub, vb, norm = th
+    np.multiply(r, dx, out=x)
+    x += tx
+    np.multiply(r, dy, out=y)
+    y += ty
+    np.multiply(r, dz, out=z)
+    z += tz
+    # norm may be r's memory: r is not read after this.
+    np.multiply(x, x, out=norm)
+    np.multiply(y, y, out=ub)
+    norm += ub
+    np.multiply(z, z, out=ub)
+    norm += ub
+    np.sqrt(norm, out=norm)
+    beta = z  # z, then x and y below, are dead once read: reuse them
+    np.multiply(norm, cam.xi, out=vb)
+    beta += vb
+    np.multiply(x, sx, out=ub)
+    ub /= beta
+    np.multiply(y, sy, out=vb)
+    vb /= beta
+    denom = x
+    np.multiply(ub, ub, out=denom)
+    np.multiply(vb, vb, out=y)
+    denom += y
+    denom += 1.0
+    np.sqrt(denom, out=denom)
+    ub /= denom
+    vb /= denom
+    th *= setup.omega
+    return th, beta
 
 
 def mc_expected_phasor(setup: PhasorSetup, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,61 +221,18 @@ def _mc_estimate(setup: PhasorSetup, samples: int, rng: np.random.Generator, buf
     iv = setup.interval
     a = abs(iv.sigma)
     lo, hi = iv.mu - a, iv.mu + a
-    # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.
-    dx, dy, dz = setup.transform.rotation @ setup.ray.direction
-    tx, ty, tz = setup.transform.translation
-    cam = setup.cam_q
-    sx, sy = cam.fx / cam.width, cam.fy / cam.height
-    omega = setup.omega
     # Offsets reach at most 2 omega for the bounded coordinates (they lie in
     # (-1, 1)) and omega (e^(mu+a) - e^mu) for the range, which is
     # 1-Lipschitz in r. Only the rows from `wrapped` on are reduced.
-    if 2.0 * omega > _NO_WRAP_BOUND:
+    if 2.0 * setup.omega > _NO_WRAP_BOUND:
         wrapped = 0
-    elif omega * (np.exp(hi) - np.exp(iv.mu)) > _NO_WRAP_BOUND:
+    elif setup.omega * (np.exp(hi) - np.exp(iv.mu)) > _NO_WRAP_BOUND:
         wrapped = 2
     else:
         wrapped = 3
 
-    def phases(r: np.ndarray) -> np.ndarray:
-        """omega * (u_bounded, v_bounded, range) at radii r, shape (3, len(r))."""
-        n = len(r)
-        x, y, z = work[:, :n]
-        th = theta[:, :n]
-        ub, vb, norm = th
-        np.multiply(r, dx, out=x)
-        x += tx
-        np.multiply(r, dy, out=y)
-        y += ty
-        np.multiply(r, dz, out=z)
-        z += tz
-        # norm may be r's memory (_mc_buffers): r is not read after this.
-        np.multiply(x, x, out=norm)
-        np.multiply(y, y, out=ub)
-        norm += ub
-        np.multiply(z, z, out=ub)
-        norm += ub
-        np.sqrt(norm, out=norm)
-        beta = z  # z, then x and y below, are dead once read: reuse them
-        np.multiply(norm, cam.xi, out=vb)
-        beta += vb
-        np.multiply(x, sx, out=ub)
-        ub /= beta
-        np.multiply(y, sy, out=vb)
-        vb /= beta
-        denom = x
-        np.multiply(ub, ub, out=denom)
-        np.multiply(vb, vb, out=y)
-        denom += y
-        denom += 1.0
-        np.sqrt(denom, out=denom)
-        ub /= denom
-        vb /= denom
-        th *= omega
-        return th
-
     # The samples' own arithmetic, so a sigma = 0 interval has offsets of exactly 0.
-    centre = phases(np.exp(np.array([iv.mu])))[:, 0].copy()
+    centre = _phases(setup, np.exp(np.array([iv.mu])), work, theta)[0][:, 0].copy()
     sin_sum = np.zeros(3)
     half_sq_sum = np.zeros(3)
     for start in range(0, samples, block):
@@ -236,7 +243,7 @@ def _mc_estimate(setup: PhasorSetup, samples: int, rng: np.random.Generator, buf
         r *= hi - lo
         r += lo
         np.exp(r, out=r)
-        delta = phases(r)
+        delta = _phases(setup, r, work, theta)[0]
         delta -= centre[:, None]
         if wrapped < 3:
             near = delta[wrapped:]

@@ -139,11 +139,7 @@ def uncertainty_scale(mu: np.ndarray, sigma: np.ndarray):
     [exp(mu-|sigma|), exp(mu+|sigma|)], floored via max(Var, S_FLOOR_VAR).
     Returns (s, floored).
     """
-    return _scale(mu, np.abs(sigma))
-
-
-def _scale(mu: np.ndarray, a: np.ndarray):
-    """``uncertainty_scale`` from the half-width ``a`` = |sigma|."""
+    a = np.abs(sigma)
     spread = np.exp(mu + a) - np.exp(mu - a)
     var = spread * spread / 12.0
     floored = var <= S_FLOOR_VAR
@@ -171,8 +167,7 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> Radia
     r = np.exp(mu)
     diff = r - targets
     adiff = np.abs(diff)
-    a = np.abs(sigma)
-    s, floored = _scale(mu, a)
+    s, floored = uncertainty_scale(mu, sigma)
     active = ~floored
 
     loss = np.add.reduce(adiff / s + np.log(s), axis=-1) / n
@@ -183,6 +178,6 @@ def radial_loss(mu: np.ndarray, sigma: np.ndarray, targets: np.ndarray) -> Radia
     # ds/dsigma = exp(mu) cosh|sigma| / sqrt(3) * sign(sigma).
     dl_ds = 1.0 / s - adiff / (s * s)
     g_mu = np.sign(diff) * r / s + np.where(active, dl_ds * s, 0.0)
-    ds_dsigma = r * np.cosh(a) / _SQRT3 * np.sign(sigma)
+    ds_dsigma = r * np.cosh(np.abs(sigma)) / _SQRT3 * np.sign(sigma)
     g_sigma = np.where(active, dl_ds * ds_dsigma, 0.0)
     return RadialLossResult(loss, g_mu / n, g_sigma / n)

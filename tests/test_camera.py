@@ -108,7 +108,7 @@ def test_relative_transform_against_world_frame():
         point_s = rng.normal(size=3)
         world = ps.rotation @ point_s + ps.translation
         in_query = pq.rotation.T @ (world - pq.translation)
-        assert np.allclose(rel.apply(point_s), in_query, atol=1e-10)
+        assert np.allclose(point_s @ rel.rotation.T + rel.translation, in_query, atol=1e-10)
 
 
 def test_lift_point():

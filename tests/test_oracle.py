@@ -9,11 +9,16 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from curverope import oracle
+from curverope.camera import Ray, RigidTransform
+from curverope.phasor import RadialInterval, breakpoints
+
+from util import oracle_bounded_coordinate, oracle_valid, random_camera, random_rotation
 
 # sha256 over mc_expected_phasor(setup, n, default_rng([20, i])) followed by
 # the generator's next draw, for each n in _PIN_SAMPLES, with the setup drawn
@@ -98,6 +103,75 @@ def test_shared_buffers_give_the_bits_of_separate_ones(config):
             rng = np.random.default_rng([20, config])
             results.append((oracle._mc_estimate(setup, samples, rng, buffers).tobytes(), rng.random()))
         assert results[0] == results[1], samples
+
+
+def test_phases_agree_with_the_scalar_geometry_on_partly_visible_paths():
+    """_phases against the scalar lift -> transform -> project of
+    tests/util on wide setups that random_setup never draws: xi up to 1,
+    any tilt up to 1.6 rad, shifts of the order of the radii and sigma = 3,
+    so many paths leave the query camera's view part of the way. beta has
+    the sign of oracle_valid at every breakpoint; the range everywhere, and
+    the bounded coordinates where the point is visible, agree within 1e-12.
+    """
+    rng = np.random.default_rng(27)
+    k = oracle._REFERENCE_K
+    work, theta = np.empty((2, 3, k))
+    partly_visible = 0
+    for _ in range(200):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        transform = RigidTransform(random_rotation(rng, 1.6), rng.normal(scale=0.5, size=3))
+        interval = RadialInterval(rng.uniform(-1.0, 1.0), 3.0)
+        setup = oracle.PhasorSetup(random_camera(rng), transform, Ray(direction), interval, 1.0)
+        radii = breakpoints(interval.mu, interval.sigma, k)
+        phases, beta = oracle._phases(setup, radii, work, theta)
+        args = (setup.cam_q, transform.rotation, transform.translation, direction)
+        want = np.array([oracle_bounded_coordinate(*args, r) for r in radii]).T
+        visible = np.array([oracle_valid(*args, r) for r in radii])
+        assert np.array_equal(beta > 0, visible)
+        np.testing.assert_allclose(phases[2], want[2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phases[:2, visible], want[:2, visible], rtol=0, atol=1e-12)
+        partly_visible += 0 < np.count_nonzero(visible) < k
+    assert partly_visible >= 20, partly_visible
+
+
+def test_the_screen_rejects_a_path_out_of_view_and_returns_the_next_candidate(monkeypatch):
+    """random_setup's reject branch. The first candidate is forced out of
+    view: both cameras pinhole and the source turned half a turn about y,
+    so the path runs behind the query camera. The wrappers draw what the
+    real helpers draw, so the setup returned is the next candidate: the
+    one a second random_setup call on an unforced generator returns."""
+    want_rng = np.random.default_rng([103, 0])
+    oracle.random_setup(want_rng)
+    want = oracle.random_setup(want_rng)
+
+    real_camera, real_rotation, real_phases = oracle._random_camera, oracle._small_rotation, oracle._phases
+    cameras, rotations, screened = [], [], []
+
+    def camera(rng):
+        cameras.append(real_camera(rng))
+        return replace(cameras[-1], xi=0.0) if len(cameras) <= 2 else cameras[-1]
+
+    def rotation(rng, max_angle):
+        rotations.append(real_rotation(rng, max_angle))
+        return np.diag([-1.0, 1.0, -1.0]) if len(rotations) == 1 else rotations[-1]
+
+    def phases(setup, r, work, theta):
+        out = real_phases(setup, r, work, theta)
+        screened.append(float(np.min(out[1])))
+        return out
+
+    monkeypatch.setattr(oracle, "_random_camera", camera)
+    monkeypatch.setattr(oracle, "_small_rotation", rotation)
+    monkeypatch.setattr(oracle, "_phases", phases)
+    rng = np.random.default_rng([103, 0])
+    got = oracle.random_setup(rng)
+    assert len(screened) == 2 and screened[0] < 0.0 and screened[1] > 1e-3
+    assert (got.cam_q, got.interval, got.omega) == (want.cam_q, want.interval, want.omega)
+    for name in ("rotation", "translation"):
+        assert getattr(got.transform, name).tobytes() == getattr(want.transform, name).tobytes()
+    assert got.ray.direction.tobytes() == want.ray.direction.tobytes()
+    assert rng.random() == want_rng.random()
 
 
 def _serial_rows(num_configs, samples, k_values, seed):

@@ -415,8 +415,9 @@ def test_production_kernel_accuracy_per_camera_class(camera_class, seed):
     """The same accuracy gate per query-camera class, where the projected
     path is straight-ish (pinhole, xi = 0) or strongly curved (fisheye,
     xi in [0.5, 1]): seeded oracle setups with the query camera's xi set to
-    the class. random_setup keeps z > 1e-3 on every breakpoint, so every
-    point stays valid for any xi >= 0."""
+    the class. random_setup screens beta = z + xi |p| > 1e-3 for the xi it
+    drew, not z; the test checks z > 0 on every K = 129 breakpoint, so, as
+    beta >= z for xi >= 0, every point stays valid for the class's xi."""
     pytest.importorskip("mpmath")
     from curverope.oracle import random_setup
 
@@ -426,6 +427,9 @@ def test_production_kernel_accuracy_per_camera_class(camera_class, seed):
         setup = random_setup(rng)
         xi = 0.0 if camera_class == "pinhole" else float(rng.uniform(0.5, 1.0))
         setup = replace(setup, cam_q=replace(setup.cam_q, xi=xi))
+        iv, tr = setup.interval, setup.transform
+        points = breakpoints(iv.mu, iv.sigma, 129)[:, None] * setup.ray.direction
+        assert np.all((points @ tr.rotation.T + tr.translation)[:, 2] > 0.0), i
         worst = max(worst, _kernel_error_at_k129(setup, i)[0])
     assert worst <= 3e-5, (camera_class, worst)
 

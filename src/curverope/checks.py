@@ -8,8 +8,6 @@ are excluded and counted rather than failed.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .head import head_backward, head_feature_gradient, head_forward, head_init
@@ -23,11 +21,11 @@ __all__ = ["run_head_gradcheck", "run_loss_gradcheck"]
 _STEP = 1e-5
 # Perturbed copies are built and evaluated in row blocks of at most this
 # many float64 entries (1 MiB), so memory stays linear in the parameter
-# count; at the default d_model = 64, w1's 2,048 probes split into 16
-# blocks of 128 rows. The report is the same at every block size; in a
-# sweep of 2^15 .. 2^21 (BENCH_gradcheck_blocks.json) the head check takes
-# about 1.2x as long at 2^16 and 1.7x at 2^15, and 5-16% less at 2^21 for
-# an 8x larger traced peak.
+# count; at the default d_model = 64, the 1,202 parameters' 2,404 probes
+# split into 23 blocks of 109 rows. The report is the same at every block
+# size; in a sweep of 2^15 .. 2^21 with one block run per field
+# (BENCH_gradcheck_blocks.json) the head check took about 1.2x as long at
+# 2^16 and 1.7x at 2^15, and 5-16% less at 2^21 for an 8x larger peak.
 _PROBE_BLOCK_ENTRIES = 2**17
 # Head samples whose mu or sigma lies this close to a clamp edge or to
 # sigma = 0 are excluded.
@@ -118,15 +116,12 @@ def run_head_gradcheck(samples: int, seed: int, d_model: int = 64) -> dict:
             c = head_forward(p, x)
             return (gm * c["mu"] + gs * c["sigma"]).reshape(-1)
 
-        pairs = []
-        for name, analytic in grads.field_arrays():
-            base = getattr(params, name)
-            # Each block of perturbed copies is stacked on a leading axis.
-            fd = _finite_differences(
-                lambda block: objective(replace(params, **{name: block.reshape(-1, *base.shape)}), x),
-                base,
-            )
-            pairs.append((analytic.reshape(-1), fd))
+        # Each block of perturbed parameter vectors is a stack of heads, one
+        # per row; each field's differences are compared on their own scale.
+        point = np.concatenate([a.reshape(-1) for _, a in params.field_arrays()])
+        fd = _finite_differences(lambda block: objective(params.row_views(block), x), point)
+        fields = np.split(fd, params.bounds()[1:-1])
+        pairs = [(a.reshape(-1), f) for (_, a), f in zip(grads.field_arrays(), fields)]
         fd = _finite_differences(lambda block: objective(params, block), feature)
         pairs.append((head_feature_gradient(params, cache, gm, gs)[0], fd))
         return pairs

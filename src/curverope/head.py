@@ -45,6 +45,19 @@ class HeadParams:
     def field_arrays(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
+    def bounds(self) -> np.ndarray:
+        """Offsets of this head's fields in one flat P-entry row, in field order."""
+        return np.cumsum([0] + [a.size for _, a in self.field_arrays()])
+
+    def row_views(self, rows: np.ndarray) -> HeadParams:
+        """The fields shaped like this head's, as views into each row of ``rows``
+        (B, P): field i is ``rows[:, bounds[i]:bounds[i + 1]]`` shaped (B, *shape)."""
+        b = self.bounds()
+        return HeadParams(*(
+            rows[:, lo:hi].reshape(rows.shape[0], *a.shape)
+            for lo, hi, (_, a) in zip(b[:-1], b[1:], self.field_arrays())
+        ))
+
 
 def hidden_width(d_model: int) -> int:
     return max(16, d_model // 4)
@@ -74,12 +87,8 @@ def _into(w: dict, name: str, ufunc, *args) -> np.ndarray:
 
 
 def _add_over_tokens(a: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``a + bias`` with the token axis -2 given to ``bias``, in place unless
-    stacked copies of ``bias`` alone broadcast the sum to a larger shape."""
-    b = bias[..., None, :]
-    if np.broadcast(a, b).shape == a.shape:
-        return np.add(a, b, out=a)
-    return a + b
+    """``a + bias`` in place, with the token axis -2 given to ``bias``."""
+    return np.add(a, bias[..., None, :], out=a)
 
 
 def _sigmoid(u: np.ndarray, w: dict) -> np.ndarray:
@@ -114,7 +123,10 @@ def head_forward_normalized(params: HeadParams, xhat: np.ndarray, work: dict | N
     Returns the intermediates the parameter gradients need; the outputs are
     ``cache["mu"]`` and ``cache["sigma"]``, (..., N). Parameter arrays may
     carry extra leading axes, a stack of heads that broadcasts against the
-    leading axes of ``xhat``; the 1-D fields get their token axis here.
+    leading axes of ``xhat``; the 1-D fields get their token axis here. Each
+    bias is added in place, so a stack must begin at a product's operand
+    (``norm_scale``, ``w1`` or ``w2``, or ``xhat``): a bias stacked on its
+    own is refused with ``ValueError``.
 
     ``work`` is an optional dict that the caller keeps across calls of the
     same shapes: the (..., N, d_model), (..., N, hidden) and (..., N, 2)

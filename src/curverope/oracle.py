@@ -149,6 +149,8 @@ def _phases(setup: PhasorSetup, r: np.ndarray, work: np.ndarray, theta: np.ndarr
     of them: the (3, len(r)) phases in theta and beta in work's last row.
     r may be theta's last row, as the estimator's draws are (_mc_buffers):
     r is last read when z is formed, before that row is first written.
+    Where beta < 0 the bounded coordinates are sign(beta) times the true
+    ones, mirrored: a caller must mask on beta before it reads them.
     """
     n = len(r)
     # rot @ (r d) + t == r (rot @ d) + t: rotate the direction once.

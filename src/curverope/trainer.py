@@ -17,8 +17,10 @@ are trained in lockstep as one stack: each step runs one forward pass,
 one loss and one backward over all L slots. The parameters of the stack
 live in one (L, P) buffer whose rows are the slots' parameters in
 checkpoint field order, and the ``HeadParams`` fields are views into it;
-the backward writes into a second (L, P) buffer, so the clip norm and the
-update are a few whole-buffer passes. Every value takes the operations it
+``head`` owns that layout (``HeadParams.bounds`` and ``row_views``), and
+the gradient check's probe blocks use it too. The backward writes into a
+second (L, P) buffer, so the clip norm and the update are a few
+whole-buffer passes. Every value takes the operations it
 would take in a loop over the slots, so each slot's parameters, losses
 and counters are bit-identical to training it alone.
 
@@ -97,17 +99,6 @@ class LayerProbeResult:
     stalls: dict
 
 
-def _views(flat: np.ndarray, shapes: list, bounds) -> HeadParams:
-    """``HeadParams`` of views into the rows of ``flat`` (L, P), in field order.
-
-    Field i is ``flat[:, bounds[i]:bounds[i + 1]]`` shaped (L, *shapes[i]).
-    """
-    return HeadParams(*(
-        flat[:, lo:hi].reshape(flat.shape[0], *shape)
-        for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes)
-    ))
-
-
 def train_head_on_tokens(
     features: np.ndarray,
     target_values: np.ndarray,
@@ -158,13 +149,12 @@ def train_head_on_tokens(
 
     # Every slot starts from the same head; the rows of `flat` are the
     # slots' parameters and the rows of `grad_flat` their gradients.
-    init = [a for _, a in head_init(d_model, seed).field_arrays()]
-    shapes = [a.shape for a in init]
-    bounds = np.cumsum([0] + [a.size for a in init])
-    flat = np.tile(np.concatenate([a.reshape(-1) for a in init]), (slots, 1))
+    init = head_init(d_model, seed)
+    bounds = init.bounds()
+    flat = np.tile(np.concatenate([a.reshape(-1) for _, a in init.field_arrays()]), (slots, 1))
     grad_flat = np.empty_like(flat)
-    params = _views(flat, shapes, bounds)
-    grads = _views(grad_flat, shapes, bounds)
+    params = init.row_views(flat)
+    grads = init.row_views(grad_flat)
 
     warmup = int(round(_WARMUP_FRACTION * steps))
     init_probe = probe_error(params)

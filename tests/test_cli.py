@@ -12,7 +12,7 @@ import pytest
 from curverope.camera import UcmCamera, relative_transform
 from curverope.cli import main
 from curverope.formats import camera_from_dict, load_trajectory, read_rdm1, save_trajectory, write_rdm1
-from curverope.head import hidden_width
+from curverope.head import head_init
 from curverope.phasor import LOG_RANGE_BOUND, breakpoints, token_paths, token_rays
 from curverope.rope import make_frequency_plan
 from curverope.scene import make_trajectory
@@ -373,22 +373,22 @@ def test_gradcheck_command(tmp_path):
 
 def test_gradcheck_report_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
     """gradcheck_report.json is byte-identical for every _PROBE_BLOCK_ENTRIES
-    from 2^10 (one probe row per block for w1) to 2^21 (all of w1's 2,048
-    probes in one block), at two seeds."""
+    from 2^10 (one probe row per block) to 2^21 (the parameter vector's
+    2,404 probes in two blocks), at two seeds."""
     from curverope import checks
 
     cfg = _write_config(tmp_path, gradcheck={"samples": 4})
-    w1_entries = 64 * hidden_width(64)
+    param_entries = int(head_init(64, 0).bounds()[-1])
     split = checks._perturbed_blocks
-    w1_blocks = []
+    param_blocks = []
 
     def spy(flat):
         count = 0
         for block in split(flat):
             count += 1
             yield block
-        if flat.size == w1_entries:
-            w1_blocks.append(count)
+        if flat.size == param_entries:
+            param_blocks.append(count)
 
     monkeypatch.setattr(checks, "_perturbed_blocks", spy)
     reports, splits = {}, {}
@@ -396,16 +396,17 @@ def test_gradcheck_report_does_not_depend_on_the_block_size(tmp_path, monkeypatc
         for exponent in (10, 13, 17, 21):
             monkeypatch.setattr(checks, "_PROBE_BLOCK_ENTRIES", 2**exponent)
             out = tmp_path / f"out-{seed}-{exponent}"
-            w1_blocks.clear()
+            param_blocks.clear()
             assert main(["gradcheck", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
             reports.setdefault(seed, set()).add((out / "gradcheck_report.json").read_bytes())
-            splits[seed, exponent] = set(w1_blocks)
+            splits[seed, exponent] = set(param_blocks)
     assert all(len(files) == 1 for files in reports.values())
     assert reports[301] != reports[105]
-    # w1 has 1,024 entries, so 2,048 probe rows: 1 row per block at 2^10,
-    # 8 at 2^13, 128 at 2^17 and all of them at 2^21.
+    # The head has 1,202 parameters, so 2,404 probe rows: 1 row per block at
+    # 2^10, 6 at 2^13, 109 at 2^17 and 1,744 at 2^21.
+    assert param_entries == 1202
     for seed in (301, 105):
-        assert [splits[seed, e] for e in (10, 13, 17, 21)] == [{2048}, {256}, {16}, {1}]
+        assert [splits[seed, e] for e in (10, 13, 17, 21)] == [{2404}, {401}, {23}, {2}]
 
 
 def test_oracle_check_command_small(tmp_path):

@@ -142,19 +142,26 @@ def test_backward_matches_finite_differences():
 
 
 def test_batched_gradcheck_catches_a_wrong_gradient(monkeypatch):
-    """The batched finite-difference probes fail a 1% error in one gradient."""
+    """The batched finite-difference probes fail a 1% error in any one
+    field's gradient, or in the feature gradient: each field keeps its own
+    slice of the differences."""
     assert checks.run_head_gradcheck(samples=3, d_model=16, seed=2)["pass"]
-    exact = checks.head_backward
+    exact_params, exact_feature = checks.head_backward, checks.head_feature_gradient
+    for wrong in ("norm_scale", "norm_bias", "w1", "b1", "w2", "b2", None):
 
-    def off_by_one_percent(*args):
-        g = exact(*args)
-        g.w1 = g.w1 * 1.01
-        return g
+        def off_by_one_percent(*args, wrong=wrong):
+            g = exact_params(*args)
+            setattr(g, wrong, getattr(g, wrong) * 1.01)
+            return g
 
-    monkeypatch.setattr(checks, "head_backward", off_by_one_percent)
-    report = checks.run_head_gradcheck(samples=3, d_model=16, seed=2)
-    assert report["samples"] == 3
-    assert not report["pass"], report
+        with monkeypatch.context() as m:
+            if wrong is None:
+                m.setattr(checks, "head_feature_gradient", lambda *args: exact_feature(*args) * 1.01)
+            else:
+                m.setattr(checks, "head_backward", off_by_one_percent)
+            report = checks.run_head_gradcheck(samples=3, d_model=16, seed=2)
+        assert report["samples"] == 3, wrong
+        assert not report["pass"], (wrong, report)
 
 
 def test_gradcheck_probe_blocks_bound_memory(monkeypatch):
@@ -175,7 +182,8 @@ def test_gradcheck_probe_blocks_bound_memory(monkeypatch):
 
 
 def test_gradcheck_memory_is_bounded_by_the_probe_block():
-    """One sample at the default d_model = 64 peaks near 2.1 MiB of traced
+    """One sample at the default d_model = 64, whose 1,202 parameters give
+    2,404 probes in 23 blocks of 109 rows, peaks near 2.1 MiB of traced
     numpy memory; with all of w1's 2,048 probes in one 16 MiB block it
     peaked near 17.6 MiB."""
     tracemalloc.start()
@@ -221,17 +229,27 @@ def test_forward_deterministic():
 
 
 def test_forward_accepts_stacked_parameter_copies():
-    """Copies stacked on a leading axis (as the gradient check builds them)
-    pass the width check and each gives its own forward pass; the head
-    broadcasts a stacked 1-D field over the tokens itself."""
+    """Copies stacked as the rows of a (B, P) buffer, as the gradient check
+    builds them, pass the width check and each gives its own forward pass,
+    bit for bit; the head broadcasts each stacked 1-D field over the tokens
+    itself. A bias stacked alone, after an unstacked product, is refused."""
     params = head_init(16, seed=1)
     params.w2 = np.random.default_rng(6).normal(0, 0.2, size=params.w2.shape)
     x = np.random.default_rng(7).normal(size=(1, 16))
-    scales = 1.0 + 0.1 * np.arange(3)[:, None] * np.ones((3, 16))
-    stacked = head_forward(HeadParams(scales, *(a for _, a in params.field_arrays()[1:])), x)
+    flat = np.concatenate([a.reshape(-1) for _, a in params.field_arrays()])
+    rows = flat + np.random.default_rng(8).normal(0, 0.05, size=(3, flat.size))
+    stack = params.row_views(rows)
+    assert np.shares_memory(stack.w1, rows) and stack.w1.shape == (3, 16, 16)
+    stacked = head_forward(stack, x)
     for i in range(3):
-        params.norm_scale = scales[i]
-        np.testing.assert_array_equal(stacked["mu"][i], head_forward(params, x)["mu"])
+        head = HeadParams(*(a[i] for _, a in stack.field_arrays()))
+        alone = head_forward(head, x)
+        np.testing.assert_array_equal(stacked["mu"][i], alone["mu"])
+        np.testing.assert_array_equal(stacked["sigma"][i], alone["sigma"])
+    b1_alone = HeadParams(*(a for _, a in params.field_arrays()))
+    b1_alone.b1 = stack.b1
+    with pytest.raises(ValueError):
+        head_forward(b1_alone, x)
 
 
 def test_backward_rejects_misshapen_upstream_gradients():

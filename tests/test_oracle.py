@@ -112,6 +112,8 @@ def test_phases_agree_with_the_scalar_geometry_on_partly_visible_paths():
     so many paths leave the query camera's view part of the way. beta has
     the sign of oracle_valid at every breakpoint; the range everywhere, and
     the bounded coordinates where the point is visible, agree within 1e-12.
+    Where it is not, _phases returns the bounded coordinates mirrored:
+    -1 times the scalar ones, within 1e-12.
     """
     rng = np.random.default_rng(27)
     k = oracle._REFERENCE_K
@@ -131,6 +133,7 @@ def test_phases_agree_with_the_scalar_geometry_on_partly_visible_paths():
         assert np.array_equal(beta > 0, visible)
         np.testing.assert_allclose(phases[2], want[2], rtol=0, atol=1e-12)
         np.testing.assert_allclose(phases[:2, visible], want[:2, visible], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phases[:2, ~visible], -want[:2, ~visible], rtol=0, atol=1e-12)
         partly_visible += 0 < np.count_nonzero(visible) < k
     assert partly_visible >= 20, partly_visible
 
